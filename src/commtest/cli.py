@@ -90,8 +90,7 @@ def _family_arg(text: str) -> HypothesisFamily:
     return HypothesisFamily.from_json(_load_json_arg(text))
 
 
-def _emit(obj: dict, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -99,16 +98,16 @@ def _emit(obj: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(rows: list[dict], fieldnames: list[str], args) -> None:
+def _emit(obj: dict, args) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", args)
+
+
+def _emit_csv(rows: list[dict], args) -> None:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), args)
 
 
 def _finite(x: float) -> float | str:
@@ -184,9 +183,7 @@ def cmd_simulate(args) -> int:
         for n in ns
     ]
     if args.format == "csv":
-        fields = ["n", "trials", "error_p", "error_q", "error_sum_estimate",
-                  "ci_halfwidth", "seed"]
-        _emit_csv([r.to_json() for r in reports], fields, args)
+        _emit_csv([r.to_json() for r in reports], args)
     elif len(reports) == 1:
         _emit(reports[0].to_json(), args)
     else:
@@ -321,13 +318,18 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors are invalid input; argparse exits 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _add_io_args(sub) -> None:
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="commtest",
         description="Hypothesis testing under communication constraints.",
     )
@@ -364,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="binary-search the sample complexity instead")
     sp.add_argument("--budget", type=float, default=0.1,
                     help="total error budget for --search")
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_io_args(sp)
     sp.set_defaults(func=cmd_simulate)
 

@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import hadamard as _hadamard_matrix
 
 from .core import (
     Channel,
@@ -31,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .quantizer import design_hellinger_channel
+from .testing import llr_statistic, message_llr
 
 # Tournament per-game sample sizing m = ceil(C log(M^2/0.1) R / rho^2).
 DEFAULT_GAME_CONSTANT = 4.0
@@ -123,10 +123,10 @@ def hadamard_instance(m: int, eps: float) -> HypothesisFamily:
         raise ValidationError("need at least two hypotheses")
     if not (0 < eps < 1):
         raise ValidationError("eps must be in (0, 1)")
-    k = 1
-    while k < m + 1:
-        k *= 2
-    h = _hadamard_matrix(k).astype(float)
+    h = np.ones((1, 1))
+    while h.shape[0] < m + 1:  # Sylvester: H_2k = [[H_k, H_k], [H_k, -H_k]]
+        h = np.kron([[1.0, 1.0], [1.0, -1.0]], h)
+    k = h.shape[0]
     base = Distribution(np.full(k, 1.0 / k))
     dists = [Distribution((1.0 + eps * h[a + 1]) / k) for a in range(m)]
     return HypothesisFamily(dists, base=base, hadamard_eps=eps)
@@ -327,17 +327,8 @@ def _play_game(
         ).channel
     channel = channel_cache[key]
     counts = _push_counts(channel, sampler(rng, n_samples), rng)
-    tp_i = apply_channel(channel, family.dists[i]).probs
-    tp_j = apply_channel(channel, family.dists[j]).probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        llr = np.log(tp_i) - np.log(tp_j)
-    llr[(tp_i == 0) & (tp_j == 0)] = 0.0
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(counts > 0, counts * llr, 0.0)
-    stat = float(np.where(np.isnan(contrib), 0.0, contrib).sum())
-    if math.isnan(stat):
-        stat = 0.0
-    return i if stat >= 0 else j
+    llr = message_llr(channel, family.dists[i], family.dists[j])
+    return i if llr_statistic([counts], [llr]) >= 0 else j
 
 
 def tournament_nonadaptive(
@@ -424,13 +415,14 @@ class BinaryChannelBoundReport:
 def verify_identical_d2_bound(
     family: HypothesisFamily, channel_samples: int = 0, seed: int = 0
 ) -> BinaryChannelBoundReport:
-    """Sup over binary channels of the min pairwise output Hellinger distance.
+    """Best min pairwise output Hellinger distance found over binary channels.
 
-    Exhausts all 2^k deterministic binary channels for k <= 16 (randomized
-    binary channels are mixtures, so this is the true sup) and optionally
-    samples random stochastic ones on top. The witness pair realizes the
-    min at the best channel: two hypotheses squeezed together by any single
-    binary quantizer.
+    Exhausts all 2^k deterministic binary channels for k <= 16 and
+    optionally samples random stochastic ones on top. The objective is not
+    convex in the channel, so a randomized channel can beat every
+    deterministic one: the result is a lower bound on the sup. The witness
+    pair realizes the min at the best channel: two hypotheses squeezed
+    together by any single binary quantizer.
     """
     k, m = family.k, family.m
     if k > 16:

@@ -9,8 +9,8 @@ the message vector under the two hypotheses. Ties go to P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,30 +50,45 @@ class TestRule:
         return self.channels[user % len(self.channels)]
 
 
-def _log_likelihood_ratio(channel: Channel, p: Distribution, q: Distribution) -> np.ndarray:
-    """Per-message log((Tp)_y / (Tq)_y); messages impossible under both get 0."""
+def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarray:
+    """Per-message log((Tp)_y / (Tq)_y): +inf or -inf where one image is 0,
+    and 0 for messages impossible under both."""
     tp = apply_channel(channel, p).probs
     tq = apply_channel(channel, q).probs
+    neither = (tp == 0) & (tq == 0)
     with np.errstate(divide="ignore"):
-        llr = np.log(tp) - np.log(tq)
-    llr[(tp == 0) & (tq == 0)] = 0.0
-    return llr
+        return np.log(np.where(neither, 1.0, tp)) - np.log(np.where(neither, 1.0, tq))
+
+
+def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
+    """The referee's statistic: sum over channel groups g of counts[g] . llr[g],
+    with leading axes of counts[g] indexing trials. An unsent message adds 0
+    even where its LLR is infinite; a total of +inf + (-inf) is NaN and
+    counts as 0, a tie, which goes to P like every tie."""
+    total = 0.0
+    with np.errstate(invalid="ignore"):  # 0 * inf, and +inf + -inf
+        for c, lg in zip(counts, llr):
+            total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
+    return np.where(np.isnan(total), 0.0, total)
 
 
 def lrt_decide(
     p: Distribution, q: Distribution, rule: TestRule, messages: Sequence[int]
 ) -> str:
-    """Decide "P" or "Q" from one message per user; ties go to P."""
-    stat = 0.0
-    for user, y in enumerate(messages):
-        channel = rule.channel_for(user)
-        if not (0 <= y < channel.out_size):
-            raise ValidationError(f"message {y} out of range for user {user}")
-        llr = _log_likelihood_ratio(channel, p, q)
-        stat += float(llr[y])
-        if math.isnan(stat):  # +inf followed by -inf: treat as balanced
-            stat = 0.0
-    return "P" if stat >= 0 else "Q"
+    """Decide "P" or "Q" from one message per user; ties go to P. Only the
+    message counts per channel matter, not the order of the users."""
+    msgs = np.asarray(messages)
+    if msgs.ndim != 1 or (msgs.size and msgs.dtype.kind not in "iu"):
+        raise ValidationError("messages must be a flat sequence of integers")
+    msgs = msgs.astype(np.int64, copy=False)
+    sizes = np.resize([c.out_size for c in rule.channels], msgs.size)  # round robin
+    bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
+    if bad.size:
+        raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
+    g = len(rule.channels)
+    counts = [np.bincount(msgs[i::g], minlength=c.out_size) for i, c in enumerate(rule.channels)]
+    llr = [message_llr(c, p, q) for c in rule.channels]
+    return "P" if llr_statistic(counts, llr) >= 0 else "Q"
 
 
 @dataclass(frozen=True)
@@ -87,15 +102,7 @@ class SimulationReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "error_p": self.error_p,
-            "error_q": self.error_q,
-            "error_sum_estimate": self.error_sum_estimate,
-            "ci_halfwidth": self.ci_halfwidth,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _group_sizes(rule: TestRule, n: int) -> list[int]:
@@ -117,17 +124,12 @@ def _simulate_branch(
     Message counts per channel group are multinomial draws from T @ truth,
     which matches per-user sampling exactly (users are iid within a group).
     """
-    stats = np.zeros(trials)
-    for channel, n_g in zip(rule.channels, _group_sizes(rule, n)):
-        if n_g == 0:
-            continue
-        msg_dist = apply_channel(channel, truth).probs
-        llr = _log_likelihood_ratio(channel, p, q)
-        counts = rng.multinomial(n_g, msg_dist, size=trials)
-        with np.errstate(invalid="ignore"):
-            contrib = np.where(counts > 0, counts * llr[np.newaxis, :], 0.0)
-        stats += np.where(np.isnan(contrib), 0.0, contrib).sum(axis=1)
-    return stats
+    groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
+    # a generator, so only one group's counts are held at a time
+    counts = (
+        rng.multinomial(n_g, apply_channel(c, truth).probs, size=trials) for c, n_g in groups
+    )
+    return llr_statistic(counts, [message_llr(c, p, q) for c, _ in groups])
 
 
 def simulate_error(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,8 +210,45 @@ class TestVerifyCommand:
         assert out1 == out2
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
+        assert exc.value.code == EXIT_INVALID
+
+
+class TestUsage:
+    def test_unknown_flag_is_invalid_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["divergence", "--p", P, "--q", Q, "--nosuch"])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["divergence", "--p", P, "--q", Q],
+        ["mary", "instance", "--m", "4", "--eps", "0.4"],
+        ["verify", "tightness"],
+    ])
+    def test_format_only_on_simulate(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == EXIT_INVALID
+        assert capsys.readouterr().out == ""
+
+    def test_help_exits_ok(self, capsys):
+        for argv in (["--help"], ["simulate", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_OK
+        assert "--format" in capsys.readouterr().out
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, commtest.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
 
 class TestEnvironment:

@@ -71,6 +71,17 @@ class TestHadamardInstance:
                     fam.base, fam.dists[i], fam.dists[j]
                 ) == pytest.approx(expected, abs=1e-12)
 
+    def test_rows_follow_sylvester_sign_rule(self):
+        # Sylvester's H_k has entry (-1)^popcount(a & x); row a + 1 gives P_a.
+        for m, eps in ((2, 0.3), (3, 0.4), (4, 0.4), (8, 0.5), (31, 0.2), (100, 0.1)):
+            fam = hadamard_instance(m, eps)
+            k = fam.k
+            assert k >= m + 1 and k // 2 < m + 1 and k & (k - 1) == 0
+            for a in range(m):
+                signs = [(-1.0) ** bin((a + 1) & x).count("1") for x in range(k)]
+                want = [(1.0 + eps * s) / k for s in signs]
+                assert fam.dists[a].probs == pytest.approx(want, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             hadamard_instance(1, 0.4)

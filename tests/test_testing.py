@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,11 @@ from commtest import (
     simulate_error,
     total_variation,
 )
-from commtest.testing import _group_sizes
+from commtest.testing import _group_sizes, llr_statistic, message_llr
+
+# +inf on message 0, -inf on message 1, finite on messages 2 and 3.
+CONFLICT_P = Distribution([0.4, 0.0, 0.3, 0.3])
+CONFLICT_Q = Distribution([0.0, 0.4, 0.4, 0.2])
 
 
 def identity_rule(k):
@@ -69,6 +75,88 @@ class TestLrtDecide:
         q = Distribution([0.0, 0.5, 0.5])
         # message 0 has llr +inf, message 2 has llr -inf; together treated as 0
         assert lrt_decide(p, q, identity_rule(3), [0, 2]) == "P"
+
+    def test_non_integer_messages(self):
+        p = Distribution([0.9, 0.1])
+        q = Distribution([0.1, 0.9])
+        with pytest.raises(ValidationError):
+            lrt_decide(p, q, identity_rule(2), [0, 1.0])
+        with pytest.raises(ValidationError):
+            lrt_decide(p, q, identity_rule(2), [[0, 1]])
+
+    def test_conflicting_infinities_ignore_order(self):
+        rule = identity_rule(4)
+        # +inf + -inf + log(3/4) is NaN, a tie, in whatever order it is summed
+        assert lrt_decide(CONFLICT_P, CONFLICT_Q, rule, [0, 1, 2]) == "P"
+        assert lrt_decide(CONFLICT_P, CONFLICT_Q, rule, [2, 0, 1]) == "P"
+
+    def test_permuting_users_of_a_channel_keeps_decision(self):
+        rng = np.random.default_rng(8)
+        chans = [Channel.identity(4), Channel(rng.dirichlet(np.ones(3), size=4).T)]
+        rule = TestRule(chans)
+        for trial in range(200):
+            p, q = (CONFLICT_P, CONFLICT_Q) if trial % 2 else (
+                Distribution(rng.dirichlet(np.ones(4))), Distribution(rng.dirichlet(np.ones(4))))
+            n = int(rng.integers(1, 12))
+            msgs = np.array([rng.integers(rule.channel_for(u).out_size) for u in range(n)])
+            shuffled = msgs.copy()
+            for g in range(2):
+                shuffled[g::2] = rng.permutation(msgs[g::2])
+            assert lrt_decide(p, q, rule, shuffled.tolist()) == lrt_decide(p, q, rule, msgs)
+
+    def test_agrees_with_per_message_sum(self):
+        rng = np.random.default_rng(9)
+        chans = [Channel(rng.dirichlet(np.ones(d), size=5).T) for d in (2, 3, 4)]
+        rule = TestRule(chans)
+        for _ in range(100):
+            p = Distribution(rng.dirichlet(np.ones(5)))
+            q = Distribution(rng.dirichlet(np.ones(5)))
+            msgs = [int(rng.integers(rule.channel_for(u).out_size)) for u in range(50)]
+            terms = []
+            for u, y in enumerate(msgs):
+                tp = apply_channel(rule.channel_for(u), p).probs
+                tq = apply_channel(rule.channel_for(u), q).probs
+                terms.append(np.log(tp[y] / tq[y]))
+            stat = sum(terms)
+            if abs(stat) > 1e-9 * sum(abs(t) for t in terms):
+                assert lrt_decide(p, q, rule, msgs) == ("P" if stat > 0 else "Q")
+
+    def test_no_numpy_warnings(self):
+        # messages 2 and 4 are impossible under both hypotheses
+        p = Distribution([0.5, 0.5, 0.0, 0.0, 0.0])
+        q = Distribution([0.0, 0.5, 0.0, 0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lrt_decide(p, q, identity_rule(5), [0, 3, 2, 4, 1]) == "P"
+            assert lrt_decide(p, q, identity_rule(5), [3, 2]) == "Q"
+            simulate_error(identity_rule(5), p, q, 6, trials=300, seed=1,
+                           p_sampler=Distribution([0.2] * 5))
+
+
+class TestLlrKernel:
+    def test_message_llr(self):
+        llr = message_llr(Channel.identity(5), Distribution([0.5, 0.0, 0.25, 0.25, 0.0]),
+                          Distribution([0.0, 0.5, 0.25, 0.125, 0.125]))
+        assert llr[[0, 1, 2, 4]].tolist() == [np.inf, -np.inf, 0.0, -np.inf]
+        assert llr[3] == pytest.approx(np.log(2.0))
+        both_zero = message_llr(Channel.identity(3), Distribution([1.0, 0.0, 0.0]),
+                                Distribution([0.0, 1.0, 0.0]))
+        assert both_zero[2] == 0.0
+
+    def test_unsent_infinite_messages_add_nothing(self):
+        llr = np.array([np.inf, -np.inf, 0.5])
+        assert llr_statistic([np.array([0, 0, 3])], [llr]) == 1.5
+        assert llr_statistic([np.array([2, 0, 1])], [llr]) == np.inf
+
+    def test_conflicting_infinities_are_a_tie_across_groups(self):
+        inf_llr, minus_llr = np.array([np.inf, 1.0]), np.array([-np.inf, 1.0])
+        stat = llr_statistic([np.array([1, 0]), np.array([1, 5])], [inf_llr, minus_llr])
+        assert stat == 0.0
+
+    def test_trial_axis(self):
+        llr = np.array([np.inf, -np.inf, -1.0])
+        counts = np.array([[1, 0, 2], [0, 0, 2], [1, 1, 0], [0, 2, 0]])
+        assert llr_statistic([counts], [llr]).tolist() == [np.inf, -2.0, 0.0, -np.inf]
 
 
 class TestScheffe:
@@ -131,6 +219,15 @@ class TestSimulateError:
             identity_rule(2), p, q, 20, trials=500, seed=0, p_sampler=q
         )
         assert rep.error_p > 0.5
+
+    def test_sampler_conflicting_infinities_decide_p(self):
+        # Sampling messages 0 (+inf) and 1 (-inf) only: a mixed sample is a
+        # tie and goes to P, so only the all-1 samples (2^-10) decide Q.
+        sampler = Distribution([0.5, 0.5, 0.0, 0.0])
+        rep = simulate_error(identity_rule(4), CONFLICT_P, CONFLICT_Q, 10, trials=4000,
+                             seed=0, p_sampler=sampler, q_sampler=sampler)
+        assert rep.error_q > 0.99
+        assert rep.error_p < 0.01
 
     def test_validation(self):
         p = Distribution([0.9, 0.1])
