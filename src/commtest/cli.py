@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -165,6 +164,8 @@ def _build_rule(args, p: Distribution, q: Distribution) -> TestRule:
 def cmd_simulate(args) -> int:
     p, q = _dist_arg(args.p), _dist_arg(args.q)
     if args.search:
+        if args.format != "json":
+            raise ValidationError("--search prints JSON only; drop --format csv")
         n_hat = empirical_sample_complexity(
             lambda n: _build_rule(args, p, q),
             p,
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True, help="number of channel outputs")
     sp.add_argument("--spec", default="hellinger")
     sp.add_argument("--oracle", action="store_true",
-                    help="exact best threshold channel by enumeration")
+                    help="exact best threshold channel")
     _add_io_args(sp)
     sp.set_defaults(func=cmd_quantize)
 
@@ -438,17 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # COMMTEST_THREADS caps worker threads; the implementation is a
-    # single-process numpy pipeline, so any positive value is already honored.
-    threads = os.environ.get("COMMTEST_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: COMMTEST_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return EXIT_INVALID
     try:
         return args.func(args)
     except StochasticFailureError as exc:

@@ -336,17 +336,20 @@ def builtin_fdiv(name: str) -> FDivergenceSpec:
     )
 
 
+def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
+    """One summand q_i f(p_i / q_i) of I_f, with the 0/0 and a/0 conventions."""
+    if qi > 0:
+        return qi * spec.evaluate(pi / qi)
+    if pi > 0:
+        return pi * spec.slope_at_inf
+    return 0.0
+
+
 def f_divergence(spec: FDivergenceSpec, p: Distribution, q: Distribution) -> float:
     _check_same_alphabet(p, q)
     total = 0.0
     for pi, qi in zip(p.probs, q.probs):
-        if qi > 0:
-            total += qi * spec.evaluate(pi / qi)
-        elif pi > 0:
-            if spec.slope_at_inf == 0:
-                continue
-            total += pi * spec.slope_at_inf
-        # pi == qi == 0 contributes nothing
+        total += _fdiv_term(spec, pi, qi)
     return float(total)
 
 

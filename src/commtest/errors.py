@@ -19,7 +19,8 @@ class DegenerateInputError(CommtestError, ValueError):
 
 
 class CombinatorialBlowupError(CommtestError, ValueError):
-    """A brute-force oracle was asked to enumerate too large a space."""
+    """Only the binary-channel squeeze verifier raises this, when asked to
+    enumerate the 2^k channels of an alphabet with k > 16."""
 
 
 class InfeasibleContaminationError(CommtestError, ValueError):

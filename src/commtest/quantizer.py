@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .core import (
     Distribution,
     FDivergenceSpec,
     ThresholdSet,
+    _fdiv_term,
     apply_channel,
     builtin_fdiv,
     f_divergence,
@@ -32,12 +32,14 @@ from .core import (
     likelihood_ratios,
     threshold_channel,
 )
-from .errors import (
-    CombinatorialBlowupError,
-    DegenerateInputError,
-    ValidationError,
+from .errors import DegenerateInputError, ValidationError
+from .revmarkov import (
+    DiscreteRV,
+    _best_cuts,
+    _cell_sums,
+    reverse_markov_best,
+    tightness_instance,
 )
-from .revmarkov import DiscreteRV, reverse_markov_best, tightness_instance
 
 # Constants from the preservation guarantees.
 MAIN_TERM_COEFF = 4.0        # weight on f(nu)/f(1/(1+kappa))
@@ -45,7 +47,6 @@ BLOWUP_COEFF = 52.0          # weight on (c2/c1) * max(1, R/D)
 HELLINGER_CEILING = 1800.0   # hellinger-specific ratio ceiling coefficient
 
 _DIVERGENCE_FLOOR = 1e-15
-_MAX_BRUTE_FORCE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -136,21 +137,17 @@ def _near_one_grid(
     return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
 
 
-def _separating_thresholds(
-    p: Distribution, q: Distribution, out_size: int
-) -> list[float] | None:
-    """Thresholds isolating every distinct ratio class, if they fit in D cells."""
+def _ratio_cuts(p: Distribution, q: Distribution) -> list[float]:
+    """One threshold per boundary between adjacent likelihood-ratio classes
+    of the joint support: each finite ratio above the smallest, plus one
+    past the largest finite ratio when some ratio is infinite."""
     ratios = likelihood_ratios(p, q)
     support = (p.probs > 0) | (q.probs > 0)
     finite = np.unique(ratios[support & np.isfinite(ratios)])
-    has_inf = bool(np.any(np.isinf(ratios[support])))
-    n_classes = finite.size + (1 if has_inf else 0)
-    if n_classes < 2 or n_classes > out_size:
-        return None
     cuts = [float(v) for v in finite[1:]]
-    if has_inf and finite.size:
+    if np.any(np.isinf(ratios[support])):
         cuts.append(2.0 * float(finite[-1]) + 1.0)
-    return cuts if cuts else None
+    return cuts
 
 
 def design_fdiv_channel(
@@ -173,18 +170,15 @@ def design_fdiv_channel(
     swp = _near_one_grid(spec, q, p, out_size)
     if swp is not None:
         candidates.append((_mirror(np.asarray(swp)), "small-ratio"))
-    sep = _separating_thresholds(p, q, out_size)
-    if sep is not None:
+    sep = _ratio_cuts(p, q)
+    if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
     best: QuantizeResult | None = None
     for levels, case in candidates:
         gamma = _pad_thresholds(levels, out_size)
         channel = threshold_channel(p, q, gamma)
-        try:
-            ratio = fdiv_ratio(spec, p, q, channel)
-        except DegenerateInputError:
-            continue
+        ratio = fdiv_ratio(spec, p, q, channel)
         if best is None or ratio < best.ratio_achieved:
             best = QuantizeResult(
                 channel=channel,
@@ -243,49 +237,35 @@ def design_hellinger_channel(
 def brute_force_threshold_channel(
     spec: FDivergenceSpec, p: Distribution, q: Distribution, out_size: int
 ) -> QuantizeResult:
-    """Exact best threshold channel by enumerating ratio-class splits.
+    """Exact best threshold channel, by a dynamic program over ratio classes.
 
-    Cell boundaries can always sit on distinct ratio values (moving a
-    threshold up to the next ratio changes nothing), and refining a
-    partition never lowers I_f(Tp, Tq), so (D-1)-subsets of the boundary
-    candidates are exhaustive.
+    An optimal channel splits the sorted ratio classes (the infinite one
+    last) into min(D, classes) contiguous cells, and I_f(Tp, Tq) adds up
+    over the cells (Kurkoski & Yagi 2014).
     """
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
     i_f = f_divergence(spec, p, q)
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
-    ratios = likelihood_ratios(p, q)
-    support = (p.probs > 0) | (q.probs > 0)
-    finite = np.unique(ratios[support & np.isfinite(ratios)])
-    cuts = [float(v) for v in finite[1:] if v > 0]
-    if np.any(np.isinf(ratios[support])) and finite.size:
-        cuts.append(2.0 * float(finite[-1]) + 1.0)
+    cuts = _ratio_cuts(p, q)
     if not cuts:
         raise DegenerateInputError("only one likelihood-ratio class present")
-    t = min(out_size - 1, len(cuts))
-    n_comb = math.comb(len(cuts), t)
-    if n_comb > _MAX_BRUTE_FORCE:
-        raise CombinatorialBlowupError(
-            f"{n_comb} threshold sets exceed the {_MAX_BRUTE_FORCE} cap"
-        )
-    best: tuple[float, ThresholdSet, Channel] | None = None
-    for combo in combinations(cuts, t):
-        gamma = _pad_thresholds(list(combo), out_size)
-        channel = threshold_channel(p, q, gamma)
-        try:
-            ratio = fdiv_ratio(spec, p, q, channel)
-        except DegenerateInputError:
-            continue
-        if best is None or ratio < best[0]:
-            best = (ratio, gamma, channel)
-    if best is None:
-        raise DegenerateInputError("no threshold channel preserves any divergence")
-    ratio, gamma, channel = best
+    classes = threshold_channel(p, q, ThresholdSet(cuts)).matrix
+    p_cells = _cell_sums(classes @ p.probs)
+    q_cells = _cell_sums(classes @ q.probs)
+    n = len(cuts) + 1
+    score = np.zeros((n, n + 1))
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
+    chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
+    gamma = _pad_thresholds([cuts[c - 1] for c in chosen], out_size)
+    channel = threshold_channel(p, q, gamma)
     return QuantizeResult(
         channel=channel,
         gamma=gamma,
-        ratio_achieved=ratio,
+        ratio_achieved=fdiv_ratio(spec, p, q, channel),
         bound=math.inf,
         case_taken="oracle",
         r_value=math.nan,

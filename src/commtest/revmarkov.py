@@ -13,19 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    CombinatorialBlowupError,
-    DegenerateInputError,
-    ValidationError,
-)
+from .errors import DegenerateInputError, ValidationError
 from .core import NORMALIZE_TOL, _as_float_array
 
 GUARANTEE_FACTOR = 1.0 / 13.0
-_MAX_BRUTE_FORCE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -184,31 +178,53 @@ def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     return top if top.achieved >= geo.achieved else geo
 
 
-def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
-    """Exact optimum by enumerating grids through atom values.
+def _cell_sums(x: np.ndarray) -> np.ndarray:
+    """n x (n+1) table of x[a:b].sum() for a < b (0 else), each summed up from
+    x[a], so that a small cell keeps its relative accuracy."""
+    n = x.size
+    return np.hstack([np.zeros((n, 1)), np.cumsum(np.triu(np.broadcast_to(x, (n, n))), 1)])
 
-    Any optimal grid may be pushed up so each level sits on an atom, and
-    adding levels never decreases the objective, so enumerating all
-    (D-1)-subsets of positive atom values is exhaustive.
+
+def _best_cuts(score: np.ndarray, t: int) -> list[int]:
+    """Cuts 0 < c_1 < ... < c_t < n maximising score[0, c_1] + score[c_1, c_2]
+    + ... + score[c_t, n], by an O(t n^2) dynamic program. score[a, b] scores
+    the cell of items a..b-1; it is n x (n+1), read only where a < b, and may
+    hold +inf but not -inf or NaN. Exact ties go to the first cuts."""
+    n = score.shape[0]
+    value = score[:, n].copy()  # value[a]: best score of items a.. with the cuts left
+    pointers = []
+    for m in range(n - 1, n - 1 - t, -1):  # starts a < m, next cuts c in 1..m
+        total = np.full((m, m), -np.inf)
+        # add only where c > a: a masked +inf + -inf would be NaN
+        np.add(score[:m, 1:m + 1], value[1:m + 1], out=total,
+               where=np.triu(np.ones((m, m), dtype=bool)))
+        pointers.append(total.argmax(axis=1) + 1)
+        value[:m] = total.max(axis=1)
+    cuts = [0]
+    for best in reversed(pointers):
+        cuts.append(int(best[cuts[-1]]))
+    return cuts[1:]
+
+
+def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
+    """Exact optimum over all grids, by a dynamic program over atom values.
+
+    An optimal grid can put its D-1 levels (fewer if there are fewer
+    positive atoms) on positive atoms. They split the sorted atoms into
+    contiguous cells, each scoring its lowest value times its mass, and the
+    mass below the first level scores 0.
     """
     _require_positive_mean(rv)
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
-    candidates = [float(v) for v, m in zip(rv.values, rv.masses) if v > 0]
-    t = min(out_size - 1, len(candidates))
-    n_comb = math.comb(len(candidates), t)
-    if n_comb > _MAX_BRUTE_FORCE:
-        raise CombinatorialBlowupError(
-            f"{n_comb} grids to enumerate exceeds the {_MAX_BRUTE_FORCE} cap"
-        )
-    best: ThresholdGrid | None = None
-    for combo in combinations(candidates, t):
-        nus = _pad_grid(list(combo), out_size, rv.beta)
-        val = revmarkov_objective(rv, nus)
-        if best is None or val > best.achieved:
-            best = ThresholdGrid(nus=nus, achieved=val)
-    assert best is not None
-    return best
+    positive = rv.values > 0
+    # a value-0 head item holds the mass below the first level
+    values = np.concatenate(([0.0], rv.values[positive]))
+    masses = np.concatenate(([0.0], rv.masses[positive]))
+    t = min(out_size - 1, values.size - 1)
+    cuts = _best_cuts(values[:, None] * _cell_sums(masses), t)
+    nus = _pad_grid([float(values[c]) for c in cuts], out_size, rv.beta)
+    return ThresholdGrid(nus=nus, achieved=revmarkov_objective(rv, nus))
 
 
 def tightness_instance(rho: float) -> DiscreteRV:

@@ -233,6 +233,13 @@ class TestUsage:
         assert exc.value.code == EXIT_INVALID
         assert capsys.readouterr().out == ""
 
+    def test_search_rejects_csv(self, capsys):
+        code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, "--search",
+                             "--format", "csv")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--search" in err
+
     def test_help_exits_ok(self, capsys):
         for argv in (["--help"], ["simulate", "--help"]):
             with pytest.raises(SystemExit) as exc:
@@ -249,14 +256,3 @@ class TestUsage:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "[]"
-
-
-class TestEnvironment:
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("COMMTEST_THREADS", "4")
-        code, _, _ = run(capsys, "divergence", "--p", P, "--q", Q)
-        assert code == EXIT_OK
-        monkeypatch.setenv("COMMTEST_THREADS", "zero")
-        code, _, err = run(capsys, "divergence", "--p", P, "--q", Q)
-        assert code == EXIT_INVALID
-        assert "COMMTEST_THREADS" in err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from commtest import (
-    CombinatorialBlowupError,
     DegenerateInputError,
     Distribution,
     ValidationError,
@@ -125,11 +124,14 @@ class TestOracle:
             assert oracle.case_taken == "oracle"
             done += 1
 
-    def test_blowup_guard(self):
+    def test_large_instance_is_exact(self):
+        # C(59, 9) threshold sets: far beyond subset enumeration
         rng = np.random.default_rng(14)
         p, q = random_pair(rng, 60)
-        with pytest.raises(CombinatorialBlowupError):
-            brute_force_threshold_channel(builtin_fdiv("hellinger"), p, q, 10)
+        oracle = brute_force_threshold_channel(builtin_fdiv("hellinger"), p, q, 10)
+        designed = design_hellinger_channel(p, q, 10)
+        assert 1.0 - 1e-12 <= oracle.ratio_achieved <= designed.ratio_achieved
+        assert oracle.gamma.out_size == 10
 
     def test_single_ratio_class_raises(self):
         p = Distribution([0.5, 0.5])
