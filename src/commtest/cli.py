@@ -268,6 +268,8 @@ def cmd_mary_tournament(args) -> int:
     fam = _family_from_args(args)
     if not (0 <= args.truth < fam.m):
         raise ValidationError(f"--truth must be in [0, {fam.m})")
+    if args.trials < 1:
+        raise ValidationError("--trials must be at least 1")
     run = tournament_adaptive if args.adaptive else tournament_nonadaptive
     wins = 0
     last = None

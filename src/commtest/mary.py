@@ -39,6 +39,8 @@ JL_COLUMN_SCALE = 11.0        # Q1 = 11 * D'
 JL_NOISE_SCALE = 10.0         # Q2 = 10 * sqrt(log(k D'))
 DEFAULT_JL_ACCEPT = 0.02  # pilot-calibrated: single-draw success ~0.85
 DEFAULT_JL_RETRIES = 100
+# Channels per step of the binary squeeze sweep (pairs x chunk temporaries).
+_SWEEP_CHUNK = 4096
 
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -417,36 +419,45 @@ def verify_identical_d2_bound(
 ) -> BinaryChannelBoundReport:
     """Best min pairwise output Hellinger distance found over binary channels.
 
-    Exhausts all 2^k deterministic binary channels for k <= 16 and
-    optionally samples random stochastic ones on top. The objective is not
-    convex in the channel, so a randomized channel can beat every
-    deterministic one: the result is a lower bound on the sup. The witness
-    pair realizes the min at the best channel: two hypotheses squeezed
-    together by any single binary quantizer.
+    Scores all 2^k deterministic binary channels for k <= 16, then
+    `channel_samples` random stochastic ones. The objective is not convex in
+    the channel, so a randomized channel can beat every deterministic one:
+    the result is a lower bound on the sup. The witness pair realizes the
+    min at the best channel: two hypotheses squeezed together by any single
+    binary quantizer.
+
+    P(output = 1) for every channel comes from one matrix product; the pair
+    distances are then swept in chunks of _SWEEP_CHUNK channels, taking the
+    min over pairs and the max over channels with the first index winning
+    every tie.
     """
     k, m = family.k, family.m
+    if channel_samples < 0:
+        raise ValidationError("channel_samples must be non-negative")
     if k > 16:
         raise CombinatorialBlowupError("exhaustive binary search limited to k <= 16")
     probs = np.vstack([d.probs for d in family.dists])  # M x k
-    masks = np.arange(2 ** k)
-    bits = ((masks[:, None] >> np.arange(k)[None, :]) & 1).astype(float)  # 2^k x k
-    rng = np.random.default_rng(seed)
-    if channel_samples > 0:
-        bits = np.vstack([bits, rng.random((channel_samples, k))])
-    a = np.clip(probs @ bits.T, 0.0, 1.0)  # M x n_channels, P(output=1)
-    best_idx, best_min, best_pair = 0, -1.0, (0, 1)
-    for c in range(a.shape[1]):
-        col = a[:, c]
-        worst, worst_pair = math.inf, (0, 1)
-        for i, j in combinations(range(m), 2):
-            h = (math.sqrt(col[i]) - math.sqrt(col[j])) ** 2 + (
-                math.sqrt(1 - col[i]) - math.sqrt(1 - col[j])
-            ) ** 2
-            h = math.sqrt(max(h, 0.0))
-            if h < worst:
-                worst, worst_pair = h, (i, j)
-        if worst > best_min:
-            best_idx, best_min, best_pair = c, worst, worst_pair
+    bits = np.empty((2 ** k + channel_samples, k))  # one channel per row
+    masks = np.arange(2 ** k, dtype=np.uint16)
+    bits[: 2 ** k] = (masks[:, None] >> np.arange(k, dtype=np.uint16)) & 1
+    bits[2 ** k :] = np.random.default_rng(seed).random((channel_samples, k))
+    # One product for all channels: the BLAS can round a column differently
+    # when the matrix is narrower, so chunked products would move the report.
+    a = probs @ bits.T  # M x n_channels, P(output=1)
+    del bits
+    np.clip(a, 0.0, 1.0, out=a)
+    ii, jj = np.array(list(combinations(range(m), 2))).T
+    best_min, best_pair = -1.0, (0, 1)
+    for start in range(0, a.shape[1], _SWEEP_CHUNK):
+        col = a[:, start : start + _SWEEP_CHUNK]
+        s, t = np.sqrt(col), np.sqrt(1.0 - col)
+        ds, dt = s[ii] - s[jj], t[ii] - t[jj]
+        h = np.sqrt(ds * ds + dt * dt)  # pairs x channels
+        worst = h.min(axis=0)
+        c = int(worst.argmax())
+        if worst[c] > best_min:
+            pair = int(h[:, c].argmin())
+            best_min, best_pair = float(worst[c]), (int(ii[pair]), int(jj[pair]))
     eps2 = family.max_pairwise_hellinger
     return BinaryChannelBoundReport(
         sup_min_hellinger=best_min,

@@ -93,7 +93,7 @@ def _min_ratio(p: Distribution, q: Distribution) -> float:
             continue
         if pi == 0 or qi == 0:
             return 0.0
-        nu = min(nu, pi / qi, qi / pi)
+        nu = min(nu, pi / qi if pi < qi else qi / pi)  # the quotient above 1 can overflow
     return nu
 
 
@@ -146,7 +146,9 @@ def _ratio_cuts(p: Distribution, q: Distribution) -> list[float]:
     finite = np.unique(ratios[support & np.isfinite(ratios)])
     cuts = [float(v) for v in finite[1:]]
     if np.any(np.isinf(ratios[support])):
-        cuts.append(2.0 * float(finite[-1]) + 1.0)
+        top = float(finite[-1])
+        past = 2.0 * top + 1.0
+        cuts.append(past if math.isfinite(past) else math.nextafter(top, math.inf))
     return cuts
 
 

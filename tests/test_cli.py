@@ -181,6 +181,13 @@ class TestMary:
                          "--truth", "7")
         assert code == EXIT_INVALID
 
+    def test_tournament_zero_trials(self, capsys):
+        code, out, err = run(capsys, "mary", "tournament", "--m", "4", "--eps", "0.4",
+                             "--trials", "0")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: --trials must be at least 1")
+
     def test_family_file(self, capsys, tmp_path):
         fam = {"dists": [[0.9, 0.1], [0.1, 0.9]]}
         f = tmp_path / "family.json"
@@ -194,6 +201,13 @@ class TestMary:
         assert code == EXIT_OK
         obj = json.loads(out)
         assert obj["constant"] <= obj["limit"]
+
+    def test_verify_negative_samples(self, capsys):
+        code, out, err = run(capsys, "mary", "verify", "--m", "4", "--eps", "0.4",
+                             "--samples", "-5")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from commtest import (
     fdiv_ratio,
     hell_tight_instance,
     hellinger_sq,
+    likelihood_ratios,
+    quantizer,
 )
 
 
@@ -137,6 +140,46 @@ class TestOracle:
         p = Distribution([0.5, 0.5])
         with pytest.raises(DegenerateInputError):
             brute_force_threshold_channel(builtin_fdiv("hellinger"), p, p, 2)
+
+
+class TestExtremeRatios:
+    def test_infinite_class_cut_after_huge_finite_ratio(self):
+        # largest finite ratio 1e308: 2 * 1e308 + 1 overflows to inf
+        p = Distribution([0.4, 0.3, 0.3])
+        q = Distribution([4e-309, 1.0, 0.0])
+        top = likelihood_ratios(p, q)[0]
+        cuts = quantizer._ratio_cuts(p, q)
+        assert cuts == [top, math.nextafter(top, math.inf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [design_hellinger_channel(p, q, 3),
+                       brute_force_threshold_channel(builtin_fdiv("hellinger"), p, q, 3)]
+        for res in results:
+            # every ratio class in its own cell: lossless
+            assert sorted(res.channel.matrix.argmax(axis=0)) == [0, 1, 2]
+            assert res.ratio_achieved == pytest.approx(1.0)
+
+    def test_infinite_class_cut_unchanged_for_moderate_ratios(self):
+        p = Distribution([0.4, 0.3, 0.3])
+        q = Distribution([0.5, 0.5, 0.0])
+        assert quantizer._ratio_cuts(p, q) == [0.8, 2.0 * 0.8 + 1.0]
+
+    def test_min_ratio_on_subnormal_masses_is_warning_free(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = Distribution([0.5, 0.5, 0.0])
+            q = Distribution([1e-309, 0.5, 0.5 - 1e-309])
+            assert quantizer._min_ratio(p, q) == 0.0
+            p, q = Distribution([0.5, 0.5]), Distribution([1e-309, 1.0 - 1e-309])
+            assert quantizer._min_ratio(p, q) == 1e-309 / 0.5
+            assert quantizer._min_ratio(q, p) == 1e-309 / 0.5
+
+    def test_min_ratio_equals_smaller_quotient(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            p, q = random_pair(rng, 6)
+            expected = min(1.0, *(min(a / b, b / a) for a, b in zip(p.probs, q.probs)))
+            assert quantizer._min_ratio(p, q) == expected
 
 
 class TestHellTightInstance:
