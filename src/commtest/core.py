@@ -22,6 +22,8 @@ from .errors import DimensionError, ValidationError
 # to one, rejected otherwise; after construction sums hold to STRICT_TOL.
 NORMALIZE_TOL = 1e-9
 STRICT_TOL = 1e-12
+# A quotient p_i / q_i with p_i <= 1 can only overflow when q_i is below this.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -196,7 +198,7 @@ def geometric_threshold_set(x: float, out_size: int) -> ThresholdSet:
 def likelihood_ratios(p: Distribution, q: Distribution) -> np.ndarray:
     """Pointwise p_i/q_i with 0/0 -> 0 and a/0 -> inf."""
     _check_same_alphabet(p, q)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = p.probs / q.probs
     r = np.where((q.probs == 0) & (p.probs == 0), 0.0, r)
     r = np.where((q.probs == 0) & (p.probs > 0), np.inf, r)
@@ -337,8 +339,11 @@ def builtin_fdiv(name: str) -> FDivergenceSpec:
 
 
 def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
-    """One summand q_i f(p_i / q_i) of I_f, with the 0/0 and a/0 conventions."""
+    """One summand q_i f(p_i / q_i) of I_f, with the 0/0 and a/0 conventions;
+    a quotient that overflows (q_i subnormal) also takes the a/0 limit."""
     if qi > 0:
+        if qi < _SMALLEST_NORMAL and math.isinf(float(pi) / float(qi)):
+            return pi * spec.slope_at_inf
         return qi * spec.evaluate(pi / qi)
     if pi > 0:
         return pi * spec.slope_at_inf

@@ -48,7 +48,8 @@ Sampler = Callable[[np.random.Generator, int], np.ndarray]
 @dataclass(frozen=True)
 class HypothesisFamily:
     """M candidate distributions on a shared alphabet, with cached pairwise
-    separation statistics."""
+    separation statistics and (outside eq, hash, repr and JSON) the channel
+    and LLR table of every tournament game played on it."""
 
     dists: tuple[Distribution, ...]
     base: Distribution | None = None
@@ -56,6 +57,7 @@ class HypothesisFamily:
     min_pairwise_hellinger: float = field(init=False)
     min_pairwise_tv: float = field(init=False)
     max_pairwise_hellinger: float = field(init=False)
+    _games: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, dists: Sequence[Distribution], base=None, hadamard_eps=None):
         dists = tuple(dists)
@@ -77,6 +79,7 @@ class HypothesisFamily:
         object.__setattr__(self, "min_pairwise_hellinger", min_h)
         object.__setattr__(self, "max_pairwise_hellinger", max_h)
         object.__setattr__(self, "min_pairwise_tv", min_tv)
+        object.__setattr__(self, "_games", {})
 
     @property
     def m(self) -> int:
@@ -93,6 +96,18 @@ class HypothesisFamily:
         if self.hadamard_eps is not None:
             obj["hadamard_eps"] = self.hadamard_eps
         return obj
+
+    def _game(self, i: int, j: int, out_size: int) -> tuple[Channel, np.ndarray]:
+        """Channel designed from min(i, j) to max(i, j) and LLR table
+        log(T p_i / T p_j), built on first use; inputs are read-only, so
+        entries never go stale. Tournaments play i < j: one design per pair."""
+        key = (i, j, out_size)
+        if key not in self._games:
+            channel = design_hellinger_channel(
+                self.dists[min(i, j)], self.dists[max(i, j)], out_size
+            ).channel
+            self._games[key] = (channel, message_llr(channel, self.dists[i], self.dists[j]))
+        return self._games[key]
 
     @classmethod
     def from_json(cls, obj: dict) -> "HypothesisFamily":
@@ -302,16 +317,6 @@ def game_sample_size(
     return math.ceil(constant * math.log(family.m ** 2 / 0.1) * r / rho_sq)
 
 
-def _push_counts(channel: Channel, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if channel.is_deterministic():
-        return channel.matrix @ counts
-    out = np.zeros(channel.out_size)
-    for x, c in enumerate(counts):
-        if c > 0:
-            out += rng.multinomial(int(c), channel.matrix[:, x])
-    return out
-
-
 def _play_game(
     family: HypothesisFamily,
     i: int,
@@ -320,16 +325,9 @@ def _play_game(
     n_samples: int,
     sampler: Sampler,
     rng: np.random.Generator,
-    channel_cache: dict,
 ) -> int:
-    key = (min(i, j), max(i, j))
-    if key not in channel_cache:
-        channel_cache[key] = design_hellinger_channel(
-            family.dists[key[0]], family.dists[key[1]], out_size
-        ).channel
-    channel = channel_cache[key]
-    counts = _push_counts(channel, sampler(rng, n_samples), rng)
-    llr = message_llr(channel, family.dists[i], family.dists[j])
+    channel, llr = family._game(i, j, out_size)
+    counts = channel.matrix @ sampler(rng, n_samples)  # threshold channels are 0/1
     return i if llr_statistic([counts], [llr]) >= 0 else j
 
 
@@ -342,14 +340,14 @@ def tournament_nonadaptive(
 ) -> TournamentTranscript:
     """Round robin over all M(M-1)/2 pairs with fresh samples per game;
     the winner is the unique undefeated hypothesis (lowest-index undefeated,
-    flagged ambiguous, when there is none or several)."""
+    flagged ambiguous, when there is none or several). Game channels stay
+    on `family`: reuse one family object to design each pair only once."""
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
-    cache: dict = {}
     games = []
     losses = np.zeros(family.m, dtype=int)
     for i, j in combinations(range(family.m), 2):
-        winner = _play_game(family, i, j, out_size, n_samples, sampler, rng, cache)
+        winner = _play_game(family, i, j, out_size, n_samples, sampler, rng)
         losses[j if winner == i else i] += 1
         games.append(GameRecord(i=i, j=j, samples=n_samples, winner=winner))
     undefeated = np.flatnonzero(losses == 0)
@@ -374,14 +372,13 @@ def tournament_adaptive(
     constant: float = DEFAULT_GAME_CONSTANT,
 ) -> TournamentTranscript:
     """Knockout: the current champion plays each next hypothesis once,
-    M - 1 games total."""
+    M - 1 games total. Game channels stay on `family`, as in the round robin."""
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
-    cache: dict = {}
     games = []
     champion = 0
     for j in range(1, family.m):
-        winner = _play_game(family, champion, j, out_size, n_samples, sampler, rng, cache)
+        winner = _play_game(family, champion, j, out_size, n_samples, sampler, rng)
         games.append(GameRecord(i=champion, j=j, samples=n_samples, winner=winner))
         champion = winner
     return TournamentTranscript(

@@ -15,6 +15,7 @@ The best realized preservation ratio wins.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +141,18 @@ def _near_one_grid(
 def _ratio_cuts(p: Distribution, q: Distribution) -> list[float]:
     """One threshold per boundary between adjacent likelihood-ratio classes
     of the joint support: each finite ratio above the smallest, plus one
-    past the largest finite ratio when some ratio is infinite."""
+    past the largest finite ratio when some ratio is infinite. No finite cut
+    lies past the float maximum: a class there shares the top cell with the
+    infinite class."""
     ratios = likelihood_ratios(p, q)
     support = (p.probs > 0) | (q.probs > 0)
     finite = np.unique(ratios[support & np.isfinite(ratios)])
     cuts = [float(v) for v in finite[1:]]
     if np.any(np.isinf(ratios[support])):
         top = float(finite[-1])
-        past = 2.0 * top + 1.0
-        cuts.append(past if math.isfinite(past) else math.nextafter(top, math.inf))
+        if top < sys.float_info.max:
+            past = 2.0 * top + 1.0
+            cuts.append(past if math.isfinite(past) else math.nextafter(top, math.inf))
     return cuts
 
 

@@ -241,6 +241,70 @@ class TestRobustTesting:
             done += 1
         assert worst <= 1e-3  # pilot: 1.4e-8
 
+    def test_lfd_matches_slsqp_oracle(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        from commtest import ContaminationSetup, InfeasibleContaminationError, huber_lfd
+        from commtest.core import hellinger_affinity
+
+        def oracle_affinity(p, q, eps):
+            # max sum sqrt(p' q') over x = (p', q', u, v) with sum p' = sum q' = 1,
+            # u >= |p' - p|, v >= |q' - q| entrywise, sum u <= 2 eps, sum v <= 2 eps
+            k = p.size
+            eye, zero = np.eye(k), np.zeros((k, k))
+            ones, none = np.ones(k), np.zeros(k)
+            a_eq = np.array([np.r_[ones, none, none, none], np.r_[none, ones, none, none]])
+            a_in = np.vstack([
+                np.block([[-eye, zero, eye, zero], [eye, zero, eye, zero],
+                          [zero, -eye, zero, eye], [zero, eye, zero, eye]]),
+                -np.r_[none, none, ones, none], -np.r_[none, none, none, ones],
+            ])
+            b_in = np.r_[-p, p, -q, q, -2.0 * eps, -2.0 * eps]
+
+            def neg_affinity(x):
+                a, b = x[:k], x[k:2 * k]
+                r = np.sqrt(a * b)
+                pos = r > 0
+                grad = np.zeros(4 * k)
+                grad[:k][pos] = -0.5 * b[pos] / r[pos]
+                grad[k:2 * k][pos] = -0.5 * a[pos] / r[pos]
+                return -r.sum(), grad
+
+            # Start inside the balls, moved towards the midpoint: from (p, q)
+            # itself SLSQP can stall with a coordinate of both near 0.
+            mid = 0.5 * (p + q)
+            t = min(1.0, eps / (0.5 * np.abs(p - mid).sum()))
+            x0 = np.r_[p + t * (mid - p), q + t * (mid - q),
+                       t * np.abs(mid - p), t * np.abs(mid - q)]
+            res = optimize.minimize(
+                neg_affinity, x0, jac=True, method="SLSQP",
+                bounds=[(0.0, 1.0)] * (4 * k),
+                constraints=[
+                    {"type": "eq", "fun": lambda x: a_eq @ x - 1.0, "jac": lambda x: a_eq},
+                    {"type": "ineq", "fun": lambda x: a_in @ x - b_in, "jac": lambda x: a_in},
+                ],
+                options={"ftol": 1e-14, "maxiter": 500},
+            )
+            assert res.success, res.message
+            return -res.fun
+
+        rng = np.random.default_rng(77)
+        worst = 0.0
+        done = 0
+        while done < 60:
+            k = int(rng.integers(2, 6))
+            p = Distribution(rng.dirichlet(np.ones(k)))
+            q = Distribution(rng.dirichlet(np.ones(k)))
+            eps = float(rng.uniform(0.0, 0.45)) * total_variation(p, q)
+            try:
+                setup = ContaminationSetup(p, q, eps)
+            except InfeasibleContaminationError:
+                continue
+            lfd = huber_lfd(setup)
+            ours = hellinger_affinity(lfd.p_lfd, lfd.q_lfd)
+            worst = max(worst, abs(ours - oracle_affinity(p.probs, q.probs, eps)))
+            done += 1
+        assert worst <= 1e-6  # pilot: 1e-14
+
 
 class TestMaryIdentification:
     def test_reductions_sketches_tournaments_and_squeeze(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,55 @@ class TestFDivergence:
     def test_evaluate_rejects_negative(self):
         with pytest.raises(ValidationError):
             builtin_fdiv("tv").evaluate(-0.5)
+
+    def test_overflowing_ratio_takes_a_over_zero_limit(self):
+        # 0.5 / 1e-309 overflows: the summand is 0.5 * f'(inf), as for q_i = 0
+        p = Distribution([0.5, 0.5, 0.0])
+        q = Distribution([1e-309, 0.5, 0.5 - 1e-309])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = likelihood_ratios(p, q)
+            assert math.isinf(r[0])
+            assert f_divergence(builtin_fdiv("hellinger"), p, q) == pytest.approx(
+                hellinger_sq(p, q)
+            )
+            assert f_divergence(builtin_fdiv("tv"), p, q) == pytest.approx(
+                total_variation(p, q)
+            )
+            assert f_divergence(builtin_fdiv("triangular"), p, q) == pytest.approx(1.0)
+            assert math.isinf(f_divergence(builtin_fdiv("sym_kl"), p, q))
+
+    def test_floats_match_plain_quotient_when_finite(self):
+        # reference: the summand q_i f(p_i / q_i) with no overflow guard,
+        # on instances with subnormal masses whose quotients stay finite
+        specs = [builtin_fdiv(n) for n in
+                 ("hellinger", "tv", "sym_kl", "triangular", "sym_chi_1", "sym_chi_1.5")]
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            w = rng.dirichlet(np.ones(k), size=2)
+            w[rng.random((2, k)) < 0.2] = 0.0
+            w[1, rng.integers(0, k)] = rng.choice([1e-300, 1e-309, 5e-324, 1e-30])
+            if w[0].sum() == 0 or w[1].sum() == 0:
+                continue
+            p, q = Distribution(w[0] / w[0].sum()), Distribution(w[1] / w[1].sum())
+            with np.errstate(over="ignore"):
+                ratios = p.probs / np.where(q.probs > 0, q.probs, 1.0)
+            if not np.all(np.isfinite(ratios)):
+                continue
+            checked += 1
+            for spec in specs:
+                ref = 0.0
+                with np.errstate(over="ignore", invalid="ignore"):  # huge finite quotients
+                    for pi, qi in zip(p.probs, q.probs):
+                        if qi > 0:
+                            ref += qi * spec.evaluate(pi / qi)
+                        elif pi > 0:
+                            ref += pi * spec.slope_at_inf
+                    got = f_divergence(spec, p, q)
+                assert got == ref or (math.isnan(got) and math.isnan(ref))
+        assert checked >= 150
 
 
 class TestPropertyInvariants:

@@ -26,6 +26,7 @@ from commtest import (
     tournament_nonadaptive,
     verify_identical_d2_bound,
 )
+from commtest import mary
 
 
 def random_family(rng, m, k):
@@ -203,6 +204,69 @@ class TestTournaments:
         t1 = tournament_nonadaptive(fam, 2, counts_sampler(fam.dists[0]), seed=3)
         t2 = tournament_nonadaptive(fam, 2, counts_sampler(fam.dists[0]), seed=3)
         assert t1.to_json() == t2.to_json()
+
+
+def tournament_plan():
+    """(M, eps, D, adaptive, truth, seed) for 24 tournaments on three
+    families; a high truth moves the adaptive champion off index 0."""
+    plan = []
+    for n, (m, eps) in enumerate(((4, 0.4), (7, 0.35), (8, 0.45))):
+        for d in (2, 3):
+            for adaptive in (False, True):
+                for truth in (m - 1, n):
+                    plan.append((m, eps, d, adaptive, truth, 100 * n + 10 * d + truth))
+    return plan
+
+
+def play(fam, d, adaptive, truth, seed):
+    run = tournament_adaptive if adaptive else tournament_nonadaptive
+    return run(fam, d, counts_sampler(fam.dists[truth]), seed=seed).to_json()
+
+
+class TestGameTable:
+    def test_reused_family_matches_fresh_families(self):
+        shared = {}
+        champion_games = 0
+        for m, eps, d, adaptive, truth, seed in tournament_plan():
+            fam = shared.setdefault(m, hadamard_instance(m, eps))
+            got = play(fam, d, adaptive, truth, seed)
+            assert got == play(hadamard_instance(m, eps), d, adaptive, truth, seed)
+            if adaptive:
+                champion_games += sum(g["i"] > 0 for g in got["games"])
+        assert champion_games > 0
+
+    def test_one_design_per_pair_and_out_size(self, monkeypatch):
+        designs = []
+        real = mary.design_hellinger_channel
+
+        def counting(p, q, out_size):
+            designs.append((p.probs.tobytes(), q.probs.tobytes(), out_size))
+            return real(p, q, out_size)
+
+        monkeypatch.setattr(mary, "design_hellinger_channel", counting)
+        families = {}
+        for m, eps, d, adaptive, truth, seed in tournament_plan() * 2:
+            play(families.setdefault(m, hadamard_instance(m, eps)), d, adaptive, truth, seed)
+        assert len(designs) == len(set(designs))
+        assert len(designs) == sum(len(fam._games) for fam in families.values())
+
+    def test_reversed_pair_uses_the_same_channel(self):
+        fam = hadamard_instance(4, 0.4)
+        forward, llr = fam._game(1, 3, 3)
+        backward, reversed_llr = fam._game(3, 1, 3)
+        assert np.array_equal(forward.matrix, backward.matrix)
+        assert np.array_equal(reversed_llr, -llr)
+
+    def test_warm_table_is_invisible(self):
+        fam = hadamard_instance(7, 0.35)
+        cold = hadamard_instance(7, 0.35)
+        before = (hash(fam), repr(fam), fam.to_json())
+        play(fam, 3, False, 2, 5)
+        play(fam, 2, True, 6, 5)
+        assert fam._games
+        assert fam == cold and hash(fam) == hash(cold)
+        assert (hash(fam), repr(fam), fam.to_json()) == before
+        assert "_games" not in repr(fam)
 
 
 class TestVerifiers:

@@ -159,6 +159,20 @@ class TestExtremeRatios:
             assert sorted(res.channel.matrix.argmax(axis=0)) == [0, 1, 2]
             assert res.ratio_achieved == pytest.approx(1.0)
 
+    def test_infinite_class_shares_top_cell_at_float_max(self):
+        # largest finite ratio is the float maximum: no finite cut lies past it
+        a = (2.0 - 2.0 ** -52) * 2.0 ** -51
+        p = Distribution([a, 0.5, 0.5 - a])
+        q = Distribution([2.0 ** -1074, 1.0, 0.0])
+        assert likelihood_ratios(p, q)[0] == np.finfo(float).max
+        assert quantizer._ratio_cuts(p, q) == [np.finfo(float).max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            designed = design_hellinger_channel(p, q, 3)
+            oracle = brute_force_threshold_channel(builtin_fdiv("hellinger"), p, q, 3)
+        assert 1.0 <= oracle.ratio_achieved <= designed.ratio_achieved
+        assert math.isfinite(designed.ratio_achieved)
+
     def test_infinite_class_cut_unchanged_for_moderate_ratios(self):
         p = Distribution([0.4, 0.3, 0.3])
         q = Distribution([0.5, 0.5, 0.0])
