@@ -33,6 +33,7 @@ from .core import (
 )
 from .errors import CommtestError, StochasticFailureError, ValidationError
 from .mary import (
+    SQUEEZE_CONSTANT_LIMIT,
     HypothesisFamily,
     counts_sampler,
     hadamard_instance,
@@ -51,6 +52,7 @@ from .quantizer import (
 )
 from .robust import ContaminationSetup, design_robust_channel, huber_lfd
 from .testing import (
+    DEFAULT_ERROR_BUDGET,
     TestRule,
     empirical_sample_complexity,
     scheffe_channel,
@@ -297,10 +299,9 @@ def cmd_mary_verify(args) -> int:
     report = verify_identical_d2_bound(fam, channel_samples=args.samples, seed=args.seed)
     obj = report.to_json()
     obj["seed"] = args.seed
-    limit = 3.0 * math.sqrt(2.0)
-    obj["limit"] = limit
+    obj["limit"] = SQUEEZE_CONSTANT_LIMIT
     _emit(obj, args)
-    return EXIT_OK if report.constant <= limit else EXIT_GUARANTEE
+    return EXIT_OK if report.constant <= SQUEEZE_CONSTANT_LIMIT else EXIT_GUARANTEE
 
 
 def cmd_verify(args) -> int:
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--search", action="store_true",
                     help="binary-search the sample complexity instead")
-    sp.add_argument("--budget", type=float, default=0.1,
+    sp.add_argument("--budget", type=float, default=DEFAULT_ERROR_BUDGET,
                     help="total error budget for --search")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_io_args(sp)

@@ -24,6 +24,7 @@ NORMALIZE_TOL = 1e-9
 STRICT_TOL = 1e-12
 # A quotient p_i / q_i with p_i <= 1 can only overflow when q_i is below this.
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_SQRT_FLOAT_MAX = math.sqrt(float(np.finfo(float).max))
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -261,6 +262,14 @@ def _sym_kl_generator(x: float) -> float:
     return (x - 1.0) * math.log(x)
 
 
+def _triangular_generator(x: float) -> float:
+    # (x - 1)**2 stays finite exactly up to sqrt(float max); past it, factor.
+    t = x - 1.0
+    if t <= _SQRT_FLOAT_MAX:
+        return t ** 2 / (1.0 + x)
+    return t * (t / (1.0 + x))
+
+
 _BUILTINS: dict[str, FDivergenceSpec] = {
     "hellinger": FDivergenceSpec(
         name="hellinger",
@@ -294,7 +303,7 @@ _BUILTINS: dict[str, FDivergenceSpec] = {
     ),
     "triangular": FDivergenceSpec(
         name="triangular",
-        f=lambda x: (x - 1.0) ** 2 / (1.0 + x),
+        f=_triangular_generator,
         kappa=1.0,
         c1=1.0 / 3.0,
         c2=0.5,

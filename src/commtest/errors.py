@@ -28,7 +28,10 @@ class InfeasibleContaminationError(CommtestError, ValueError):
 
 
 class NonConvergenceError(CommtestError, RuntimeError):
-    """An iterative search exceeded its budget without meeting its target."""
+    """An iterative search exceeded its budget without meeting its target.
+
+    Only `testing.empirical_sample_complexity` raises this, when no sample
+    size up to its `n_max` meets the error budget."""
 
 
 class StochasticFailureError(CommtestError, RuntimeError):

@@ -39,6 +39,9 @@ JL_COLUMN_SCALE = 11.0        # Q1 = 11 * D'
 JL_NOISE_SCALE = 10.0         # Q2 = 10 * sqrt(log(k D'))
 DEFAULT_JL_ACCEPT = 0.02  # pilot-calibrated: single-draw success ~0.85
 DEFAULT_JL_RETRIES = 100
+# Largest constant M * sup_T min d_h(Tp_i, Tp_j) / max d_h(p_i, p_j) that the
+# binary-channel squeeze checks accept.
+SQUEEZE_CONSTANT_LIMIT = 3.0 * math.sqrt(2.0)
 # Channels per step of the binary squeeze sweep (pairs x chunk temporaries).
 _SWEEP_CHUNK = 4096
 

@@ -3,14 +3,14 @@
 The least favorable pair for TV balls of radius eps around (p, q) clips the
 likelihood ratio: p_lfd / q_lfd = clamp(p/q, clip_low, clip_high). Each clip
 constant solves a scalar balance equation that makes exactly eps TV mass
-move, and the moved mass is redistributed inside the clipped region (the
-resulting Hellinger affinity does not depend on the per-element split, so a
-proportional split is used).
+move; the equation is piecewise linear in the constant, so its root comes in
+closed form from one sort and one prefix sum. The moved mass is
+redistributed inside the clipped region (the resulting Hellinger affinity
+does not depend on the per-element split, so a proportional split is used).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,16 +24,9 @@ from .core import (
     likelihood_ratios,
     total_variation,
 )
-from .errors import (
-    DegenerateInputError,
-    InfeasibleContaminationError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .errors import DegenerateInputError, InfeasibleContaminationError, ValidationError
 from .quantizer import QuantizeResult, design_hellinger_channel
 from .testing import TestRule, lrt_decide
-
-_BISECT_ITERS = 200
 
 # Default slack constant in the moderate-contamination radius 0.01 * d_h^2 / C.
 DEFAULT_RADIUS_SLACK = 10.0
@@ -79,57 +72,38 @@ class LfdPair:
         }
 
 
-def _bisect(fun, lo: float, hi: float) -> float:
-    flo = fun(lo)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+def _clip_side(a: Distribution, b: Distribution, eps: float):
+    """Clip a/b from above so that exactly eps of a's mass moves onto b.
 
-
-def _solve_clip_high(p: np.ndarray, q: np.ndarray, r: np.ndarray, eps: float) -> float:
-    # G(c) = sum_{r_i > c} (p_i - c q_i) - eps (1 + c): continuous, strictly
-    # decreasing, G(1) = d_TV - 2 eps > 0, so the root is unique and > 1.
-    def g(c: float) -> float:
-        mask = r > c
-        return float(p[mask].sum() - c * q[mask].sum()) - eps * (1.0 + c)
-
-    hi = 2.0
-    while g(hi) > 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise NonConvergenceError("clip_high bracket exceeded 1e18")
-    return _bisect(g, 1.0, hi)
-
-
-def _solve_clip_low(p: np.ndarray, q: np.ndarray, r: np.ndarray, eps: float) -> float:
-    # H(c) = sum_{r_i < c} (c q_i - p_i) - eps (1 + c): H(0) = -eps,
-    # H(1) = d_TV - 2 eps > 0, first decreasing then increasing, unique root.
-    def h(c: float) -> float:
-        mask = r < c
-        return float(c * q[mask].sum() - p[mask].sum()) - eps * (1.0 + c)
-
-    return _bisect(h, 0.0, 1.0)
+    The balance G(c) = sum_i (a_i - c b_i)_+ - eps (1 + c) is the maximum over
+    index sets S of the lines A_S - c B_S - eps (1 + c), so its root is the
+    largest line root (A_S - eps) / (B_S + eps), and that is reached on a set
+    of the largest ratios a_i / b_i (Huber 1965). Returns the winning prefix
+    of the atoms sorted by ratio, each prefix atom's share of A_S + B_S, and
+    the root's numerator and denominator. An atom's new masses are its share
+    of the numerator (a) and of the denominator (b): it keeps a_i + b_i, and
+    mass moves in proportion to its excess a_i - c b_i.
+    """
+    r = likelihood_ratios(a, b)
+    order = np.argsort(-r, kind="stable")
+    num = np.cumsum(a.probs[order]) - eps
+    den = np.cumsum(b.probs[order]) + eps
+    with np.errstate(over="ignore"):
+        quot = num / den
+    # A prefix ending on a ratio below its own quotient only won by rounding.
+    j = int(np.argmax(np.where(r[order] >= quot, quot, -np.inf)))
+    top = order[: j + 1]
+    share = (a.probs[top] + b.probs[top]) / (num[j] + den[j])
+    return top, share, float(num[j]), float(den[j])
 
 
 def huber_lfd(setup: ContaminationSetup) -> LfdPair:
     """Least favorable pair for the TV balls: exact eps of mass moves in each
     distribution and the LFD likelihood ratio is the clipped original ratio."""
-    p = setup.p.probs.astype(float)
-    q = setup.q.probs.astype(float)
     eps = setup.epsilon
-    r = likelihood_ratios(setup.p, setup.q)
-
     if eps == 0.0:
-        both = (p > 0) & (q > 0)
+        r = likelihood_ratios(setup.p, setup.q)
+        both = (setup.p.probs > 0) & (setup.q.probs > 0)
         return LfdPair(
             p_lfd=setup.p,
             q_lfd=setup.q,
@@ -137,27 +111,17 @@ def huber_lfd(setup: ContaminationSetup) -> LfdPair:
             clip_high=float(r[both].max()),
         )
 
-    c_hi = _solve_clip_high(p, q, r, eps)
-    c_lo = _solve_clip_low(p, q, r, eps)
-
-    p_new = p.copy()
-    q_new = q.copy()
-
-    # High region: p loses eps, q gains eps; per-element budget
-    # e_i = p_i - c_hi q_i > 0 splits proportionally, E = sum e_i = eps(1+c_hi).
-    high = r > c_hi
-    e = p[high] - c_hi * q[high]
-    e_total = e.sum()
-    q_new[high] = q[high] + e * (1.0 - eps / e_total) / c_hi
-    p_new[high] = c_hi * q_new[high]
-
-    # Low region (mirror): q loses eps, p gains eps; l_i = c_lo q_i - p_i.
-    low = r < c_lo
-    l = c_lo * q[low] - p[low]
-    l_total = l.sum()
-    q_new[low] = q[low] - l * eps / l_total
-    p_new[low] = c_lo * q_new[low]
-
+    # High region: p loses eps to q; low region, the mirror: q loses eps to p.
+    high, share_hi, num_hi, den_hi = _clip_side(setup.p, setup.q, eps)
+    low, share_lo, num_lo, den_lo = _clip_side(setup.q, setup.p, eps)
+    c_lo, c_hi = den_lo / num_lo, num_hi / den_hi
+    if np.isinf(c_hi):
+        raise DegenerateInputError(f"eps={eps!r} is too small: clip_high overflows")
+    q_new = setup.q.probs.copy()
+    q_new[high], q_new[low] = share_hi * den_hi, share_lo * num_lo
+    # p = c q in both regions: the clipped ratio up to a single rounding.
+    p_new = setup.p.probs.copy()
+    p_new[high], p_new[low] = c_hi * q_new[high], c_lo * q_new[low]
     return LfdPair(
         p_lfd=Distribution(p_new),
         q_lfd=Distribution(q_new),

@@ -346,8 +346,8 @@ def robust_suite(seed: int = 0, setups: int = 200) -> list[CheckResult]:
             hellinger_affinity(p, q) - hellinger_affinity(lfd.p_lfd, lfd.q_lfd),
         )
         done += 1
-    results.append(CheckResult("lfd_feasibility", worst_feas <= 1e-9, worst_feas))
-    results.append(CheckResult("lfd_clip_structure", worst_struct <= 1e-7, worst_struct))
+    results.append(CheckResult("lfd_feasibility", worst_feas <= 1e-12, worst_feas))
+    results.append(CheckResult("lfd_clip_structure", worst_struct <= 1e-12, worst_struct))
     results.append(CheckResult("lfd_affinity_monotone", worst_affin <= 1e-12, worst_affin))
 
     # Blinding instance: the clean-optimal channel cannot tell the
@@ -455,8 +455,8 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
 
     # Binary-channel squeeze (exhaustive deterministic channels).
     rep = mary.verify_identical_d2_bound(fam8, channel_samples=200, seed=seed)
-    limit = 3.0 * math.sqrt(2.0)
-    results.append(CheckResult("binary_squeeze_constant", rep.constant <= limit,
+    results.append(CheckResult("binary_squeeze_constant",
+                               rep.constant <= mary.SQUEEZE_CONSTANT_LIMIT,
                                rep.constant, {"witness": list(rep.witness_pair)}))
 
     # Tournaments: truth recovery rate on Hadamard families.

@@ -193,7 +193,7 @@ class TestSimulator:
 
 class TestRobustTesting:
     def test_structure_examples_and_bands(self):
-        # LFD feasibility (1e-9), clip structure (1e-7) on 200 setups, the
+        # LFD feasibility and clip structure (both 1e-12) on 200 setups, the
         # blinding identity, and the phase-transition bands
         assert_all_passed(robust_suite(seed=0, setups=200))
 

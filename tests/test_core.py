@@ -221,6 +221,36 @@ class TestFDivergence:
             assert f_divergence(builtin_fdiv("triangular"), p, q) == pytest.approx(1.0)
             assert math.isinf(f_divergence(builtin_fdiv("sym_kl"), p, q))
 
+    def test_triangular_huge_finite_quotient(self):
+        # 0.5 / 1e-300 is finite, but its (x - 1)**2 would overflow
+        p = Distribution([0.5, 0.5, 0.0])
+        q = Distribution([1e-300, 0.5, 0.5 - 1e-300])
+        spec = builtin_fdiv("triangular")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f_divergence(spec, p, q) == pytest.approx(1.0, rel=1e-15)
+            assert spec.evaluate(1e300) == pytest.approx(1e300, rel=1e-15)
+            assert spec.evaluate(np.float64(1e300)) == pytest.approx(1e300, rel=1e-15)
+
+    def test_triangular_unchanged_where_plain_form_is_finite(self):
+        def plain(x):
+            return (x - 1.0) ** 2 / (1.0 + x)
+
+        edge = math.sqrt(np.finfo(float).max)  # also the float x with x - 1 == edge
+        rng = np.random.default_rng(23)
+        xs = np.concatenate([
+            rng.random(500) * 4.0,
+            10.0 ** rng.uniform(-300, 154.127, 2000),
+            [0.0, 1.0, 1e154, edge, math.nextafter(edge, 0.0)],
+        ])
+        spec = builtin_fdiv("triangular")
+        for x in xs:
+            assert spec.f(float(x)) == plain(float(x))
+            assert spec.f(x) == plain(x)
+        with pytest.raises(OverflowError):
+            plain(math.nextafter(edge, math.inf))
+        assert spec.f(math.nextafter(edge, math.inf)) == pytest.approx(edge, rel=1e-15)
+
     def test_floats_match_plain_quotient_when_finite(self):
         # reference: the summand q_i f(p_i / q_i) with no overflow guard,
         # on instances with subnormal masses whose quotients stay finite

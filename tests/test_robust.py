@@ -1,3 +1,7 @@
+import dataclasses
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from commtest import (
     scheffe_channel,
     total_variation,
 )
+from commtest import robust, verify
 
 
 class TestContaminationSetup:
@@ -69,17 +74,30 @@ class TestHuberLfd:
             except InfeasibleContaminationError:
                 continue
             lfd = huber_lfd(setup)
-            assert total_variation(p, lfd.p_lfd) <= eps + 1e-9
-            assert total_variation(q, lfd.q_lfd) <= eps + 1e-9
+            assert total_variation(p, lfd.p_lfd) <= eps + 1e-12
+            assert total_variation(q, lfd.q_lfd) <= eps + 1e-12
             clamped = np.clip(likelihood_ratios(p, q), lfd.clip_low, lfd.clip_high)
             got = likelihood_ratios(lfd.p_lfd, lfd.q_lfd)
             both = (lfd.p_lfd.probs > 0) & (lfd.q_lfd.probs > 0)
-            assert got[both] == pytest.approx(clamped[both], rel=1e-7)
+            assert got[both] == pytest.approx(clamped[both], rel=1e-12)
             # LFDs are the hardest pair: affinity can only increase
             assert hellinger_affinity(lfd.p_lfd, lfd.q_lfd) >= hellinger_affinity(
                 p, q
             ) - 1e-12
             done += 1
+
+    def test_mis_clipped_lfd_fails_clip_structure(self, monkeypatch):
+        exact = robust.huber_lfd
+
+        def off_by_1e9(setup):
+            lfd = exact(setup)
+            return dataclasses.replace(lfd, clip_high=lfd.clip_high * (1.0 + 1e-9))
+
+        monkeypatch.setattr(robust, "huber_lfd", off_by_1e9)
+        checks = {c.name: c for c in verify.robust_suite(seed=0, setups=20)}
+        assert checks["lfd_feasibility"].passed
+        assert not checks["lfd_clip_structure"].passed
+        assert checks["lfd_clip_structure"].value == pytest.approx(1e-9, rel=1e-3)
 
     def test_json(self):
         setup = ContaminationSetup(
@@ -87,6 +105,93 @@ class TestHuberLfd:
         )
         obj = huber_lfd(setup).to_json()
         assert set(obj) == {"p_lfd", "q_lfd", "clip_low", "clip_high"}
+
+
+def _balance_residuals(setup, lfd):
+    """Exact rational values of both balance equations at the float constants:
+    sum (p - c q)_+ - eps (1 + c) at clip_high, sum (c q - p)_+ - eps (1 + c)
+    at clip_low."""
+    p = [Fraction(x) for x in setup.p.probs]
+    q = [Fraction(x) for x in setup.q.probs]
+    eps = Fraction(setup.epsilon)
+    hi, lo = Fraction(lfd.clip_high), Fraction(lfd.clip_low)
+    g = sum(max(a - hi * b, 0) for a, b in zip(p, q)) - eps * (1 + hi)
+    h = sum(max(lo * b - a, 0) for a, b in zip(p, q)) - eps * (1 + lo)
+    return abs(float(g)), abs(float(h))
+
+
+def _exact_root_instances():
+    """Seeded setups: random pairs with zero masses (so infinite and 0/0
+    ratios), radii whose clip constant equals an atom's ratio, radii near
+    d_TV / 2, and a subnormal mass."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        k = int(rng.integers(2, 40))
+        w = rng.dirichlet(np.full(k, rng.choice([0.2, 1.0, 5.0])), size=2)
+        w[rng.random((2, k)) < 0.2] = 0.0
+        if w[0].sum() == 0 or w[1].sum() == 0:
+            continue
+        p, q = Distribution(w[0] / w[0].sum()), Distribution(w[1] / w[1].sum())
+        tv = total_variation(p, q)
+        for frac in (float(rng.uniform(0.0, 1.0)), 1.0 - 1e-9, 1.0 - 1e-14):
+            if 0.0 < frac * tv / 2.0 < tv / 2.0:
+                yield ContaminationSetup(p, q, frac * tv / 2.0)
+        # Put the high clip constant on an atom's ratio r_j > 1: with S the
+        # atoms of larger ratio, (A_S - eps) / (B_S + eps) = r_j.
+        a, b = (p.probs, q.probs) if rng.random() < 0.5 else (q.probs, p.probs)
+        r = likelihood_ratios(Distribution(a), Distribution(b))
+        order = np.argsort(-r, kind="stable")
+        above = [j for j in range(1, k) if 1.0 < r[order[j]] < r[order[j - 1]]]
+        if above:
+            j = above[int(rng.integers(len(above)))]
+            top = order[:j]
+            c = r[order[j]]
+            eps = (a[top].sum() - c * b[top].sum()) / (1.0 + c)
+            if 0.0 < eps < tv / 2.0:
+                yield ContaminationSetup(p, q, eps)
+    p = Distribution([0.5, 0.5, 0.0])
+    q = Distribution([1e-309, 0.5, 0.5 - 1e-309])
+    for eps in (1e-300, 1e-12, 0.1, 0.2499):
+        yield ContaminationSetup(p, q, eps)
+        yield ContaminationSetup(q, p, eps)
+
+
+class TestExactRoot:
+    def test_balance_residuals_are_rounding_level(self):
+        worst = 0.0
+        count = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for setup in _exact_root_instances():
+                lfd = huber_lfd(setup)
+                assert 0.0 < lfd.clip_low <= 1.0 <= lfd.clip_high
+                worst = max(worst, *_balance_residuals(setup, lfd))
+                count += 1
+        assert count >= 500
+        assert worst <= 1e-15
+
+    def test_rounding_cannot_pull_a_ratio_one_atom_into_the_clip(self):
+        # Adding the 7e-17 atom of ratio 1 rounds the prefix quotient up, so
+        # a plain argmax would clip it to 1.0246 as well.
+        p = Distribution([0.5027019301004483, 7.345228283063088e-17, 0.49729806989955166])
+        q = Distribution([0.4860022681756847, 7.345228283063088e-17, 0.5139977318243152])
+        lfd = huber_lfd(ContaminationSetup(p, q, 0.002331420496532609))
+        clamped = np.clip(likelihood_ratios(p, q), lfd.clip_low, lfd.clip_high)
+        assert likelihood_ratios(lfd.p_lfd, lfd.q_lfd) == pytest.approx(clamped, rel=1e-12)
+        assert lfd.clip_high > 1.02
+
+    def test_large_clip_constant_is_exact(self):
+        # infinite-ratio mass 0.5 and eps 1e-20: clip_high = (0.5 - eps) / eps
+        setup = ContaminationSetup(
+            Distribution([0.5, 0.5, 0.0]), Distribution([0.0, 0.5, 0.5]), 1e-20
+        )
+        lfd = huber_lfd(setup)
+        assert lfd.clip_high == pytest.approx(0.5e20, rel=1e-15)
+        assert lfd.clip_low == pytest.approx(2e-20, rel=1e-15)
+        assert max(_balance_residuals(setup, lfd)) <= 1e-15
+        # with eps = 1e-320 the constant, about 5e319, is past the float range
+        with pytest.raises(DegenerateInputError):
+            huber_lfd(ContaminationSetup(setup.p, setup.q, 1e-320))
 
 
 class TestRobustDesign:
