@@ -168,17 +168,20 @@ def cmd_simulate(args) -> int:
     if args.search:
         if args.format != "json":
             raise ValidationError("--search prints JSON only; drop --format csv")
+        budget = DEFAULT_ERROR_BUDGET if args.budget is None else args.budget
         n_hat = empirical_sample_complexity(
             lambda n: _build_rule(args, p, q),
             p,
             q,
             trials=args.trials,
             seed=args.seed,
-            budget=args.budget,
+            budget=budget,
         )
-        _emit({"n_hat": n_hat, "budget": args.budget, "trials": args.trials,
+        _emit({"n_hat": n_hat, "budget": budget, "trials": args.trials,
                "seed": args.seed}, args)
         return EXIT_OK
+    if args.budget is not None:
+        raise ValidationError("--budget sets the --search error budget; add --search")
     rule = _build_rule(args, p, q)
     ns = [int(x) for x in args.n.split(",")]
     reports = [
@@ -368,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--search", action="store_true",
                     help="binary-search the sample complexity instead")
-    sp.add_argument("--budget", type=float, default=DEFAULT_ERROR_BUDGET,
-                    help="total error budget for --search")
+    sp.add_argument("--budget", type=float,
+                    help=f"total error budget for --search (default {DEFAULT_ERROR_BUDGET})")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_io_args(sp)
     sp.set_defaults(func=cmd_simulate)

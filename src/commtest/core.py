@@ -212,12 +212,16 @@ def threshold_channel(p: Distribution, q: Distribution, gamma: ThresholdSet) -> 
     Cell j collects ratios in [g_j, g_{j+1}) with g_0 = 0, g_D = inf; points
     with q(x) = 0 < p(x) go to the top cell.
     """
-    ratios = likelihood_ratios(p, q)
+    return _ratio_threshold_channel(likelihood_ratios(p, q), gamma)
+
+
+def _ratio_threshold_channel(ratios: np.ndarray, gamma: ThresholdSet) -> Channel:
+    """`threshold_channel` given the likelihood ratios of (p, q)."""
     d = gamma.out_size
     labels = np.searchsorted(gamma.values, ratios, side="right")
     labels[np.isinf(ratios)] = d - 1
-    m = np.zeros((d, p.k))
-    m[labels, np.arange(p.k)] = 1.0
+    m = np.zeros((d, ratios.size))
+    m[labels, np.arange(ratios.size)] = 1.0
     return Channel(m)
 
 

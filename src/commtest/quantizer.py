@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     FDivergenceSpec,
     ThresholdSet,
     _fdiv_term,
+    _ratio_threshold_channel,
     apply_channel,
     builtin_fdiv,
     f_divergence,
@@ -75,7 +76,13 @@ def fdiv_ratio(
 ) -> float:
     """Preservation ratio I_f(p,q) / I_f(Tp, Tq); inf when the output
     divergence vanishes but the input one does not."""
-    num = f_divergence(spec, p, q)
+    return _fdiv_ratio(spec, f_divergence(spec, p, q), p, q, channel)
+
+
+def _fdiv_ratio(
+    spec: FDivergenceSpec, num: float, p: Distribution, q: Distribution, channel: Channel
+) -> float:
+    """`fdiv_ratio` given num = I_f(p, q)."""
     den = f_divergence(spec, apply_channel(channel, p), apply_channel(channel, q))
     if num <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("I_f(p, q) is zero; preservation ratio undefined")
@@ -98,10 +105,6 @@ def _min_ratio(p: Distribution, q: Distribution) -> float:
     return nu
 
 
-def _mirror(thresholds: np.ndarray) -> list[float]:
-    return sorted(1.0 / t for t in thresholds)
-
-
 def _pad_thresholds(levels: list[float], out_size: int) -> ThresholdSet:
     levels = sorted(levels)
     if len(levels) > out_size - 1:
@@ -111,10 +114,10 @@ def _pad_thresholds(levels: list[float], out_size: int) -> ThresholdSet:
 
 
 def _near_one_grid(
-    spec: FDivergenceSpec, p: Distribution, q: Distribution, out_size: int
+    spec: FDivergenceSpec, ratios: np.ndarray, q: Distribution, out_size: int
 ) -> list[float] | None:
-    """Reverse-Markov thresholds for the bucket of ratios in (1, 1+kappa)."""
-    ratios = likelihood_ratios(p, q)
+    """Reverse-Markov thresholds for the bucket of ratios p/q in (1, 1+kappa),
+    given the ratios of (p, q)."""
     mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (q.probs > 0)
     if not np.any(mask):
         return None
@@ -127,7 +130,6 @@ def _near_one_grid(
     beta = spec.kappa ** spec.alpha
     if rest > 0:
         if y_vals[0] == 0.0:
-            y_mass = y_mass.copy()
             y_mass[0] += rest
         else:
             y_vals = np.concatenate(([0.0], y_vals))
@@ -170,31 +172,23 @@ def design_fdiv_channel(
         ([1.0 + spec.kappa], "large-ratio"),
         ([1.0 / (1.0 + spec.kappa)], "large-ratio"),
     ]
-    fwd = _near_one_grid(spec, p, q, out_size)
+    ratios = likelihood_ratios(p, q)
+    fwd = _near_one_grid(spec, ratios, q, out_size)
     if fwd is not None:
         candidates.append((fwd, "small-ratio"))
-    swp = _near_one_grid(spec, q, p, out_size)
+    swp = _near_one_grid(spec, likelihood_ratios(q, p), p, out_size)
     if swp is not None:
-        candidates.append((_mirror(np.asarray(swp)), "small-ratio"))
+        candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
     sep = _ratio_cuts(p, q)
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
-    best: QuantizeResult | None = None
+    scored = []
     for levels, case in candidates:
         gamma = _pad_thresholds(levels, out_size)
-        channel = threshold_channel(p, q, gamma)
-        ratio = fdiv_ratio(spec, p, q, channel)
-        if best is None or ratio < best.ratio_achieved:
-            best = QuantizeResult(
-                channel=channel,
-                gamma=gamma,
-                ratio_achieved=ratio,
-                bound=math.nan,  # filled below
-                case_taken=case,
-                r_value=math.nan,
-            )
-    assert best is not None
+        channel = _ratio_threshold_channel(ratios, gamma)
+        scored.append((_fdiv_ratio(spec, i_f, p, q, channel), channel, gamma, case))
+    ratio, channel, gamma, case = min(scored, key=lambda item: item[0])  # first of ties
 
     k_support = int(np.count_nonzero((p.probs > 0) | (q.probs > 0)))
     if math.isinf(i_f):
@@ -208,14 +202,8 @@ def design_fdiv_channel(
     f_edge = spec.evaluate(1.0 / (1.0 + spec.kappa))
     main = MAIN_TERM_COEFF * f_nu / f_edge if math.isfinite(f_nu) else math.inf
     bound = main + BLOWUP_COEFF * (spec.c2 / spec.c1) * max(1.0, r_value / out_size)
-    return QuantizeResult(
-        channel=best.channel,
-        gamma=best.gamma,
-        ratio_achieved=best.ratio_achieved,
-        bound=bound,
-        case_taken=best.case_taken,
-        r_value=r_value,
-    )
+    return QuantizeResult(channel=channel, gamma=gamma, ratio_achieved=ratio, bound=bound,
+                          case_taken=case, r_value=r_value)
 
 
 def design_hellinger_channel(
@@ -230,14 +218,7 @@ def design_hellinger_channel(
     kprime = max(1.0, math.log2(4.0 / h2))
     r_value = min(float(k_support), kprime)
     bound = HELLINGER_CEILING * max(1.0, r_value / out_size)
-    return QuantizeResult(
-        channel=base.channel,
-        gamma=base.gamma,
-        ratio_achieved=base.ratio_achieved,
-        bound=bound,
-        case_taken=base.case_taken,
-        r_value=r_value,
-    )
+    return replace(base, bound=bound, r_value=r_value)
 
 
 def brute_force_threshold_channel(

@@ -20,6 +20,7 @@ from .errors import DegenerateInputError, ValidationError
 from .core import NORMALIZE_TOL, _as_float_array
 
 GUARANTEE_FACTOR = 1.0 / 13.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,10 @@ def revmarkov_objective(rv: DiscreteRV, nus) -> float:
 
 
 def _pad_grid(levels: list[float], out_size: int, beta: float) -> tuple[float, ...]:
-    """Sorted levels -> full grid of out_size entries ending at beta."""
+    """Up to D-1 levels (at least one) -> sorted grid of D levels ending at beta."""
     levels = sorted(levels)
-    if len(levels) < out_size - 1:
-        # repeat the top level; empty cells contribute nothing
-        top = levels[-1] if levels else 0.0
-        levels = levels + [top] * (out_size - 1 - len(levels))
-    return tuple(levels[: out_size - 1]) + (beta,)
+    # repeat the top level; empty cells contribute nothing
+    return tuple(levels + [levels[-1]] * (out_size - 1 - len(levels))) + (beta,)
 
 
 def _require_positive_mean(rv: DiscreteRV) -> float:
@@ -133,30 +131,42 @@ def reverse_markov_top(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     # ties broken toward larger values for determinism
     order = np.lexsort((rv.values, scores))[::-1]
     chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
-    if not chosen:
-        chosen = [float(rv.values[-1])]
     nus = _pad_grid(chosen, out_size, rv.beta)
     return ThresholdGrid(nus=nus, achieved=revmarkov_objective(rv, nus))
 
 
+def _first_best_doubling(rv: DiscreteRV, xs: np.ndarray, out_size: int):
+    """(F, levels) of the first grid min(beta, x * 2^j), j < D-1, over the
+    sorted xs that maximises F as revmarkov_objective computes it."""
+    levels = np.minimum(rv.beta, xs[:, None] * 2.0 ** np.arange(out_size - 1))
+    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))  # mass below each atom
+    # the top cell ends at beta, past every atom
+    cells = np.diff(cum[np.searchsorted(rv.values, levels)], axis=1, append=cum[-1])
+    scores = np.sum(levels * cells, axis=1)
+    # These sums and revmarkov_objective's np.dot add the same D-1
+    # non-negative products in other orders, each within (D-1) eps/2 of the
+    # exact total relative to it, so every grid that np.dot could rank first
+    # is within 2 D eps of the top here; np.dot decides among those.
+    near = np.flatnonzero(scores >= scores.max() * (1.0 - 2.0 * out_size * _EPS))
+    dots = [np.dot(levels[i], cells[i]) for i in near]
+    win = int(np.argmax(dots))
+    return dots[win], levels[near[win]]
+
+
 def reverse_markov_geometric(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
-    """Best doubling grid nu_j = min(beta, x * 2^(j-1)) over candidate x."""
+    """Best doubling grid nu_j = min(beta, x * 2^(j-1)) over candidate x;
+    ties go to the smallest x."""
     _require_positive_mean(rv)
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
+    # a positive mean implies an atom with positive value and positive mass
     positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
-    if positive.size == 0:
-        positive = rv.values[rv.values > 0]
-    candidates = sorted({float(v) / 2.0 ** t for v in positive for t in range(out_size)})
-    best: ThresholdGrid | None = None
-    for x in candidates:
-        levels = [min(rv.beta, x * 2.0 ** j) for j in range(out_size - 1)]
-        nus = _pad_grid(levels, out_size, rv.beta)
-        val = revmarkov_objective(rv, nus)
-        if best is None or val > best.achieved:
-            best = ThresholdGrid(nus=nus, achieved=val)
-    assert best is not None
-    return best
+    xs = np.unique(positive[:, None] / 2.0 ** np.arange(out_size))
+    step = max(1, 2 ** 16 // out_size)  # chunks of at most 2^16 levels bound memory
+    _, levels = max((_first_best_doubling(rv, xs[i:i + step], out_size)
+                     for i in range(0, xs.size, step)), key=lambda best: best[0])
+    nus = tuple(levels.tolist()) + (rv.beta,)
+    return ThresholdGrid(nus=nus, achieved=revmarkov_objective(rv, nus))
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:

@@ -254,6 +254,16 @@ class TestUsage:
         assert out == ""
         assert "--search" in err
 
+    def test_budget_needs_search(self, capsys):
+        code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, "--budget", "0.2")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--budget" in err
+        code, out, _ = run(capsys, "simulate", "--p", P, "--q", Q, "--search",
+                           "--budget", "0.2", "--trials", "2000")
+        assert code == EXIT_OK
+        assert json.loads(out)["budget"] == 0.2
+
     def test_help_exits_ok(self, capsys):
         for argv in (["--help"], ["simulate", "--help"]):
             with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from commtest import (
     hellinger_sq,
     likelihood_ratios,
     quantizer,
+    threshold_channel,
 )
 
 
@@ -109,6 +110,41 @@ class TestDesigner:
                     continue
                 assert res.ratio_achieved <= res.bound
                 done += 1
+
+
+def hoisting_pair(rng):
+    """Random pair with zero masses, ratio ties (quarter-scaled copies of
+    atoms) and subnormal masses: on both sides of one atom, on p alone, and
+    on q against a zero in p."""
+    k = int(rng.integers(2, 20))
+    a, b = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    for v in (a, b):
+        v[rng.random(k) < 0.15] = 0.0
+    copies = rng.integers(0, k, int(rng.integers(0, 3)))
+    a = np.concatenate([a, a[copies] / 4.0, [3e-310, 2e-310, 0.0]])
+    b = np.concatenate([b, b[copies] / 4.0, [5e-310, 0.5, 1e-310]])
+    return Distribution(a / a.sum()), Distribution(b / b.sum())
+
+
+class TestDesignerHoisting:
+    def test_result_matches_public_helpers(self):
+        """The designer computes the likelihood ratios and I_f(p, q) once per
+        call; its channel and ratio must equal the public helpers' floats."""
+        rng = np.random.default_rng(707)
+        specs = ("hellinger", "sym_kl", "triangular", "tv", "sym_chi_1.5", "sym_chi_1")
+        checked = 0
+        for i in range(600):
+            p, q = hoisting_pair(rng)
+            spec = builtin_fdiv(specs[i % len(specs)])
+            try:
+                res = design_fdiv_channel(spec, p, q, 2 + (i // len(specs)) % 7)
+            except DegenerateInputError:
+                continue
+            assert res.ratio_achieved == fdiv_ratio(spec, p, q, res.channel)
+            assert np.array_equal(res.channel.matrix,
+                                  threshold_channel(p, q, res.gamma).matrix)
+            checked += 1
+        assert checked >= 500
 
 
 class TestOracle:

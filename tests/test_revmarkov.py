@@ -17,6 +17,42 @@ from commtest import (
 )
 
 
+def loop_geometric(rv, out_size):
+    """(nus, achieved) of the candidate-by-candidate doubling-grid search:
+    the reference for reverse_markov_geometric, first strict best wins."""
+    positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
+    best = None
+    for x in sorted({float(v) / 2.0 ** t for v in positive for t in range(out_size)}):
+        nus = tuple(min(rv.beta, x * 2.0 ** j) for j in range(out_size - 1)) + (rv.beta,)
+        val = revmarkov_objective(rv, nus)
+        if best is None or val > best[1]:
+            best = (nus, val)
+    return best
+
+
+def geometric_case(rng, kind):
+    """Random RV with zero-mass atoms; kind 1 has dyadic values, so that
+    candidates x * 2^j tie exactly, kind 2 values near 1e-300, kind 3 a
+    single positive atom and kind 4 an atom at 0."""
+    k = int(rng.integers(1, 13))
+    beta = 1.0
+    if kind == 0:
+        vals = rng.uniform(0.0, 1.0, k)
+    elif kind == 1:
+        vals = rng.integers(1, 64, k) / 64.0
+    elif kind == 2:
+        vals, beta = 1e-300 * rng.uniform(1.0, 1e3, k), 2e-297
+    elif kind == 3:
+        vals = np.array([0.0, rng.uniform(0.0, 1.0)])[int(rng.integers(0, 2)):]
+    else:
+        vals = np.concatenate(([0.0], rng.uniform(0.0, 1.0, k)))
+    vals = np.unique(vals)
+    masses = rng.dirichlet(np.ones(vals.size))
+    masses[rng.random(vals.size) < 0.3] = 0.0
+    masses[-1] += 0.1  # the largest value is positive, so the mean is too
+    return DiscreteRV(vals, masses / masses.sum(), beta)
+
+
 def random_rv(rng, k_max=10):
     k = int(rng.integers(1, k_max + 1))
     vals = np.unique(rng.uniform(0.0, 1.0, k))
@@ -118,6 +154,37 @@ class TestStrategies:
         grid = brute_force_revmarkov(rv, 9)  # C(60, 8) grids: beyond enumeration
         assert grid.achieved >= reverse_markov_best(rv, 9).achieved
         assert len(grid.nus) == 9
+
+
+class TestGeometricSearch:
+    def test_matches_candidate_loop(self):
+        rng = np.random.default_rng(1303)
+        for i in range(2100):
+            rv = geometric_case(rng, i % 5)
+            d = 2 + (i // 5) % 7
+            grid = reverse_markov_geometric(rv, d)
+            assert (grid.nus, grid.achieved) == loop_geometric(rv, d)
+
+    def test_matches_candidate_loop_on_long_grids(self):
+        # numpy sums rows of 8 or more in another order than np.dot, and at
+        # D = 700 the 2100 candidates span 23 chunks
+        rng = np.random.default_rng(1304)
+        for i in range(60):
+            rv = geometric_case(rng, i % 5)
+            d = (9, 12, 17, 33)[i % 4]
+            grid = reverse_markov_geometric(rv, d)
+            assert (grid.nus, grid.achieved) == loop_geometric(rv, d)
+        rv = DiscreteRV([0.1, 0.3, 0.7], [0.2, 0.5, 0.3], 1.0)
+        grid = reverse_markov_geometric(rv, 700)
+        assert (grid.nus, grid.achieved) == loop_geometric(rv, 700)
+
+    def test_tie_goes_to_smaller_x(self):
+        # with D = 2, x = 0.25 and x = 0.5 both score exactly 0.25
+        rv = DiscreteRV([0.25, 0.5], [0.5, 0.5], 1.0)
+        grid = reverse_markov_geometric(rv, 2)
+        assert grid.nus == (0.25, 1.0)
+        assert grid.achieved == 0.25
+        assert revmarkov_objective(rv, (0.5, 1.0)) == 0.25
 
 
 class TestTightnessInstance:
