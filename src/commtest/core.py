@@ -6,6 +6,9 @@ Conventions used throughout:
 - a channel is a column-stochastic D x k matrix T; the output law is T @ p;
 - I_f(p, q) = sum_i q_i * f(p_i / q_i) with 0 * f(0/0) = 0 and
   0 * f(a/0) = a * lim_{u->inf} f(u)/u.
+
+Public functions and constructors validate their inputs; `_`-prefixed
+kernels trust theirs and run on plain arrays.
 """
 
 from __future__ import annotations
@@ -147,14 +150,30 @@ class Channel:
         return cls(m)
 
 
+def _trusted(cls, **values):
+    """`cls(**values)` for one of the frozen input dataclasses, unvalidated."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _push(matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The output law T @ p, clipped at 0 and divided by its sum twice:
+    without the second division last bits, and designer choices, would move."""
+    out = np.clip(matrix @ probs, 0.0, None)
+    out = out / out.sum()
+    return out / out.sum()
+
+
 def apply_channel(channel: Channel, dist: Distribution) -> Distribution:
     if channel.in_size != dist.k:
         raise DimensionError(
             f"channel expects alphabet size {channel.in_size}, distribution has {dist.k}"
         )
-    out = channel.matrix @ dist.probs
-    out = np.clip(out, 0.0, None)
-    return Distribution(out / out.sum())
+    return _trusted(Distribution, probs=_push(channel.matrix, dist.probs))
 
 
 @dataclass(frozen=True)
@@ -200,10 +219,8 @@ def likelihood_ratios(p: Distribution, q: Distribution) -> np.ndarray:
     """Pointwise p_i/q_i with 0/0 -> 0 and a/0 -> inf."""
     _check_same_alphabet(p, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = p.probs / q.probs
-    r = np.where((q.probs == 0) & (p.probs == 0), 0.0, r)
-    r = np.where((q.probs == 0) & (p.probs > 0), np.inf, r)
-    return r
+        r = p.probs / q.probs  # a/0 is already inf
+    return np.where((q.probs == 0) & (p.probs == 0), 0.0, r)
 
 
 def threshold_channel(p: Distribution, q: Distribution, gamma: ThresholdSet) -> Channel:
@@ -212,17 +229,14 @@ def threshold_channel(p: Distribution, q: Distribution, gamma: ThresholdSet) -> 
     Cell j collects ratios in [g_j, g_{j+1}) with g_0 = 0, g_D = inf; points
     with q(x) = 0 < p(x) go to the top cell.
     """
-    return _ratio_threshold_channel(likelihood_ratios(p, q), gamma)
+    return _trusted(Channel, matrix=_ratio_labels(likelihood_ratios(p, q), gamma.values))
 
 
-def _ratio_threshold_channel(ratios: np.ndarray, gamma: ThresholdSet) -> Channel:
-    """`threshold_channel` given the likelihood ratios of (p, q)."""
-    d = gamma.out_size
-    labels = np.searchsorted(gamma.values, ratios, side="right")
-    labels[np.isinf(ratios)] = d - 1
-    m = np.zeros((d, ratios.size))
-    m[labels, np.arange(ratios.size)] = 1.0
-    return Channel(m)
+def _ratio_labels(ratios: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix of `threshold_channel`, given the likelihood ratios of
+    (p, q) and the sorted thresholds; an infinite ratio lands past them all."""
+    labels = np.searchsorted(levels, ratios, side="right")
+    return (np.arange(levels.size + 1)[:, None] == labels).astype(float)
 
 
 def _check_same_alphabet(p: Distribution, q: Distribution) -> None:
@@ -357,18 +371,29 @@ def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
     if qi > 0:
         if qi < _SMALLEST_NORMAL and math.isinf(float(pi) / float(qi)):
             return pi * spec.slope_at_inf
-        return qi * spec.evaluate(pi / qi)
+        x = pi / qi
+        if x <= _SQRT_FLOAT_MAX:
+            return qi * spec.evaluate(x)
+        # f(x) can overflow though q_i f(x) is finite: x f(y/x) = y f(x/y)
+        with np.errstate(over="ignore"):
+            term = qi * spec.evaluate(x)
+            return pi * spec.evaluate(qi / pi) if math.isinf(term) else term
     if pi > 0:
         return pi * spec.slope_at_inf
     return 0.0
 
 
-def f_divergence(spec: FDivergenceSpec, p: Distribution, q: Distribution) -> float:
-    _check_same_alphabet(p, q)
+def _fdiv_sum(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> float:
+    """I_f over two probability arrays of one length."""
     total = 0.0
-    for pi, qi in zip(p.probs, q.probs):
+    for pi, qi in zip(pa, qa):
         total += _fdiv_term(spec, pi, qi)
     return float(total)
+
+
+def f_divergence(spec: FDivergenceSpec, p: Distribution, q: Distribution) -> float:
+    _check_same_alphabet(p, q)
+    return _fdiv_sum(spec, p.probs, q.probs)
 
 
 def hellinger_affinity(p: Distribution, q: Distribution) -> float:

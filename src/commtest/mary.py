@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     Channel,
     Distribution,
+    _push,
     apply_channel,
     hellinger_sq,
     total_variation,
@@ -45,7 +46,8 @@ SQUEEZE_CONSTANT_LIMIT = 3.0 * math.sqrt(2.0)
 # Channels per step of the binary squeeze sweep (pairs x chunk temporaries).
 _SWEEP_CHUNK = 4096
 
-Sampler = Callable[[np.random.Generator, int], np.ndarray]
+# Quoted, so that importing commtest does not import numpy.random.
+Sampler = Callable[["np.random.Generator", int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -475,9 +477,10 @@ def l1_embedding_bound_check(
     returns (holds, slack = bound - average)."""
     if family.base is None or family.hadamard_eps is None:
         raise ValidationError("family must carry its base distribution and eps")
-    t_base = apply_channel(channel, family.base)
-    avg = float(
-        np.mean([total_variation(apply_channel(channel, d), t_base) for d in family.dists])
-    )
+    if channel.in_size != family.k or family.base.k != family.k:
+        raise DimensionError("channel, family and base must share the alphabet")
+    t_base = _push(channel.matrix, family.base.probs)
+    avg = float(np.mean([0.5 * np.abs(_push(channel.matrix, d.probs) - t_base).sum()
+                         for d in family.dists]))
     bound = family.hadamard_eps * math.sqrt(channel.out_size) / math.sqrt(family.m)
     return avg <= bound + 1e-12, bound - avg

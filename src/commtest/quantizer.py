@@ -25,8 +25,11 @@ from .core import (
     Distribution,
     FDivergenceSpec,
     ThresholdSet,
+    _fdiv_sum,
     _fdiv_term,
-    _ratio_threshold_channel,
+    _push,
+    _ratio_labels,
+    _trusted,
     apply_channel,
     builtin_fdiv,
     f_divergence,
@@ -76,14 +79,12 @@ def fdiv_ratio(
 ) -> float:
     """Preservation ratio I_f(p,q) / I_f(Tp, Tq); inf when the output
     divergence vanishes but the input one does not."""
-    return _fdiv_ratio(spec, f_divergence(spec, p, q), p, q, channel)
+    num = f_divergence(spec, p, q)
+    return _ratio_of(num, f_divergence(spec, apply_channel(channel, p), apply_channel(channel, q)))
 
 
-def _fdiv_ratio(
-    spec: FDivergenceSpec, num: float, p: Distribution, q: Distribution, channel: Channel
-) -> float:
-    """`fdiv_ratio` given num = I_f(p, q)."""
-    den = f_divergence(spec, apply_channel(channel, p), apply_channel(channel, q))
+def _ratio_of(num: float, den: float) -> float:
+    """`fdiv_ratio` given num = I_f(p, q) and den = I_f(Tp, Tq)."""
     if num <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("I_f(p, q) is zero; preservation ratio undefined")
     if math.isinf(num):
@@ -95,37 +96,33 @@ def _fdiv_ratio(
 
 def _min_ratio(p: Distribution, q: Distribution) -> float:
     """nu = min over the joint support of min(p_i/q_i, q_i/p_i)."""
-    nu = 1.0
-    for pi, qi in zip(p.probs, q.probs):
-        if pi == 0 and qi == 0:
-            continue
-        if pi == 0 or qi == 0:
-            return 0.0
-        nu = min(nu, pi / qi if pi < qi else qi / pi)  # the quotient above 1 can overflow
-    return nu
+    pa, qa = p.probs, q.probs
+    if np.any((pa > 0) != (qa > 0)):
+        return 0.0
+    both = pa > 0  # the quotient below 1 cannot overflow
+    return min(1.0, (np.minimum(pa, qa)[both] / np.maximum(pa, qa)[both]).min())
 
 
-def _pad_thresholds(levels: list[float], out_size: int) -> ThresholdSet:
+def _pad_levels(levels: list[float], out_size: int) -> np.ndarray:
+    """Sorted thresholds, the top one repeated up to D - 1 of them."""
     levels = sorted(levels)
     if len(levels) > out_size - 1:
         raise ValidationError("too many thresholds for the output budget")
-    levels = levels + [levels[-1]] * (out_size - 1 - len(levels))
-    return ThresholdSet(levels)
+    return np.array(levels + [levels[-1]] * (out_size - 1 - len(levels)))
 
 
 def _near_one_grid(
-    spec: FDivergenceSpec, ratios: np.ndarray, q: Distribution, out_size: int
+    spec: FDivergenceSpec, ratios: np.ndarray, qa: np.ndarray, out_size: int
 ) -> list[float] | None:
     """Reverse-Markov thresholds for the bucket of ratios p/q in (1, 1+kappa),
-    given the ratios of (p, q)."""
-    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (q.probs > 0)
-    if not np.any(mask):
+    given the ratios of (p, q) and the probabilities of q."""
+    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (qa > 0)
+    if not mask.any():
         return None
     deltas = ratios[mask] - 1.0
-    weights = q.probs[mask]
+    weights = qa[mask]
     y_vals, inv = np.unique(deltas ** spec.alpha, return_inverse=True)
-    y_mass = np.zeros_like(y_vals)
-    np.add.at(y_mass, inv, weights)
+    y_mass = np.bincount(inv, weights)
     rest = max(0.0, 1.0 - y_mass.sum())
     beta = spec.kappa ** spec.alpha
     if rest > 0:
@@ -134,7 +131,9 @@ def _near_one_grid(
         else:
             y_vals = np.concatenate(([0.0], y_vals))
             y_mass = np.concatenate(([rest], y_mass))
-    rv = DiscreteRV(values=y_vals, masses=y_mass, beta=beta)
+    if y_vals[-1] >= beta:  # delta ** alpha can round up; DiscreteRV's other checks hold
+        raise ValidationError("values must lie in [0, beta)")
+    rv = _trusted(DiscreteRV, values=y_vals, masses=y_mass / y_mass.sum(), beta=beta)
     grid = reverse_markov_best(rv, out_size)
     # map grid levels on the X^alpha axis back to ratio thresholds 1 + nu
     return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
@@ -164,6 +163,9 @@ def design_fdiv_channel(
     """Design a D-output threshold channel approximately preserving I_f(p,q)."""
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
+    # with these, every candidate below is a valid ThresholdSet by construction
+    if not (0 < spec.kappa < math.inf and 0 < spec.alpha < math.inf):
+        raise ValidationError("spec.kappa and spec.alpha must be positive and finite")
     i_f = f_divergence(spec, p, q)
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
@@ -172,11 +174,12 @@ def design_fdiv_channel(
         ([1.0 + spec.kappa], "large-ratio"),
         ([1.0 / (1.0 + spec.kappa)], "large-ratio"),
     ]
+    pa, qa = p.probs, q.probs
     ratios = likelihood_ratios(p, q)
-    fwd = _near_one_grid(spec, ratios, q, out_size)
+    fwd = _near_one_grid(spec, ratios, qa, out_size)
     if fwd is not None:
         candidates.append((fwd, "small-ratio"))
-    swp = _near_one_grid(spec, likelihood_ratios(q, p), p, out_size)
+    swp = _near_one_grid(spec, likelihood_ratios(q, p), pa, out_size)
     if swp is not None:
         candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
     sep = _ratio_cuts(p, q)
@@ -185,12 +188,14 @@ def design_fdiv_channel(
 
     scored = []
     for levels, case in candidates:
-        gamma = _pad_thresholds(levels, out_size)
-        channel = _ratio_threshold_channel(ratios, gamma)
-        scored.append((_fdiv_ratio(spec, i_f, p, q, channel), channel, gamma, case))
-    ratio, channel, gamma, case = min(scored, key=lambda item: item[0])  # first of ties
+        levels = _pad_levels(levels, out_size)
+        labels = _ratio_labels(ratios, levels)
+        den = _fdiv_sum(spec, _push(labels, pa), _push(labels, qa))
+        scored.append((_ratio_of(i_f, den), labels, levels, case))
+    ratio, labels, levels, case = min(scored, key=lambda item: item[0])  # first of ties
+    channel, gamma = _trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels)
 
-    k_support = int(np.count_nonzero((p.probs > 0) | (q.probs > 0)))
+    k_support = int(np.count_nonzero((pa > 0) | (qa > 0)))
     if math.isinf(i_f):
         kprime = 1.0
     else:
@@ -247,7 +252,7 @@ def brute_force_threshold_channel(
         for b in range(a + 1, n + 1):
             score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
-    gamma = _pad_thresholds([cuts[c - 1] for c in chosen], out_size)
+    gamma = ThresholdSet(_pad_levels([cuts[c - 1] for c in chosen], out_size))
     channel = threshold_channel(p, q, gamma)
     return QuantizeResult(
         channel=channel,

@@ -101,6 +101,11 @@ def revmarkov_objective(rv: DiscreteRV, nus) -> float:
     """Evaluate F(nu) = sum_j nu_j P(Y in [nu_j, nu_{j+1})) over j < D."""
     nus = _as_float_array(nus, "nus")
     _check_grid(rv, nus)
+    return _objective(rv, nus)
+
+
+def _objective(rv: DiscreteRV, nus: np.ndarray) -> float:
+    """`revmarkov_objective` on a valid grid."""
     # cumulative mass strictly below each level
     below = np.searchsorted(rv.values, nus, side="left")
     cum = np.concatenate(([0.0], np.cumsum(rv.masses)))
@@ -132,7 +137,7 @@ def reverse_markov_top(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     order = np.lexsort((rv.values, scores))[::-1]
     chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
     nus = _pad_grid(chosen, out_size, rv.beta)
-    return ThresholdGrid(nus=nus, achieved=revmarkov_objective(rv, nus))
+    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
 
 
 def _first_best_doubling(rv: DiscreteRV, xs: np.ndarray, out_size: int):
@@ -166,7 +171,7 @@ def reverse_markov_geometric(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     _, levels = max((_first_best_doubling(rv, xs[i:i + step], out_size)
                      for i in range(0, xs.size, step)), key=lambda best: best[0])
     nus = tuple(levels.tolist()) + (rv.beta,)
-    return ThresholdGrid(nus=nus, achieved=revmarkov_objective(rv, nus))
+    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
@@ -234,7 +239,7 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     t = min(out_size - 1, values.size - 1)
     cuts = _best_cuts(values[:, None] * _cell_sums(masses), t)
     nus = _pad_grid([float(values[c]) for c in cuts], out_size, rv.beta)
-    return ThresholdGrid(nus=nus, achieved=revmarkov_objective(rv, nus))
+    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
 
 
 def tightness_instance(rho: float) -> DiscreteRV:

@@ -271,12 +271,20 @@ class TestUsage:
             assert exc.value.code == EXIT_OK
         assert "--format" in capsys.readouterr().out
 
-    def test_import_loads_no_scipy(self):
-        code = ("import sys, commtest.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    @staticmethod
+    def _after_import(expr):
+        """What `expr` prints in a fresh interpreter after `import commtest.cli`."""
+        code = f"import sys, commtest.cli; print({expr})"
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self._after_import(
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+    def test_import_loads_no_numpy_random(self):
+        # commands that draw nothing should not pay for importing numpy.random
+        assert self._after_import("'numpy.random' in sys.modules") == "False"

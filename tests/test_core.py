@@ -232,6 +232,24 @@ class TestFDivergence:
             assert spec.evaluate(1e300) == pytest.approx(1e300, rel=1e-15)
             assert spec.evaluate(np.float64(1e300)) == pytest.approx(1e300, rel=1e-15)
 
+    def test_superlinear_generator_huge_finite_quotient(self):
+        # p_i / q_i is finite, but f of it overflows: the summand comes from
+        # the symmetric form p_i f(q_i / p_i) instead of reading inf
+        cases = [
+            ("sym_kl", [1e-3, 1 - 1e-3], [1e-311, 1 - 1e-311], 0.709,
+             lambda pi, qi: (pi - qi) * math.log(pi / qi)),
+            ("sym_chi_1.5", [0.5, 0.5], [1e-300, 1 - 1e-300], 3.5e149,
+             lambda pi, qi: abs(pi - qi) ** 1.5 * (qi ** -0.5 + pi ** -0.5)),
+        ]
+        for name, pw, qw, about, term in cases:
+            p, q = Distribution(pw), Distribution(qw)
+            closed = sum(term(float(pi), float(qi)) for pi, qi in zip(p.probs, q.probs))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = f_divergence(builtin_fdiv(name), p, q)
+            assert got == pytest.approx(closed, rel=1e-12)
+            assert got == pytest.approx(about, rel=2e-2)
+
     def test_triangular_unchanged_where_plain_form_is_finite(self):
         def plain(x):
             return (x - 1.0) ** 2 / (1.0 + x)
@@ -276,7 +294,10 @@ class TestFDivergence:
                 with np.errstate(over="ignore", invalid="ignore"):  # huge finite quotients
                     for pi, qi in zip(p.probs, q.probs):
                         if qi > 0:
-                            ref += qi * spec.evaluate(pi / qi)
+                            term = qi * spec.evaluate(pi / qi)
+                            if pi > 0 and math.isinf(term):  # overflowed: symmetric form
+                                term = pi * spec.evaluate(qi / pi)
+                            ref += term
                         elif pi > 0:
                             ref += pi * spec.slope_at_inf
                     got = f_divergence(spec, p, q)
