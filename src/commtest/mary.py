@@ -71,6 +71,8 @@ class HypothesisFamily:
         k = dists[0].k
         if any(d.k != k for d in dists):
             raise DimensionError("family members must share the alphabet")
+        if base is not None and base.k != k:
+            raise DimensionError(f"base alphabet {base.k} differs from the family's {k}")
         min_h, max_h, min_tv = math.inf, 0.0, math.inf
         for a, b in combinations(dists, 2):
             h = math.sqrt(hellinger_sq(a, b))
@@ -477,8 +479,8 @@ def l1_embedding_bound_check(
     returns (holds, slack = bound - average)."""
     if family.base is None or family.hadamard_eps is None:
         raise ValidationError("family must carry its base distribution and eps")
-    if channel.in_size != family.k or family.base.k != family.k:
-        raise DimensionError("channel, family and base must share the alphabet")
+    if channel.in_size != family.k:
+        raise DimensionError("channel and family must share the alphabet")
     t_base = _push(channel.matrix, family.base.probs)
     avg = float(np.mean([0.5 * np.abs(_push(channel.matrix, d.probs) - t_base).sum()
                          for d in family.dists]))

@@ -139,14 +139,13 @@ def _near_one_grid(
     return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
 
 
-def _ratio_cuts(p: Distribution, q: Distribution) -> list[float]:
+def _ratio_cuts(ratios: np.ndarray, support: np.ndarray) -> list[float]:
     """One threshold per boundary between adjacent likelihood-ratio classes
-    of the joint support: each finite ratio above the smallest, plus one
-    past the largest finite ratio when some ratio is infinite. No finite cut
+    of the joint support, given `likelihood_ratios(p, q)` and the mask
+    (p > 0) | (q > 0): each finite ratio above the smallest, plus one past
+    the largest finite ratio when some ratio is infinite. No finite cut
     lies past the float maximum: a class there shares the top cell with the
     infinite class."""
-    ratios = likelihood_ratios(p, q)
-    support = (p.probs > 0) | (q.probs > 0)
     finite = np.unique(ratios[support & np.isfinite(ratios)])
     cuts = [float(v) for v in finite[1:]]
     if np.any(np.isinf(ratios[support])):
@@ -176,13 +175,14 @@ def design_fdiv_channel(
     ]
     pa, qa = p.probs, q.probs
     ratios = likelihood_ratios(p, q)
+    support = (pa > 0) | (qa > 0)
     fwd = _near_one_grid(spec, ratios, qa, out_size)
     if fwd is not None:
         candidates.append((fwd, "small-ratio"))
     swp = _near_one_grid(spec, likelihood_ratios(q, p), pa, out_size)
     if swp is not None:
         candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
-    sep = _ratio_cuts(p, q)
+    sep = _ratio_cuts(ratios, support)
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
@@ -195,15 +195,15 @@ def design_fdiv_channel(
     ratio, labels, levels, case = min(scored, key=lambda item: item[0])  # first of ties
     channel, gamma = _trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels)
 
-    k_support = int(np.count_nonzero((pa > 0) | (qa > 0)))
+    k_support = int(np.count_nonzero(support))
     if math.isinf(i_f):
         kprime = 1.0
     else:
         kprime = max(1.0, 1.0 + math.log2(4.0 * spec.c2 * spec.kappa ** spec.alpha / i_f))
     r_value = min(float(k_support), kprime)
 
-    nu = _min_ratio(p, q)
-    f_nu = spec.evaluate(nu)
+    with np.errstate(over="ignore"):  # f(nu) may pass the float range: inf
+        f_nu = spec.evaluate(_min_ratio(p, q))
     f_edge = spec.evaluate(1.0 / (1.0 + spec.kappa))
     main = MAIN_TERM_COEFF * f_nu / f_edge if math.isfinite(f_nu) else math.inf
     bound = main + BLOWUP_COEFF * (spec.c2 / spec.c1) * max(1.0, r_value / out_size)
@@ -240,7 +240,7 @@ def brute_force_threshold_channel(
     i_f = f_divergence(spec, p, q)
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
-    cuts = _ratio_cuts(p, q)
+    cuts = _ratio_cuts(likelihood_ratios(p, q), (p.probs > 0) | (q.probs > 0))
     if not cuts:
         raise DegenerateInputError("only one likelihood-ratio class present")
     classes = threshold_channel(p, q, ThresholdSet(cuts)).matrix

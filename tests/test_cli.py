@@ -196,6 +196,13 @@ class TestMary:
                            "--d", "2")
         assert code == EXIT_OK
 
+    def test_family_base_on_another_alphabet(self, capsys):
+        fam = json.dumps({"dists": [[0.9, 0.1], [0.1, 0.9]], "base": [0.2, 0.3, 0.5]})
+        code, out, err = run(capsys, "mary", "identical", "--family", fam, "--d", "2")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: base alphabet 3")
+
     def test_verify_bound(self, capsys):
         code, out, _ = run(capsys, "mary", "verify", "--m", "4", "--eps", "0.4")
         assert code == EXIT_OK

@@ -4,12 +4,14 @@ The `ref_*` functions below are reference code only: they are the designer,
 `apply_channel`, `fdiv_ratio` and the reverse-Markov grids as they were
 written on the public, validating objects (a `ThresholdSet`, a `Channel` and
 two validated `Distribution` images per candidate, a `DiscreteRV` and a
-checked grid per objective). The kernels must give the same floats, the
-same arrays and the same errors. The boundary tests check that every public
-constructor and entry point still rejects bad input.
+checked grid per objective), and the LLR statistic as one numpy row sum per
+channel group. The kernels must give the same floats, the same arrays and
+the same errors. The boundary tests check that every public constructor and
+entry point still rejects bad input.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from commtest import (
     DimensionError,
     DiscreteRV,
     Distribution,
+    TestRule,
     ThresholdSet,
     ValidationError,
     apply_channel,
@@ -29,6 +32,7 @@ from commtest import (
     design_fdiv_channel,
     design_hellinger_channel,
     design_robust_channel,
+    empirical_sample_complexity,
     fdiv_ratio,
     hadamard_instance,
     hellinger_sq,
@@ -38,11 +42,15 @@ from commtest import (
     quantizer,
     reverse_markov_best,
     revmarkov_objective,
+    scheffe_channel,
+    simulate_error,
+    testing,
     total_variation,
 )
 from commtest.core import _fdiv_term
 from commtest.quantizer import QuantizeResult
 from commtest.revmarkov import ThresholdGrid
+from commtest.testing import llr_statistic
 
 SPECS = ("hellinger", "tv", "sym_kl", "triangular", "sym_chi_1", "sym_chi_1.5", "sym_chi_2")
 _EPS = float(np.finfo(float).eps)
@@ -177,6 +185,19 @@ def ref_near_one_grid(spec, ratios, q, out_size):
     return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
 
 
+def ref_ratio_cuts(p, q):
+    ratios = likelihood_ratios(p, q)
+    support = (p.probs > 0) | (q.probs > 0)
+    finite = np.unique(ratios[support & np.isfinite(ratios)])
+    cuts = [float(v) for v in finite[1:]]
+    if np.any(np.isinf(ratios[support])):
+        top = float(finite[-1])
+        if top < sys.float_info.max:
+            past = 2.0 * top + 1.0
+            cuts.append(past if math.isfinite(past) else math.nextafter(top, math.inf))
+    return cuts
+
+
 def ref_pad_thresholds(levels, out_size):
     levels = sorted(levels)
     return ThresholdSet(levels + [levels[-1]] * (out_size - 1 - len(levels)))
@@ -196,7 +217,7 @@ def ref_design(spec, p, q, out_size):
     swp = ref_near_one_grid(spec, likelihood_ratios(q, p), p, out_size)
     if swp is not None:
         candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
-    sep = quantizer._ratio_cuts(p, q)
+    sep = ref_ratio_cuts(p, q)
     if 0 < len(sep) < out_size:
         candidates.append((sep, "small-ratio"))
     scored = []
@@ -211,7 +232,8 @@ def ref_design(spec, p, q, out_size):
     else:
         kprime = max(1.0, 1.0 + math.log2(4.0 * spec.c2 * spec.kappa ** spec.alpha / i_f))
     r_value = min(float(k_support), kprime)
-    f_nu = spec.evaluate(ref_min_ratio(p, q))
+    with np.errstate(over="ignore"):  # f(nu) past the float range reads inf
+        f_nu = spec.evaluate(ref_min_ratio(p, q))
     f_edge = spec.evaluate(1.0 / (1.0 + spec.kappa))
     main = quantizer.MAIN_TERM_COEFF * f_nu / f_edge if math.isfinite(f_nu) else math.inf
     bound = main + quantizer.BLOWUP_COEFF * (spec.c2 / spec.c1) * max(1.0, r_value / out_size)
@@ -225,6 +247,14 @@ def ref_design_hellinger(p, q, out_size):
     r_value = min(float(k_support), max(1.0, math.log2(4.0 / hellinger_sq(p, q))))
     bound = quantizer.HELLINGER_CEILING * max(1.0, r_value / out_size)
     return replace(base, bound=bound, r_value=r_value)
+
+
+def ref_llr_statistic(counts, llr):
+    total = 0.0
+    with np.errstate(invalid="ignore"):
+        for c, lg in zip(counts, llr):
+            total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
+    return np.where(np.isnan(total), 0.0, total)
 
 
 # --------------------------------------------------------------------------
@@ -296,8 +326,6 @@ N_INSTANCES = 300
 
 
 class TestKernelsMatchValidatingPath:
-    # f(nu) overflows for sym_chi_2 on subnormal masses, on both paths alike
-    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar power")
     def test_designers(self):
         rng = np.random.default_rng(20261018)
         designed = 0
@@ -347,6 +375,116 @@ class TestKernelsMatchValidatingPath:
             d = int(rng.integers(2, 10))
             rv = random_rv(rng, d)
             assert outcome(reverse_markov_best, rv, d) == outcome(ref_best, rv, d), i
+
+
+# Sizes on each side of numpy's pairwise-sum branches: < 8 terms, 8 to 128,
+# and recursive halves above 128.
+LLR_SIZES = tuple(range(1, 18)) + (31, 32, 33, 127, 128, 129, 256, 300)
+SPECIAL_LLRS = np.array([np.inf, -np.inf, 0.0, -2.5, 1.25, 1e300, -1e300])
+
+
+def random_llr(rng, size, kind):
+    if kind == "normal":  # rounding depends on the summation order
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-2, 3, size)
+    if kind == "lattice":  # integer sums: exact ties and zero statistics
+        return rng.integers(-3, 4, size).astype(float)
+    return rng.choice(SPECIAL_LLRS, size)  # +inf meets -inf, both-zero messages
+
+
+def array_signature(a):
+    return type(a).__name__, a.dtype.str, a.shape, a.tobytes()
+
+
+class TestLlrStatistic:
+    def test_matches_numpy_row_sums(self):
+        rng = np.random.default_rng(90210)
+        cases = 0
+        for size in LLR_SIZES:
+            for trial_shape in ((), (64,), (4, 9)):
+                for kind in ("normal", "lattice", "special"):
+                    groups = 1 + cases % 4
+                    sizes = [size] + [int(rng.choice(LLR_SIZES)) for _ in range(groups - 1)]
+                    llr = [random_llr(rng, d, kind) for d in sizes]
+                    counts = [rng.integers(0, 4, trial_shape + (d,))
+                              * (rng.random(trial_shape + (d,)) < 0.6) for d in sizes]
+                    want = ref_llr_statistic(counts, llr)
+                    assert array_signature(llr_statistic(counts, llr)) == \
+                        array_signature(want), (size, trial_shape, kind)
+                    cases += 1
+        assert cases == len(LLR_SIZES) * 9
+
+    def test_layout_of_counts_does_not_matter(self):
+        # the row sums of a C-contiguous array, whatever the layout of counts
+        rng = np.random.default_rng(5)
+        for size in (3, 9, 129):
+            c = rng.integers(0, 5, (200, size))
+            llr = [random_llr(rng, size, "normal")]
+            want = array_signature(ref_llr_statistic([c], llr))
+            for view in (np.asfortranarray(c), np.repeat(c, 2, axis=0)[::2]):
+                assert array_signature(llr_statistic([view], llr)) == want, size
+
+    def test_mismatched_llr_size_raises(self):
+        with pytest.raises(ValueError):
+            llr_statistic([np.ones((4, 3), dtype=int)], [np.zeros(2)])
+
+
+def checked_kernel(monkeypatch):
+    """Route testing's statistic through a check against the reference; a
+    run then gives the reference kernel's report exactly. Returns the list
+    of checked calls."""
+    kernel, calls = testing.llr_statistic, []
+
+    def checked(counts, llr):
+        counts, llr = list(counts), list(llr)
+        got = kernel(counts, llr)
+        assert array_signature(got) == array_signature(ref_llr_statistic(counts, llr))
+        calls.append(len(counts))
+        return got
+
+    monkeypatch.setattr(testing, "llr_statistic", checked)
+    return calls
+
+
+def simulation_pair():
+    rng = np.random.default_rng(2)
+    q = rng.dirichlet(np.full(16, 2.0))
+    z = rng.standard_normal(16)
+    p = q * (1.0 + 0.3 * z / np.abs(z).max())
+    return Distribution(p / p.sum()), Distribution(q)
+
+
+class TestSimulationMatchesReferenceKernel:
+    def test_simulate_error_reports(self, monkeypatch):
+        calls = checked_kernel(monkeypatch)
+        p, q = simulation_pair()
+        for d in (2, 4, 8):
+            channels = [design_fdiv_channel(builtin_fdiv(name), p, q, d).channel
+                        for name in ("hellinger", "tv", "sym_kl", "triangular")]
+            for groups in (1, 4):
+                rule = TestRule(channels[:groups])
+                for n in (10, 1_000, 100_000):
+                    simulate_error(rule, p, q, n, trials=20_000, seed=d * n + groups)
+        assert len(calls) == 3 * 2 * 3 * 2
+
+    def test_infinite_llrs_and_samplers(self, monkeypatch):
+        calls = checked_kernel(monkeypatch)
+        p, q = Distribution([0.4, 0.0, 0.3, 0.3]), Distribution([0.0, 0.4, 0.4, 0.2])
+        sampler = Distribution([0.25, 0.25, 0.25, 0.25])
+        rule = TestRule([Channel.identity(4), scheffe_channel(p, q)])
+        for n in (1, 10, 300):
+            simulate_error(rule, p, q, n, trials=5_000, seed=n,
+                           p_sampler=sampler, q_sampler=sampler)
+        assert len(calls) == 6
+
+    def test_sample_complexity_search(self, monkeypatch):
+        calls = checked_kernel(monkeypatch)
+        p, q = Distribution([0.7, 0.3]), Distribution([0.4, 0.6])
+        rule = TestRule([Channel.identity(2)])
+        assert empirical_sample_complexity(lambda n: rule, p, q, trials=4_000, seed=3) > 1
+        p, q = simulation_pair()
+        rule = TestRule([design_hellinger_channel(p, q, 3).channel, scheffe_channel(p, q)])
+        empirical_sample_complexity(lambda n: rule, p, q, trials=4_000, seed=4)
+        assert len(calls) > 10
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from commtest import (
     Channel,
     CombinatorialBlowupError,
     DegenerateInputError,
+    DimensionError,
     Distribution,
     HypothesisFamily,
     StochasticFailureError,
@@ -51,6 +52,15 @@ class TestHypothesisFamily:
         assert fam.m == 3 and fam.k == 2
         assert fam.min_pairwise_tv == pytest.approx(0.4)
         assert fam.min_pairwise_hellinger <= fam.max_pairwise_hellinger
+
+    def test_base_must_share_the_alphabet(self):
+        dists = [Distribution([0.9, 0.1]), Distribution([0.1, 0.9])]
+        with pytest.raises(DimensionError):
+            HypothesisFamily(dists, base=Distribution([0.2, 0.3, 0.5]))
+        with pytest.raises(DimensionError):
+            HypothesisFamily.from_json({"dists": [[0.9, 0.1], [0.1, 0.9]],
+                                        "base": [0.2, 0.3, 0.5]})
+        assert HypothesisFamily(dists, base=Distribution([0.5, 0.5])).k == 2
 
     def test_json_round_trip(self):
         fam = hadamard_instance(4, 0.4)

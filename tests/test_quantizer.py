@@ -19,8 +19,13 @@ from commtest import (
     hellinger_sq,
     likelihood_ratios,
     quantizer,
+    sym_chi_spec,
     threshold_channel,
 )
+
+
+def ratio_cuts(p, q):
+    return quantizer._ratio_cuts(likelihood_ratios(p, q), (p.probs > 0) | (q.probs > 0))
 
 
 def random_pair(rng, k, zero_prob=0.0):
@@ -184,7 +189,7 @@ class TestExtremeRatios:
         p = Distribution([0.4, 0.3, 0.3])
         q = Distribution([4e-309, 1.0, 0.0])
         top = likelihood_ratios(p, q)[0]
-        cuts = quantizer._ratio_cuts(p, q)
+        cuts = ratio_cuts(p, q)
         assert cuts == [top, math.nextafter(top, math.inf)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -201,7 +206,7 @@ class TestExtremeRatios:
         p = Distribution([a, 0.5, 0.5 - a])
         q = Distribution([2.0 ** -1074, 1.0, 0.0])
         assert likelihood_ratios(p, q)[0] == np.finfo(float).max
-        assert quantizer._ratio_cuts(p, q) == [np.finfo(float).max]
+        assert ratio_cuts(p, q) == [np.finfo(float).max]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             designed = design_hellinger_channel(p, q, 3)
@@ -212,7 +217,16 @@ class TestExtremeRatios:
     def test_infinite_class_cut_unchanged_for_moderate_ratios(self):
         p = Distribution([0.4, 0.3, 0.3])
         q = Distribution([0.5, 0.5, 0.0])
-        assert quantizer._ratio_cuts(p, q) == [0.8, 2.0 * 0.8 + 1.0]
+        assert ratio_cuts(p, q) == [0.8, 2.0 * 0.8 + 1.0]
+
+    def test_bound_reads_inf_where_f_nu_overflows(self):
+        # nu = 5e-324: sym_chi_2's x ** -1 passes the float range
+        p, q = Distribution([0.5, 0.5]), Distribution([5e-324, 1.0 - 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = design_fdiv_channel(sym_chi_spec(2.0), p, q, 2)
+        assert res.bound == math.inf
+        assert res.ratio_achieved == pytest.approx(1.0)
 
     def test_min_ratio_on_subnormal_masses_is_warning_free(self):
         with warnings.catch_warnings():
