@@ -99,8 +99,19 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _json_safe(obj):
+    """obj with inf as "inf", -inf as "-inf" and NaN as null, at any depth."""
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
 def _emit(obj: dict, args) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", args)
+    _write(json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", args)
 
 
 def _emit_csv(rows: list[dict], args) -> None:
@@ -109,10 +120,6 @@ def _emit_csv(rows: list[dict], args) -> None:
     writer.writeheader()
     writer.writerows(rows)
     _write(buf.getvalue(), args)
-
-
-def _finite(x: float) -> float | str:
-    return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
 # --------------------------------------------------------------------------
@@ -125,7 +132,7 @@ def cmd_divergence(args) -> int:
     _emit(
         {
             "spec": spec.name,
-            "f_divergence": _finite(f_divergence(spec, p, q)),
+            "f_divergence": f_divergence(spec, p, q),
             "hellinger_sq": hellinger_sq(p, q),
             "total_variation": total_variation(p, q),
             "hellinger_affinity": hellinger_affinity(p, q),
@@ -145,10 +152,6 @@ def cmd_quantize(args) -> int:
         result = design_fdiv_channel(builtin_fdiv(args.spec), p, q, args.d)
     obj = result.to_json()
     obj["spec"] = args.spec
-    obj["ratio_achieved"] = _finite(obj["ratio_achieved"])
-    obj["bound"] = _finite(obj["bound"])
-    if math.isnan(obj["r_value"]):
-        obj["r_value"] = None
     _emit(obj, args)
     if not args.oracle and not result.ratio_achieved <= result.bound:
         return EXIT_GUARANTEE
@@ -212,14 +215,7 @@ def cmd_robust_design(args) -> int:
     p, q = _dist_arg(args.p), _dist_arg(args.q)
     setup = ContaminationSetup(p, q, args.eps)
     lfd, design = design_robust_channel(setup, args.d)
-    obj = {
-        "lfd": lfd.to_json(),
-        "design": design.to_json(),
-        "epsilon": args.eps,
-    }
-    obj["design"]["ratio_achieved"] = _finite(design.ratio_achieved)
-    obj["design"]["bound"] = _finite(design.bound)
-    _emit(obj, args)
+    _emit({"lfd": lfd.to_json(), "design": design.to_json(), "epsilon": args.eps}, args)
     if not design.ratio_achieved <= design.bound:
         return EXIT_GUARANTEE
     return EXIT_OK
@@ -227,6 +223,8 @@ def cmd_robust_design(args) -> int:
 
 def _family_from_args(args) -> HypothesisFamily:
     if args.family is not None:
+        if args.m is not None or args.eps is not None:
+            raise ValidationError("--family replaces --m and --eps; drop them")
         return _family_arg(args.family)
     if args.m is None or args.eps is None:
         raise ValidationError("provide --family or both --m and --eps")
@@ -315,8 +313,6 @@ def cmd_verify(args) -> int:
         "passed": all(r.passed for r in results),
         "checks": [r.to_json() for r in results],
     }
-    for check in obj["checks"]:
-        check["value"] = _finite(check["value"])
     _emit(obj, args)
     return EXIT_OK if obj["passed"] else EXIT_GUARANTEE
 

@@ -5,7 +5,8 @@ Conventions used throughout:
 - a distribution is a length-k probability vector over the alphabet {0,...,k-1};
 - a channel is a column-stochastic D x k matrix T; the output law is T @ p;
 - I_f(p, q) = sum_i q_i * f(p_i / q_i) with 0 * f(0/0) = 0 and
-  0 * f(a/0) = a * lim_{u->inf} f(u)/u.
+  0 * f(a/0) = a * lim_{u->inf} f(u)/u; past p_i = q_i sqrt(float max), a
+  summand that overflows is read as its equal p_i f(q_i / p_i).
 
 Public functions and constructors validate their inputs; `_`-prefixed
 kernels trust theirs and run on plain arrays.
@@ -25,8 +26,6 @@ from .errors import DimensionError, ValidationError
 # to one, rejected otherwise; after construction sums hold to STRICT_TOL.
 NORMALIZE_TOL = 1e-9
 STRICT_TOL = 1e-12
-# A quotient p_i / q_i with p_i <= 1 can only overflow when q_i is below this.
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _SQRT_FLOAT_MAX = math.sqrt(float(np.finfo(float).max))
 
 
@@ -367,17 +366,15 @@ def builtin_fdiv(name: str) -> FDivergenceSpec:
 
 def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
     """One summand q_i f(p_i / q_i) of I_f, with the 0/0 and a/0 conventions;
-    a quotient that overflows (q_i subnormal) also takes the a/0 limit."""
+    past p_i = q_i sqrt(float max), if it overflows, p_i f(q_i / p_i) instead
+    (x f(y/x) = y f(x/y)): the quotient, or f of it, may pass the float range
+    though the summand does not."""
     if qi > 0:
-        if qi < _SMALLEST_NORMAL and math.isinf(float(pi) / float(qi)):
-            return pi * spec.slope_at_inf
-        x = pi / qi
-        if x <= _SQRT_FLOAT_MAX:
-            return qi * spec.evaluate(x)
-        # f(x) can overflow though q_i f(x) is finite: x f(y/x) = y f(x/y)
-        with np.errstate(over="ignore"):
-            term = qi * spec.evaluate(x)
-            return pi * spec.evaluate(qi / pi) if math.isinf(term) else term
+        if pi <= qi * _SQRT_FLOAT_MAX:
+            return qi * spec.evaluate(pi / qi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = qi * spec.evaluate(pi / qi)
+            return term if math.isfinite(term) else pi * spec.evaluate(qi / pi)
     if pi > 0:
         return pi * spec.slope_at_inf
     return 0.0

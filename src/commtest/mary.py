@@ -217,7 +217,7 @@ def jl_sketch_channel(
         raise ValidationError("out_size must be at least 2")
     d_prime = out_size - 1
     k = family.k
-    q2 = JL_NOISE_SCALE * math.sqrt(math.log(k * d_prime)) if k * d_prime > 1 else JL_NOISE_SCALE
+    q2 = JL_NOISE_SCALE * math.sqrt(math.log(k * d_prime))  # distinct hypotheses: k >= 2
     q1 = JL_COLUMN_SCALE * d_prime
     floor = jl_distance_floor(family, out_size, accept)
     rng = np.random.default_rng(seed)

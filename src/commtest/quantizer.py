@@ -35,13 +35,13 @@ from .core import (
     f_divergence,
     hellinger_sq,
     likelihood_ratios,
-    threshold_channel,
 )
 from .errors import DegenerateInputError, ValidationError
 from .revmarkov import (
     DiscreteRV,
     _best_cuts,
     _cell_sums,
+    _pad_levels,
     reverse_markov_best,
     tightness_instance,
 )
@@ -103,12 +103,14 @@ def _min_ratio(p: Distribution, q: Distribution) -> float:
     return min(1.0, (np.minimum(pa, qa)[both] / np.maximum(pa, qa)[both]).min())
 
 
-def _pad_levels(levels: list[float], out_size: int) -> np.ndarray:
-    """Sorted thresholds, the top one repeated up to D - 1 of them."""
-    levels = sorted(levels)
-    if len(levels) > out_size - 1:
-        raise ValidationError("too many thresholds for the output budget")
-    return np.array(levels + [levels[-1]] * (out_size - 1 - len(levels)))
+def _threshold_score(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, p: Distribution,
+                     q: Distribution, levels: list[float], out_size: int):
+    """(preservation ratio, channel, thresholds) through `levels` padded to
+    D - 1 of them, given i_f = I_f(p, q) and the likelihood ratios of (p, q)."""
+    levels = np.array(_pad_levels(levels, out_size))
+    labels = _ratio_labels(ratios, levels)
+    ratio = _ratio_of(i_f, _fdiv_sum(spec, _push(labels, p.probs), _push(labels, q.probs)))
+    return ratio, _trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels)
 
 
 def _near_one_grid(
@@ -186,14 +188,9 @@ def design_fdiv_channel(
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
-    scored = []
-    for levels, case in candidates:
-        levels = _pad_levels(levels, out_size)
-        labels = _ratio_labels(ratios, levels)
-        den = _fdiv_sum(spec, _push(labels, pa), _push(labels, qa))
-        scored.append((_ratio_of(i_f, den), labels, levels, case))
-    ratio, labels, levels, case = min(scored, key=lambda item: item[0])  # first of ties
-    channel, gamma = _trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels)
+    scored = [_threshold_score(spec, i_f, ratios, p, q, levels, out_size) + (case,)
+              for levels, case in candidates]
+    ratio, channel, gamma, case = min(scored, key=lambda item: item[0])  # first of ties
 
     k_support = int(np.count_nonzero(support))
     if math.isinf(i_f):
@@ -240,10 +237,11 @@ def brute_force_threshold_channel(
     i_f = f_divergence(spec, p, q)
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
-    cuts = _ratio_cuts(likelihood_ratios(p, q), (p.probs > 0) | (q.probs > 0))
+    ratios = likelihood_ratios(p, q)
+    cuts = _ratio_cuts(ratios, (p.probs > 0) | (q.probs > 0))
     if not cuts:
         raise DegenerateInputError("only one likelihood-ratio class present")
-    classes = threshold_channel(p, q, ThresholdSet(cuts)).matrix
+    classes = _ratio_labels(ratios, np.array(cuts))
     p_cells = _cell_sums(classes @ p.probs)
     q_cells = _cell_sums(classes @ q.probs)
     n = len(cuts) + 1
@@ -252,16 +250,10 @@ def brute_force_threshold_channel(
         for b in range(a + 1, n + 1):
             score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
-    gamma = ThresholdSet(_pad_levels([cuts[c - 1] for c in chosen], out_size))
-    channel = threshold_channel(p, q, gamma)
-    return QuantizeResult(
-        channel=channel,
-        gamma=gamma,
-        ratio_achieved=fdiv_ratio(spec, p, q, channel),
-        bound=math.inf,
-        case_taken="oracle",
-        r_value=math.nan,
-    )
+    ratio, channel, gamma = _threshold_score(
+        spec, i_f, ratios, p, q, [cuts[c - 1] for c in chosen], out_size)
+    return QuantizeResult(channel=channel, gamma=gamma, ratio_achieved=ratio, bound=math.inf,
+                          case_taken="oracle", r_value=math.nan)
 
 
 def hell_tight_instance(rho: float) -> tuple[Distribution, Distribution]:

@@ -20,7 +20,6 @@ from .errors import DegenerateInputError, ValidationError
 from .core import NORMALIZE_TOL, _as_float_array
 
 GUARANTEE_FACTOR = 1.0 / 13.0
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -106,18 +105,27 @@ def revmarkov_objective(rv: DiscreteRV, nus) -> float:
 
 def _objective(rv: DiscreteRV, nus: np.ndarray) -> float:
     """`revmarkov_objective` on a valid grid."""
-    # cumulative mass strictly below each level
-    below = np.searchsorted(rv.values, nus, side="left")
-    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))
-    interval_mass = cum[below[1:]] - cum[below[:-1]]
-    return float(np.dot(nus[:-1], interval_mass))
+    return float(_objectives(rv, nus[None, :])[0])
 
 
-def _pad_grid(levels: list[float], out_size: int, beta: float) -> tuple[float, ...]:
-    """Up to D-1 levels (at least one) -> sorted grid of D levels ending at beta."""
+def _objectives(rv: DiscreteRV, grids: np.ndarray) -> np.ndarray:
+    """F(nu) of each row of an n x D array of valid grids, each one dot
+    product of its first D-1 levels with its cell masses."""
+    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))  # mass below each atom
+    cells = np.diff(cum[np.searchsorted(rv.values, grids, side="left")], axis=1)
+    return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
+
+
+def _pad_levels(levels: list[float], out_size: int) -> list[float]:
+    """Up to D-1 levels (at least one), sorted, the top one repeated up to
+    D-1 of them: empty cells contribute nothing."""
     levels = sorted(levels)
-    # repeat the top level; empty cells contribute nothing
-    return tuple(levels + [levels[-1]] * (out_size - 1 - len(levels))) + (beta,)
+    return levels + [levels[-1]] * (out_size - 1 - len(levels))
+
+
+def _padded_grid(rv: DiscreteRV, levels: list[float], out_size: int) -> ThresholdGrid:
+    nus = tuple(_pad_levels(levels, out_size)) + (rv.beta,)
+    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
 
 
 def _require_positive_mean(rv: DiscreteRV) -> float:
@@ -136,26 +144,17 @@ def reverse_markov_top(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     # ties broken toward larger values for determinism
     order = np.lexsort((rv.values, scores))[::-1]
     chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
-    nus = _pad_grid(chosen, out_size, rv.beta)
-    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
+    return _padded_grid(rv, chosen, out_size)
 
 
 def _first_best_doubling(rv: DiscreteRV, xs: np.ndarray, out_size: int):
-    """(F, levels) of the first grid min(beta, x * 2^j), j < D-1, over the
-    sorted xs that maximises F as revmarkov_objective computes it."""
+    """(F, grid) of the first grid min(beta, x * 2^j), j < D-1, then beta,
+    over the sorted xs that maximises F."""
     levels = np.minimum(rv.beta, xs[:, None] * 2.0 ** np.arange(out_size - 1))
-    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))  # mass below each atom
-    # the top cell ends at beta, past every atom
-    cells = np.diff(cum[np.searchsorted(rv.values, levels)], axis=1, append=cum[-1])
-    scores = np.sum(levels * cells, axis=1)
-    # These sums and revmarkov_objective's np.dot add the same D-1
-    # non-negative products in other orders, each within (D-1) eps/2 of the
-    # exact total relative to it, so every grid that np.dot could rank first
-    # is within 2 D eps of the top here; np.dot decides among those.
-    near = np.flatnonzero(scores >= scores.max() * (1.0 - 2.0 * out_size * _EPS))
-    dots = [np.dot(levels[i], cells[i]) for i in near]
-    win = int(np.argmax(dots))
-    return dots[win], levels[near[win]]
+    grids = np.hstack((levels, np.full((xs.size, 1), rv.beta)))
+    scores = _objectives(rv, grids)
+    win = int(np.argmax(scores))
+    return scores[win], grids[win]
 
 
 def reverse_markov_geometric(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
@@ -168,10 +167,9 @@ def reverse_markov_geometric(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
     xs = np.unique(positive[:, None] / 2.0 ** np.arange(out_size))
     step = max(1, 2 ** 16 // out_size)  # chunks of at most 2^16 levels bound memory
-    _, levels = max((_first_best_doubling(rv, xs[i:i + step], out_size)
-                     for i in range(0, xs.size, step)), key=lambda best: best[0])
-    nus = tuple(levels.tolist()) + (rv.beta,)
-    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
+    achieved, grid = max((_first_best_doubling(rv, xs[i:i + step], out_size)
+                          for i in range(0, xs.size, step)), key=lambda best: best[0])
+    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
@@ -238,8 +236,7 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     masses = np.concatenate(([0.0], rv.masses[positive]))
     t = min(out_size - 1, values.size - 1)
     cuts = _best_cuts(values[:, None] * _cell_sums(masses), t)
-    nus = _pad_grid([float(values[c]) for c in cuts], out_size, rv.beta)
-    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
+    return _padded_grid(rv, [float(values[c]) for c in cuts], out_size)
 
 
 def tightness_instance(rho: float) -> DiscreteRV:

@@ -10,6 +10,7 @@ from commtest.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_STOCHASTIC,
+    _json_safe,
     main,
 )
 
@@ -48,6 +49,11 @@ class TestDivergence:
         code, _, err = run(capsys, "divergence", "--p", "not json", "--q", Q)
         assert code == EXIT_INVALID
 
+    def test_infinite_divergence_is_a_string(self, capsys):
+        code, out, _ = run(capsys, "divergence", "--p", "[1,0]", "--q", Q, "--spec", "sym_kl")
+        assert code == EXIT_OK
+        assert '"f_divergence": "inf"' in out
+
     def test_file_input(self, capsys, tmp_path):
         f = tmp_path / "p.json"
         f.write_text('{"probs": [0.8, 0.2]}')
@@ -70,6 +76,15 @@ class TestQuantize:
                            "--q", "[0.2,0.3,0.5]", "--d", "2", "--oracle")
         assert code == EXIT_OK
         assert json.loads(out)["case"] == "oracle"
+        assert json.loads(out)["r_value"] is None  # NaN: the oracle has no R
+
+    def test_infinite_values_are_strings(self, capsys):
+        code, out, _ = run(capsys, "quantize", "--p", "[0.5,0.5,0]",
+                           "--q", "[0,0.5,0.5]", "--d", "3", "--spec", "sym_kl")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["bound"] == "inf"
+        assert obj["ratio_achieved"] == 1.0
 
     def test_identical_inputs_invalid(self, capsys):
         code, _, err = run(capsys, "quantize", "--p", P, "--q", P, "--d", "2")
@@ -203,6 +218,17 @@ class TestMary:
         assert out == ""
         assert err.startswith("error: base alphabet 3")
 
+    @pytest.mark.parametrize("sub, extra", [("identical", ["--d", "2"]),
+                                            ("tournament", []), ("verify", [])])
+    @pytest.mark.parametrize("flags", [["--m", "4"], ["--eps", "0.4"],
+                                       ["--m", "4", "--eps", "0.4"]])
+    def test_family_with_m_or_eps_is_rejected(self, capsys, sub, extra, flags):
+        fam = json.dumps({"dists": [[0.9, 0.1], [0.1, 0.9]]})
+        code, out, err = run(capsys, "mary", sub, "--family", fam, *flags, *extra)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: --family replaces --m and --eps")
+
     def test_verify_bound(self, capsys):
         code, out, _ = run(capsys, "mary", "verify", "--m", "4", "--eps", "0.4")
         assert code == EXIT_OK
@@ -234,6 +260,13 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == EXIT_INVALID
+
+
+def test_json_safe_encodes_non_finite_floats_at_any_depth():
+    inf, nan = float("inf"), float("nan")
+    obj = {"a": [1.5, (-inf, {"b": nan})], "c": inf, "d": "inf", "e": 0, "f": True}
+    assert _json_safe(obj) == {"a": [1.5, ["-inf", {"b": None}]], "c": "inf",
+                               "d": "inf", "e": 0, "f": True}
 
 
 class TestUsage:

@@ -205,7 +205,9 @@ class TestFDivergence:
             builtin_fdiv("tv").evaluate(-0.5)
 
     def test_overflowing_ratio_takes_a_over_zero_limit(self):
-        # 0.5 / 1e-309 overflows: the summand is 0.5 * f'(inf), as for q_i = 0
+        # 0.5 / 1e-309 overflows: the summand is 0.5 f(1e-309 / 0.5), which
+        # rounds to 0.5 * f'(inf) for these generators; sym_kl still reads
+        # inf, from the atom with p_i = 0 < q_i
         p = Distribution([0.5, 0.5, 0.0])
         q = Distribution([1e-309, 0.5, 0.5 - 1e-309])
         with warnings.catch_warnings():
@@ -220,6 +222,30 @@ class TestFDivergence:
             )
             assert f_divergence(builtin_fdiv("triangular"), p, q) == pytest.approx(1.0)
             assert math.isinf(f_divergence(builtin_fdiv("sym_kl"), p, q))
+
+    def test_overflowing_ratio_keeps_a_finite_summand(self):
+        # 0.5 / 1e-309 overflows, yet 1e-309 f(0.5 / 1e-309) is finite where
+        # f'(inf) = inf: the summand is 0.5 f(1e-309 / 0.5)
+        p, q = Distribution([0.5, 0.5]), Distribution([1e-309, 1 - 1e-309])
+        cases = [
+            ("sym_kl", 355.7494, lambda pi, qi: (pi - qi) * (math.log(pi) - math.log(qi))),
+            ("sym_chi_1.5", 1.1180e154,
+             lambda pi, qi: abs(pi - qi) ** 1.5 * (qi ** -0.5 + pi ** -0.5)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, about, term in cases:
+                got = f_divergence(builtin_fdiv(name), p, q)
+                closed = sum(term(float(pi), float(qi)) for pi, qi in zip(p.probs, q.probs))
+                assert math.isfinite(got)
+                assert got == pytest.approx(closed, rel=1e-12)
+                assert got == pytest.approx(about, rel=1e-4)
+            # where f'(inf) is finite, 0.5 f(2e-309) rounds to 0.5 f'(inf)
+            pi, qi = p.probs[1], q.probs[1]
+            for name in ("hellinger", "tv", "triangular", "sym_chi_1"):
+                spec = builtin_fdiv(name)
+                want = 0.0 + 0.5 * spec.slope_at_inf + qi * spec.evaluate(pi / qi)
+                assert f_divergence(spec, p, q) == want, name
 
     def test_triangular_huge_finite_quotient(self):
         # 0.5 / 1e-300 is finite, but its (x - 1)**2 would overflow

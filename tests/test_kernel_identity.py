@@ -1,11 +1,11 @@
 """The array kernels behind the public API against the validating path.
 
 The `ref_*` functions below are reference code only: they are the designer,
-`apply_channel`, `fdiv_ratio` and the reverse-Markov grids as they were
-written on the public, validating objects (a `ThresholdSet`, a `Channel` and
-two validated `Distribution` images per candidate, a `DiscreteRV` and a
-checked grid per objective), and the LLR statistic as one numpy row sum per
-channel group. The kernels must give the same floats, the same arrays and
+the threshold-channel oracle, `apply_channel`, `fdiv_ratio` and the
+reverse-Markov grids as they were written on the public, validating objects
+(a `ThresholdSet`, a `Channel` and two validated `Distribution` images per
+candidate, a `DiscreteRV` and a checked grid per objective, one `np.dot` per
+objective), and the LLR statistic as one numpy row sum per channel group. The kernels must give the same floats, the same arrays and
 the same errors. The boundary tests check that every public constructor and
 entry point still rejects bad input.
 """
@@ -28,6 +28,7 @@ from commtest import (
     ThresholdSet,
     ValidationError,
     apply_channel,
+    brute_force_threshold_channel,
     builtin_fdiv,
     design_fdiv_channel,
     design_hellinger_channel,
@@ -45,11 +46,12 @@ from commtest import (
     scheffe_channel,
     simulate_error,
     testing,
+    threshold_channel,
     total_variation,
 )
 from commtest.core import _fdiv_term
 from commtest.quantizer import QuantizeResult
-from commtest.revmarkov import ThresholdGrid
+from commtest.revmarkov import ThresholdGrid, _best_cuts, _cell_sums
 from commtest.testing import llr_statistic
 
 SPECS = ("hellinger", "tv", "sym_kl", "triangular", "sym_chi_1", "sym_chi_1.5", "sym_chi_2")
@@ -241,6 +243,30 @@ def ref_design(spec, p, q, out_size):
                           case_taken=case, r_value=r_value)
 
 
+def ref_oracle(spec, p, q, out_size):
+    if out_size < 2:
+        raise ValidationError("out_size must be at least 2")
+    i_f = ref_fdiv(spec, p, q)
+    if i_f <= quantizer._DIVERGENCE_FLOOR:
+        raise DegenerateInputError("p and q are (numerically) identical")
+    cuts = ref_ratio_cuts(p, q)
+    if not cuts:
+        raise DegenerateInputError("only one likelihood-ratio class present")
+    classes = threshold_channel(p, q, ThresholdSet(cuts)).matrix
+    p_cells, q_cells = _cell_sums(classes @ p.probs), _cell_sums(classes @ q.probs)
+    n = len(cuts) + 1
+    score = np.zeros((n, n + 1))
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
+    chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
+    gamma = ref_pad_thresholds([cuts[c - 1] for c in chosen], out_size)
+    channel = threshold_channel(p, q, gamma)
+    return QuantizeResult(channel=channel, gamma=gamma,
+                          ratio_achieved=ref_ratio(spec, i_f, p, q, channel),
+                          bound=math.inf, case_taken="oracle", r_value=math.nan)
+
+
 def ref_design_hellinger(p, q, out_size):
     base = ref_design(builtin_fdiv("hellinger"), p, q, out_size)
     k_support = int(np.count_nonzero((p.probs > 0) | (q.probs > 0)))
@@ -369,12 +395,50 @@ class TestKernelsMatchValidatingPath:
                     assert outcome(fdiv_ratio, spec, p, q, channel) == \
                         outcome(ref_ratio, spec, num, p, q, channel), (i, name)
 
+    def test_oracle(self):
+        rng = np.random.default_rng(20261018)
+        solved = 0
+        for i in range(N_INSTANCES):
+            p, q, d = random_instance(rng, i)
+            for name in SPECS:
+                spec = builtin_fdiv(name)
+                want = outcome(ref_oracle, spec, p, q, d)
+                assert outcome(brute_force_threshold_channel, spec, p, q, d) == want, (i, name)
+                solved += want[0] == "design"
+        assert solved >= 0.9 * N_INSTANCES * len(SPECS)
+
     def test_reverse_markov_best(self):
         rng = np.random.default_rng(11)
         for i in range(N_INSTANCES):
             d = int(rng.integers(2, 10))
             rv = random_rv(rng, d)
             assert outcome(reverse_markov_best, rv, d) == outcome(ref_best, rv, d), i
+
+    def test_revmarkov_objective(self):
+        rng = np.random.default_rng(13)
+        for i in range(N_INSTANCES):
+            d = int(rng.integers(2, 10))
+            rv = random_rv(rng, d)
+            for _ in range(10):
+                # levels anywhere, on atoms or repeated; the last one at beta
+                # or inside the tolerance below it
+                last = rv.beta - rng.choice([0.0, 0.0, 1e-15, 5e-13])
+                levels = rng.random(d - 1) * last
+                on_atoms = rng.random(d - 1) < 0.4
+                levels[on_atoms] = rng.choice(rv.values, int(on_atoms.sum()))
+                levels = np.sort(levels)
+                if d > 2 and rng.random() < 0.3:
+                    j = int(rng.integers(0, d - 2))
+                    levels[j + 1] = levels[j]
+                nus = np.append(levels, last)
+                want = outcome(ref_objective, rv, nus)
+                assert want[0] == "float"
+                assert outcome(revmarkov_objective, rv, nus) == want, i
+        # the last level sits 1e-13 below beta, under the top atom: that
+        # atom's mass lies past the grid and scores nothing
+        rv = DiscreteRV([0.2, 1 - 5e-14], [0.5, 0.5], 1.0)
+        assert ref_objective(rv, [0.1, 1 - 1e-13]) == 0.05
+        assert revmarkov_objective(rv, [0.1, 1 - 1e-13]) == 0.05
 
 
 # Sizes on each side of numpy's pairwise-sum branches: < 8 terms, 8 to 128,
