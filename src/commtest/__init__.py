@@ -22,7 +22,6 @@ from .core import (
     total_variation,
 )
 from .errors import (
-    CombinatorialBlowupError,
     CommtestError,
     DegenerateInputError,
     DimensionError,

@@ -163,12 +163,19 @@ def _build_rule(args, p: Distribution, q: Distribution) -> TestRule:
         return TestRule([_channel_arg(args.channel)])
     if args.rule == "scheffe":
         return TestRule([scheffe_channel(p, q)])
-    return TestRule([design_hellinger_channel(p, q, args.d).channel])
+    return TestRule([design_hellinger_channel(p, q, 2 if args.d is None else args.d).channel])
 
 
 def cmd_simulate(args) -> int:
+    if args.channel is not None and args.rule is not None:
+        raise ValidationError("--channel replaces --rule; drop --rule")
+    if args.d is not None and (args.channel is not None or args.rule == "scheffe"):
+        raise ValidationError("--d sizes the designed channel; drop --d with "
+                              "--rule scheffe or --channel")
     p, q = _dist_arg(args.p), _dist_arg(args.q)
     if args.search:
+        if args.n is not None:
+            raise ValidationError("--search finds n itself; drop --n")
         if args.format != "json":
             raise ValidationError("--search prints JSON only; drop --format csv")
         budget = DEFAULT_ERROR_BUDGET if args.budget is None else args.budget
@@ -186,7 +193,7 @@ def cmd_simulate(args) -> int:
     if args.budget is not None:
         raise ValidationError("--budget sets the --search error budget; add --search")
     rule = _build_rule(args, p, q)
-    ns = [int(x) for x in args.n.split(",")]
+    ns = [int(x) for x in ("100" if args.n is None else args.n).split(",")]
     reports = [
         simulate_error(rule, p, q, n, trials=args.trials, seed=args.seed)
         for n in ns
@@ -359,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("simulate", help="Monte Carlo error of the quantized LRT")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
-    sp.add_argument("--n", default="100", help="sample size, or comma list for a curve")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--rule", choices=["designed", "scheffe"], default="designed")
-    sp.add_argument("--channel", help="explicit channel JSON / @file (overrides --rule)")
+    sp.add_argument("--n", help="sample size, or comma list for a curve (default 100)")
+    sp.add_argument("--d", type=int, help="outputs of the designed channel (default 2)")
+    sp.add_argument("--rule", choices=["designed", "scheffe"], help="(default designed)")
+    sp.add_argument("--channel", help="explicit channel JSON / @file (replaces --rule)")
     sp.add_argument("--trials", type=int, default=20000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--search", action="store_true",
@@ -419,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(mt)
     mt.set_defaults(func=cmd_mary_tournament)
 
-    mv = msubs.add_parser("verify", help="binary-channel squeeze bound report")
+    mv = msubs.add_parser("verify", help="certified binary-channel squeeze bound")
     mv.add_argument("--family", help="family JSON / @file")
     mv.add_argument("--m", type=int)
     mv.add_argument("--eps", type=float)
     mv.add_argument("--samples", type=int, default=0,
-                    help="extra random stochastic channels to sample")
+                    help="random stochastic channels whose best score is the lower bound")
     mv.add_argument("--seed", type=int, default=0)
     _add_io_args(mv)
     mv.set_defaults(func=cmd_mary_verify)

@@ -18,11 +18,6 @@ class DegenerateInputError(CommtestError, ValueError):
     (e.g. identical distributions handed to a channel designer)."""
 
 
-class CombinatorialBlowupError(CommtestError, ValueError):
-    """Only the binary-channel squeeze verifier raises this, when asked to
-    enumerate the 2^k channels of an alphabet with k > 16."""
-
-
 class InfeasibleContaminationError(CommtestError, ValueError):
     """Contamination radius too large: the two uncertainty balls overlap."""
 

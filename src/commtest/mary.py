@@ -9,7 +9,7 @@ instance, and the verifiers for the structural bounds they satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -24,7 +24,6 @@ from .core import (
     total_variation,
 )
 from .errors import (
-    CombinatorialBlowupError,
     DegenerateInputError,
     DimensionError,
     StochasticFailureError,
@@ -43,8 +42,6 @@ DEFAULT_JL_RETRIES = 100
 # Largest constant M * sup_T min d_h(Tp_i, Tp_j) / max d_h(p_i, p_j) that the
 # binary-channel squeeze checks accept.
 SQUEEZE_CONSTANT_LIMIT = 3.0 * math.sqrt(2.0)
-# Channels per step of the binary squeeze sweep (pairs x chunk temporaries).
-_SWEEP_CHUNK = 4096
 
 # Quoted, so that importing commtest does not import numpy.random.
 Sampler = Callable[["np.random.Generator", int], np.ndarray]
@@ -402,73 +399,53 @@ def tournament_adaptive(
 
 @dataclass(frozen=True)
 class BinaryChannelBoundReport:
-    sup_min_hellinger: float     # best min pairwise d_h over binary channels
+    sup_min_hellinger: float     # certified upper bound on the sup over binary channels
+    lower: float                 # best min pairwise d_h over the sampled channels
     max_pairwise_hellinger: float
     constant: float              # sup_min * M / max pairwise d_h
-    witness_pair: tuple[int, int]
-    exhaustive: bool
 
     def to_json(self) -> dict:
-        return {
-            "sup_min_hellinger": self.sup_min_hellinger,
-            "max_pairwise_hellinger": self.max_pairwise_hellinger,
-            "constant": self.constant,
-            "witness_pair": list(self.witness_pair),
-            "exhaustive": self.exhaustive,
-        }
+        return asdict(self)
 
 
 def verify_identical_d2_bound(
     family: HypothesisFamily, channel_samples: int = 0, seed: int = 0
 ) -> BinaryChannelBoundReport:
-    """Best min pairwise output Hellinger distance found over binary channels.
+    """Sandwich on sup over binary channels T of min_{i<j} d_h(Tp_i, Tp_j).
 
-    Scores all 2^k deterministic binary channels for k <= 16, then
-    `channel_samples` random stochastic ones. The objective is not convex in
-    the channel, so a randomized channel can beat every deterministic one:
-    the result is a lower bound on the sup. The witness pair realizes the
-    min at the best channel: two hypotheses squeezed together by any single
-    binary quantizer.
+    Upper bound, certified for every binary channel, randomized ones
+    included. Write a_i = P(output 1 | hypothesis i) and
+    theta_i = arcsin sqrt(a_i) in [0, pi/2]. Then
+    d_h(Tp_i, Tp_j)^2 = 2 - 2 cos(theta_i - theta_j), that is,
+    d_h(Tp_i, Tp_j) = 2 sin(|theta_i - theta_j| / 2). By data processing
+    every such distance is at most h = max d_h(p_i, p_j), so every two
+    angles lie within Theta = 2 arcsin(h / 2) of each other. The M - 1 gaps
+    between the sorted angles sum to at most Theta, so the smallest is at
+    most Theta / (M - 1), and since sin increases on [0, pi/4] the min pair
+    distance is at most 2 sin(Theta / (2 (M - 1))).
 
-    P(output = 1) for every channel comes from one matrix product; the pair
-    distances are then swept in chunks of _SWEEP_CHUNK channels, taking the
-    min over pairs and the max over channels with the first index winning
-    every tie.
+    Lower bound: the best min pair distance over `channel_samples` random
+    stochastic channels drawn from `seed`; 0.0 with no samples, the score
+    of a constant channel, which collapses every pair.
     """
-    k, m = family.k, family.m
     if channel_samples < 0:
         raise ValidationError("channel_samples must be non-negative")
-    if k > 16:
-        raise CombinatorialBlowupError("exhaustive binary search limited to k <= 16")
-    probs = np.vstack([d.probs for d in family.dists])  # M x k
-    bits = np.empty((2 ** k + channel_samples, k))  # one channel per row
-    masks = np.arange(2 ** k, dtype=np.uint16)
-    bits[: 2 ** k] = (masks[:, None] >> np.arange(k, dtype=np.uint16)) & 1
-    bits[2 ** k :] = np.random.default_rng(seed).random((channel_samples, k))
-    # One product for all channels: the BLAS can round a column differently
-    # when the matrix is narrower, so chunked products would move the report.
-    a = probs @ bits.T  # M x n_channels, P(output=1)
-    del bits
-    np.clip(a, 0.0, 1.0, out=a)
-    ii, jj = np.array(list(combinations(range(m), 2))).T
-    best_min, best_pair = -1.0, (0, 1)
-    for start in range(0, a.shape[1], _SWEEP_CHUNK):
-        col = a[:, start : start + _SWEEP_CHUNK]
-        s, t = np.sqrt(col), np.sqrt(1.0 - col)
+    m, top = family.m, family.max_pairwise_hellinger
+    upper = 2.0 * math.sin(math.asin(top / 2.0) / (m - 1))
+    lower = 0.0
+    if channel_samples:
+        probs = np.vstack([d.probs for d in family.dists])  # M x k
+        rows = np.random.default_rng(seed).random((channel_samples, family.k))
+        a = np.clip(probs @ rows.T, 0.0, 1.0)  # M x channels, P(output=1)
+        s, t = np.sqrt(a), np.sqrt(1.0 - a)
+        ii, jj = np.array(list(combinations(range(m), 2))).T
         ds, dt = s[ii] - s[jj], t[ii] - t[jj]
-        h = np.sqrt(ds * ds + dt * dt)  # pairs x channels
-        worst = h.min(axis=0)
-        c = int(worst.argmax())
-        if worst[c] > best_min:
-            pair = int(h[:, c].argmin())
-            best_min, best_pair = float(worst[c]), (int(ii[pair]), int(jj[pair]))
-    eps2 = family.max_pairwise_hellinger
+        lower = float(np.sqrt(ds * ds + dt * dt).min(axis=0).max())
     return BinaryChannelBoundReport(
-        sup_min_hellinger=best_min,
-        max_pairwise_hellinger=eps2,
-        constant=best_min * m / eps2,
-        witness_pair=best_pair,
-        exhaustive=True,
+        sup_min_hellinger=upper,
+        lower=lower,
+        max_pairwise_hellinger=top,
+        constant=upper * m / top,
     )
 
 

@@ -375,6 +375,20 @@ def robust_suite(seed: int = 0, setups: int = 200) -> list[CheckResult]:
 # --------------------------------------------------------------------------
 
 
+def _random_families(rng: np.random.Generator, count: int, m_high: int, k_high: int):
+    """`count` families of M in [2, m_high) random hypotheses on k in
+    [2, k_high) atoms; a draw with duplicate hypotheses is redrawn."""
+    done = 0
+    while done < count:
+        m, k = int(rng.integers(2, m_high)), int(rng.integers(2, k_high))
+        try:
+            fam = mary.HypothesisFamily([_random_dist(rng, k) for _ in range(m)])
+        except DegenerateInputError:
+            continue
+        yield fam
+        done += 1
+
+
 def mary_suite(seed: int = 0, tournament_trials: int = 200,
                channel_checks: int = 500, jl_seeds: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
@@ -382,23 +396,15 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
 
     # Pairwise-indicator reduction guarantee.
     worst = math.inf
-    done = 0
-    while done < 200:
-        m = int(rng.integers(2, 7))
-        k = int(rng.integers(2, 41))
-        try:
-            fam = mary.HypothesisFamily(
-                [_random_dist(rng, k) for _ in range(m)])
-        except DegenerateInputError:
-            continue
+    for fam in _random_families(rng, 200, m_high=7, k_high=41):
         t = mary.pairwise_indicator_reduction(fam)
+        m = fam.m
         for i in range(m):
             for j in range(i + 1, m):
                 lhs = total_variation(
                     apply_channel(t, fam.dists[i]), apply_channel(t, fam.dists[j]))
                 rhs = total_variation(fam.dists[i], fam.dists[j]) / m ** 2
                 worst = min(worst, lhs - rhs)
-        done += 1
     results.append(CheckResult("reduction_guarantee", worst >= -1e-12, worst))
 
     # Hadamard instance structure.
@@ -435,11 +441,12 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
             float(-h.min(initial=0.0)),
             float(h.sum(axis=0).max() - 1.0),
         )
-        assert q2 >= 10.0 * math.sqrt(math.log(fam4.k * d_prime)) - 1e-12
-        assert q1 >= member_floor - 1e-12
     results.append(CheckResult("jl_success_rate", succ >= 0.6 * jl_seeds, float(succ),
                                {"seeds": jl_seeds}))
     results.append(CheckResult("jl_membership", worst_member <= 0.0, worst_member))
+    scale_slack = min(q2 - 10.0 * math.sqrt(math.log(fam4.k * d_prime)), q1 - member_floor)
+    results.append(CheckResult("jl_scale_constants", scale_slack >= -1e-12, scale_slack,
+                               {"q1": q1, "q2": q2}))
 
     # Average-TV embedding bound over random channels.
     fam8 = mary.hadamard_instance(8, 0.4)
@@ -453,11 +460,18 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
             break
     results.append(CheckResult("l1_embedding_bound", worst_slack >= -1e-12, worst_slack))
 
-    # Binary-channel squeeze (exhaustive deterministic channels).
+    # Binary-channel squeeze: the certified upper bound, and sampled channels
+    # never beating it (value: the largest lower / upper seen).
     rep = mary.verify_identical_d2_bound(fam8, channel_samples=200, seed=seed)
     results.append(CheckResult("binary_squeeze_constant",
-                               rep.constant <= mary.SQUEEZE_CONSTANT_LIMIT,
-                               rep.constant, {"witness": list(rep.witness_pair)}))
+                               rep.constant <= mary.SQUEEZE_CONSTANT_LIMIT, rep.constant,
+                               {"lower": rep.lower, "upper": rep.sup_min_hellinger}))
+    worst_ratio = 0.0
+    for i, fam in enumerate(_random_families(rng, 100, m_high=8, k_high=11)):
+        rep = mary.verify_identical_d2_bound(fam, channel_samples=500, seed=seed + i)
+        worst_ratio = max(worst_ratio, rep.lower / rep.sup_min_hellinger)
+    results.append(CheckResult("binary_squeeze_sandwich", worst_ratio <= 1.0 + 1e-12,
+                               worst_ratio, {"families": 100, "samples": 500}))
 
     # Tournaments: truth recovery rate on Hadamard families.
     for m, flavor in ((4, "nonadaptive"), (8, "adaptive")):

@@ -311,8 +311,8 @@ class TestMaryIdentification:
         # pairwise-reduction guarantee on 200 families, JL membership + success
         # rate >= 60/100, average-TV embedding bound on 500 channels,
         # orthogonality of the hard instance, tournament win rate >= 85%
-        # over 200 trials for M in {4, 8}, and the exhaustive binary-channel
-        # squeeze bound
+        # over 200 trials for M in {4, 8}, and the certified binary-channel
+        # squeeze bound with sampled channels never beating it
         assert_all_passed(
             mary_suite(seed=0, tournament_trials=200, channel_checks=500,
                        jl_seeds=100)

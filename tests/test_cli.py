@@ -129,6 +129,31 @@ class TestSimulate:
                            "--trials", "400", "--rule", "scheffe")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--rule", "scheffe", "--d", "5"], "--d"),
+        (["--channel", "[[1,0],[0,1]]", "--d", "2"], "--d"),
+        (["--channel", "[[1,0],[0,1]]", "--rule", "designed"], "--rule"),
+        (["--channel", "[[1,0],[0,1]]", "--rule", "scheffe"], "--rule"),
+        (["--search", "--n", "5"], "--n"),
+    ])
+    def test_unread_flags_are_rejected(self, capsys, flags, named):
+        code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, "--trials", "100",
+                             *flags)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and f"drop {named}" in err
+
+    @pytest.mark.parametrize("flags, defaults", [
+        ([], ["--n", "100", "--d", "2", "--rule", "designed"]),
+        (["--rule", "scheffe"], ["--n", "100"]),
+        (["--channel", "[[1,0],[0,1]]", "--n", "7"], []),
+    ])
+    def test_defaults_match_explicit_flags(self, capsys, flags, defaults):
+        args = ("simulate", "--p", P, "--q", Q, "--trials", "300", "--seed", "2", *flags)
+        code, implicit, _ = run(capsys, *args)
+        assert code == EXIT_OK
+        assert run(capsys, *args, *defaults)[1] == implicit
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "simulate", "--p", P, "--q", Q, "--n", "5",
@@ -234,6 +259,17 @@ class TestMary:
         assert code == EXIT_OK
         obj = json.loads(out)
         assert obj["constant"] <= obj["limit"]
+        assert obj["lower"] == 0.0
+        assert set(obj) == {"sup_min_hellinger", "lower", "max_pairwise_hellinger",
+                            "constant", "limit", "seed"}
+
+    def test_verify_large_alphabet(self, capsys):
+        # M = 31 needs k = 32 atoms
+        code, out, _ = run(capsys, "mary", "verify", "--m", "31", "--eps", "0.4",
+                           "--samples", "20")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert 0.0 < obj["lower"] <= obj["sup_min_hellinger"]
 
     def test_verify_negative_samples(self, capsys):
         code, out, err = run(capsys, "mary", "verify", "--m", "4", "--eps", "0.4",

@@ -5,7 +5,6 @@ import pytest
 
 from commtest import (
     Channel,
-    CombinatorialBlowupError,
     DegenerateInputError,
     DimensionError,
     Distribution,
@@ -283,15 +282,27 @@ class TestVerifiers:
     def test_binary_squeeze_small_family(self):
         fam = hadamard_instance(4, 0.4)  # k = 8
         rep = verify_identical_d2_bound(fam)
-        assert rep.exhaustive
+        assert rep.lower == 0.0  # no sampled channels: a constant channel
         assert rep.constant <= 3.0 * math.sqrt(2.0)
-        assert 0 <= rep.witness_pair[0] < rep.witness_pair[1] < fam.m
+        # 2 sin(arcsin(h / 2) / (M - 1)) with h the max pairwise d_h
+        h = fam.max_pairwise_hellinger
+        assert rep.sup_min_hellinger == pytest.approx(2 * math.sin(math.asin(h / 2) / 3))
+        assert rep.constant == pytest.approx(fam.m * rep.sup_min_hellinger / h)
 
-    def test_binary_squeeze_alphabet_cap(self):
-        rng = np.random.default_rng(44)
-        fam = random_family(rng, 3, 17)
-        with pytest.raises(CombinatorialBlowupError):
-            verify_identical_d2_bound(fam)
+    def test_binary_squeeze_has_no_alphabet_cap(self):
+        fam = hadamard_instance(31, 0.4)
+        assert fam.k == 32
+        rep = verify_identical_d2_bound(fam, channel_samples=50, seed=1)
+        assert 0.0 < rep.lower <= rep.sup_min_hellinger
+        assert set(rep.to_json()) == {"sup_min_hellinger", "lower",
+                                      "max_pairwise_hellinger", "constant"}
+
+    def test_binary_squeeze_two_hypotheses_keep_their_distance(self):
+        # M = 2: the bound is the input distance itself, which the
+        # identity-like channel on a two-atom alphabet attains
+        fam = HypothesisFamily([Distribution([0.9, 0.1]), Distribution([0.2, 0.8])])
+        rep = verify_identical_d2_bound(fam)
+        assert rep.sup_min_hellinger == pytest.approx(fam.max_pairwise_hellinger, rel=1e-15)
 
     def test_l1_embedding_bound(self):
         fam = hadamard_instance(8, 0.4)
