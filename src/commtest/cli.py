@@ -35,10 +35,10 @@ from .errors import CommtestError, StochasticFailureError, ValidationError
 from .mary import (
     SQUEEZE_CONSTANT_LIMIT,
     HypothesisFamily,
+    _jl_sketch,
     counts_sampler,
     hadamard_instance,
     identical_channel_design,
-    jl_sketch_channel,
     min_pairwise_tv_after,
     pairwise_indicator_reduction,
     tournament_adaptive,
@@ -256,12 +256,11 @@ def cmd_mary_identical(args) -> int:
         score = min_pairwise_tv_after(channel, fam)
     else:  # sketch
         try:
-            channel = jl_sketch_channel(fam, args.d, seed=args.seed)
+            channel, score = _jl_sketch(fam, args.d, args.seed)
         except StochasticFailureError as exc:
             _emit({"error": str(exc), "seed": args.seed,
                    "best_score": exc.best_score}, args)
             return EXIT_STOCHASTIC
-        score = min_pairwise_tv_after(channel, fam)
     _emit(
         {
             "channel": channel.to_json(),

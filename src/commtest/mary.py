@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +19,6 @@ from .core import (
     Distribution,
     _push,
     apply_channel,
-    hellinger_sq,
-    total_variation,
 )
 from .errors import (
     DegenerateInputError,
@@ -43,15 +40,18 @@ DEFAULT_JL_RETRIES = 100
 # binary-channel squeeze checks accept.
 SQUEEZE_CONSTANT_LIMIT = 3.0 * math.sqrt(2.0)
 
-# Quoted, so that importing commtest does not import numpy.random.
+# Draws n samples as counts over the alphabet. A tournament calls it once per
+# game, in game order, drawing every game's samples before it decides any
+# game. Quoted, so that importing commtest does not import numpy.random.
 Sampler = Callable[["np.random.Generator", int], np.ndarray]
 
 
 @dataclass(frozen=True)
 class HypothesisFamily:
     """M candidate distributions on a shared alphabet, with cached pairwise
-    separation statistics and (outside eq, hash, repr and JSON) the channel
-    and LLR table of every tournament game played on it."""
+    separation statistics and (outside eq, hash, repr and JSON) their
+    stacked M x k probabilities and the channel and LLR table of every
+    tournament game played on it."""
 
     dists: tuple[Distribution, ...]
     base: Distribution | None = None
@@ -59,6 +59,7 @@ class HypothesisFamily:
     min_pairwise_hellinger: float = field(init=False)
     min_pairwise_tv: float = field(init=False)
     max_pairwise_hellinger: float = field(init=False)
+    _probs: np.ndarray = field(init=False, repr=False, compare=False)
     _games: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, dists: Sequence[Distribution], base=None, hadamard_eps=None):
@@ -70,19 +71,21 @@ class HypothesisFamily:
             raise DimensionError("family members must share the alphabet")
         if base is not None and base.k != k:
             raise DimensionError(f"base alphabet {base.k} differs from the family's {k}")
-        min_h, max_h, min_tv = math.inf, 0.0, math.inf
-        for a, b in combinations(dists, 2):
-            h = math.sqrt(hellinger_sq(a, b))
-            tv = total_variation(a, b)
-            if tv == 0.0:
-                raise DegenerateInputError("family contains duplicate hypotheses")
-            min_h, max_h, min_tv = min(min_h, h), max(max_h, h), min(min_tv, tv)
+        probs = np.stack([d.probs for d in dists])
+        probs.setflags(write=False)
+        ii, jj = _pairs(len(dists))
+        roots = np.sqrt(probs)
+        h = np.sqrt(((roots[ii] - roots[jj]) ** 2).sum(axis=1))
+        tv = _pair_tv(probs)
+        if not tv.all():
+            raise DegenerateInputError("family contains duplicate hypotheses")
         object.__setattr__(self, "dists", dists)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "hadamard_eps", hadamard_eps)
-        object.__setattr__(self, "min_pairwise_hellinger", min_h)
-        object.__setattr__(self, "max_pairwise_hellinger", max_h)
-        object.__setattr__(self, "min_pairwise_tv", min_tv)
+        object.__setattr__(self, "min_pairwise_hellinger", float(h.min()))
+        object.__setattr__(self, "max_pairwise_hellinger", float(h.max()))
+        object.__setattr__(self, "min_pairwise_tv", float(tv.min()))
+        object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_games", {})
 
     @property
@@ -124,9 +127,34 @@ class HypothesisFamily:
         )
 
 
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the M(M-1)/2 pairs i < j, in the order of
+    `itertools.combinations(range(m), 2)`; `np.triu_indices(m, 1)`, at a
+    fifth of its cost."""
+    return np.nonzero(np.arange(m)[:, None] < np.arange(m))
+
+
+def _pair_tv(rows: np.ndarray) -> np.ndarray:
+    """TV distance of every pair of rows, in `_pairs` order."""
+    ii, jj = _pairs(len(rows))
+    return 0.5 * np.abs(rows[ii] - rows[jj]).sum(axis=1)
+
+
+def _images(matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """`_push(matrix, row)` for every row of `probs`, as one M x D array.
+    The 3-D batched product gives each row the floats `_push` gives it
+    alone; a 2-D product over the stacked rows moves last bits."""
+    out = np.clip(matrix @ probs[:, :, None], 0.0, None)[:, :, 0]
+    out = out / out.sum(axis=1, keepdims=True)
+    return out / out.sum(axis=1, keepdims=True)
+
+
 def min_pairwise_tv_after(channel: Channel, family: HypothesisFamily) -> float:
-    images = [apply_channel(channel, d) for d in family.dists]
-    return min(total_variation(a, b) for a, b in combinations(images, 2))
+    if channel.in_size != family.k:
+        raise DimensionError(
+            f"channel expects alphabet size {channel.in_size}, distribution has {family.k}"
+        )
+    return float(_pair_tv(_images(channel.matrix, family._probs)).min())
 
 
 # --------------------------------------------------------------------------
@@ -171,15 +199,12 @@ def pairwise_indicator_reduction(family: HypothesisFamily) -> Channel:
 
     Guarantees ||T(p_i - p_j)||_1 >= ||p_i - p_j||_1 / M^2 for every pair.
     """
-    m, k = family.m, family.k
-    pairs = list(combinations(range(m), 2))
-    rows = np.zeros((len(pairs) + 1, k))
-    for r, (i, j) in enumerate(pairs):
-        rows[r] = (family.dists[i].probs > family.dists[j].probs).astype(float)
-    col_sums = rows[:-1].sum(axis=0)
-    out = np.zeros_like(rows)
+    ii, jj = _pairs(family.m)
+    rows = (family._probs[ii] > family._probs[jj]).astype(float)
+    col_sums = rows.sum(axis=0)
+    out = np.zeros((len(rows) + 1, family.k))
     nonzero = col_sums > 0
-    out[:-1, nonzero] = rows[:-1, nonzero] / col_sums[nonzero]
+    out[:-1, nonzero] = rows[:, nonzero] / col_sums[nonzero]
     out[-1, ~nonzero] = 1.0
     return Channel(out)
 
@@ -210,6 +235,17 @@ def jl_sketch_channel(
     """Random sketch channel H = (J + G/Q2) / Q1 on D-1 rows (J all-ones,
     G standard Gaussian), completed with a slack row; redrawn until it is a
     sub-channel and separates the family by the `accept`-scaled floor."""
+    return _jl_sketch(family, out_size, seed, max_retries, accept)[0]
+
+
+def _jl_sketch(
+    family: HypothesisFamily,
+    out_size: int,
+    seed: int,
+    max_retries: int = DEFAULT_JL_RETRIES,
+    accept: float = DEFAULT_JL_ACCEPT,
+) -> tuple[Channel, float]:
+    """`jl_sketch_channel` and the min pairwise output TV it scored."""
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
     d_prime = out_size - 1
@@ -231,7 +267,7 @@ def jl_sketch_channel(
         if score > best_score:
             best, best_score = channel, score
         if score >= floor:
-            return channel
+            return channel, score
     raise StochasticFailureError(
         f"no sketch met the distance floor {floor:.3g} in {max_retries} draws",
         best=best,
@@ -249,13 +285,15 @@ def identical_channel_design(
 
     def try_sketch(fam: HypothesisFamily, pre: Channel | None, jl_seed: int) -> None:
         try:
-            sketch = jl_sketch_channel(fam, out_size, seed=jl_seed)
+            sketch, score = _jl_sketch(fam, out_size, jl_seed)
         except StochasticFailureError as exc:
             if exc.best is None:
                 return
-            sketch = exc.best
-        channel = sketch if pre is None else sketch.compose(pre)
-        candidates.append((channel, min_pairwise_tv_after(channel, family)))
+            sketch, score = exc.best, exc.best_score
+        if pre is not None:  # the score above is on `fam`, not on `family`
+            sketch = sketch.compose(pre)
+            score = min_pairwise_tv_after(sketch, family)
+        candidates.append((sketch, score))
 
     try_sketch(family, None, seed)
     reduction = pairwise_indicator_reduction(family)
@@ -321,18 +359,23 @@ def game_sample_size(
     return math.ceil(constant * math.log(family.m ** 2 / 0.1) * r / rho_sq)
 
 
-def _play_game(
+def _play(
     family: HypothesisFamily,
-    i: int,
-    j: int,
+    ii: Sequence[int],
+    jj: Sequence[int],
     out_size: int,
     n_samples: int,
     sampler: Sampler,
     rng: np.random.Generator,
-) -> int:
-    channel, llr = family._game(i, j, out_size)
-    counts = channel.matrix @ sampler(rng, n_samples)  # threshold channels are 0/1
-    return i if llr_statistic([counts], [llr]) >= 0 else j
+) -> np.ndarray:
+    """Whether ii[g] beats jj[g], for every game g, on fresh samples: draws
+    every game's samples first, one `sampler` call per game in game order,
+    then decides all games with one statistic call. Ties go to ii[g]."""
+    drawn = np.array([sampler(rng, n_samples) for _ in ii])
+    tables = [family._game(i, j, out_size) for i, j in zip(ii, jj)]
+    channels = np.array([channel.matrix for channel, _ in tables])
+    counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
+    return llr_statistic([counts], [np.array([llr for _, llr in tables])]) >= 0
 
 
 def tournament_nonadaptive(
@@ -344,16 +387,17 @@ def tournament_nonadaptive(
 ) -> TournamentTranscript:
     """Round robin over all M(M-1)/2 pairs with fresh samples per game;
     the winner is the unique undefeated hypothesis (lowest-index undefeated,
-    flagged ambiguous, when there is none or several). Game channels stay
-    on `family`: reuse one family object to design each pair only once."""
+    flagged ambiguous, when there is none or several). `sampler` is called
+    once per game, in game order, and every game's samples are drawn before
+    any game is decided. Game channels stay on `family`: reuse one family
+    object to design each pair only once."""
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
-    games = []
-    losses = np.zeros(family.m, dtype=int)
-    for i, j in combinations(range(family.m), 2):
-        winner = _play_game(family, i, j, out_size, n_samples, sampler, rng)
-        losses[j if winner == i else i] += 1
-        games.append(GameRecord(i=i, j=j, samples=n_samples, winner=winner))
+    ii, jj = _pairs(family.m)
+    first = _play(family, ii.tolist(), jj.tolist(), out_size, n_samples, sampler, rng)
+    losses = np.bincount(np.where(first, jj, ii), minlength=family.m)
+    games = tuple(map(GameRecord, ii.tolist(), jj.tolist(), [n_samples] * ii.size,
+                      np.where(first, ii, jj).tolist()))
     undefeated = np.flatnonzero(losses == 0)
     if undefeated.size == 1:
         final, ambiguous = int(undefeated[0]), False
@@ -361,7 +405,7 @@ def tournament_nonadaptive(
         final = int(undefeated[0]) if undefeated.size else int(np.argmin(losses))
         ambiguous = True
     return TournamentTranscript(
-        games=tuple(games),
+        games=games,
         winner=final,
         total_samples=n_samples * len(games),
         ambiguous=ambiguous,
@@ -382,7 +426,8 @@ def tournament_adaptive(
     games = []
     champion = 0
     for j in range(1, family.m):
-        winner = _play_game(family, champion, j, out_size, n_samples, sampler, rng)
+        first = _play(family, [champion], [j], out_size, n_samples, sampler, rng)
+        winner = champion if first[0] else j
         games.append(GameRecord(i=champion, j=j, samples=n_samples, winner=winner))
         champion = winner
     return TournamentTranscript(
@@ -434,11 +479,10 @@ def verify_identical_d2_bound(
     upper = 2.0 * math.sin(math.asin(top / 2.0) / (m - 1))
     lower = 0.0
     if channel_samples:
-        probs = np.vstack([d.probs for d in family.dists])  # M x k
         rows = np.random.default_rng(seed).random((channel_samples, family.k))
-        a = np.clip(probs @ rows.T, 0.0, 1.0)  # M x channels, P(output=1)
+        a = np.clip(family._probs @ rows.T, 0.0, 1.0)  # M x channels, P(output=1)
         s, t = np.sqrt(a), np.sqrt(1.0 - a)
-        ii, jj = np.array(list(combinations(range(m), 2))).T
+        ii, jj = _pairs(m)
         ds, dt = s[ii] - s[jj], t[ii] - t[jj]
         lower = float(np.sqrt(ds * ds + dt * dt).min(axis=0).max())
     return BinaryChannelBoundReport(
@@ -459,7 +503,7 @@ def l1_embedding_bound_check(
     if channel.in_size != family.k:
         raise DimensionError("channel and family must share the alphabet")
     t_base = _push(channel.matrix, family.base.probs)
-    avg = float(np.mean([0.5 * np.abs(_push(channel.matrix, d.probs) - t_base).sum()
-                         for d in family.dists]))
+    images = _images(channel.matrix, family._probs)
+    avg = float(np.mean(0.5 * np.abs(images - t_base).sum(axis=1)))
     bound = family.hadamard_eps * math.sqrt(channel.out_size) / math.sqrt(family.m)
     return avg <= bound + 1e-12, bound - avg

@@ -62,17 +62,19 @@ def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarra
 
 def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
     """The referee's statistic: sum over channel groups g of counts[g] . llr[g],
-    with leading axes of counts[g] indexing trials. An unsent message adds 0
-    even where its LLR is infinite; a total of +inf + (-inf) is NaN and
-    counts as 0, a tie, which goes to P like every tie.
+    with leading axes of counts[g] indexing trials; llr[g] is one table, or
+    one table per trial when it carries those axes too. An unsent message
+    adds 0 even where its LLR is infinite; a total of +inf + (-inf) is NaN
+    and counts as 0, a tie, which goes to P like every tie.
 
-    With trial axes, each group's sum adds whole columns of trials in the
-    order numpy sums the rows of a C-contiguous np.where(c > 0, c * lg, 0.0),
-    so the floats are those of that row sum, at a fraction of its cost."""
+    With trial axes and one table, each group's sum adds whole columns of
+    trials in the order numpy sums the rows of a C-contiguous
+    np.where(c > 0, c * lg, 0.0), so the floats are those of that row sum,
+    at a fraction of its cost."""
     total = 0.0
     with np.errstate(invalid="ignore"):  # 0 * inf, and +inf + -inf
         for c, lg in zip(counts, llr):
-            if np.ndim(c) < 2:
+            if np.ndim(c) < 2 or np.ndim(lg) == np.ndim(c):
                 total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
             else:
                 # c = 0 against a negative finite LLR gives -0.0 here, not

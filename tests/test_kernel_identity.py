@@ -5,14 +5,18 @@ the threshold-channel oracle, `apply_channel`, `fdiv_ratio` and the
 reverse-Markov grids as they were written on the public, validating objects
 (a `ThresholdSet`, a `Channel` and two validated `Distribution` images per
 candidate, a `DiscreteRV` and a checked grid per objective, one `np.dot` per
-objective), and the LLR statistic as one numpy row sum per channel group. The kernels must give the same floats, the same arrays and
-the same errors. The boundary tests check that every public constructor and
-entry point still rejects bad input.
+objective), the LLR statistic as one numpy row sum per channel group, and
+the M-ary family statistics, output separations and round robin as one
+Python step per pair, per hypothesis and per game. The kernels must give the
+same floats, the same arrays and the same errors. The boundary tests check
+that every public constructor and entry point still rejects bad input.
 """
 
+import json
 import math
 import sys
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,22 +28,29 @@ from commtest import (
     DimensionError,
     DiscreteRV,
     Distribution,
+    HypothesisFamily,
+    StochasticFailureError,
     TestRule,
     ThresholdSet,
     ValidationError,
     apply_channel,
     brute_force_threshold_channel,
     builtin_fdiv,
+    counts_sampler,
     design_fdiv_channel,
     design_hellinger_channel,
     design_robust_channel,
     empirical_sample_complexity,
     fdiv_ratio,
+    game_sample_size,
     hadamard_instance,
     hellinger_sq,
     huber_lfd,
     l1_embedding_bound_check,
     likelihood_ratios,
+    mary,
+    min_pairwise_tv_after,
+    pairwise_indicator_reduction,
     quantizer,
     reverse_markov_best,
     revmarkov_objective,
@@ -48,11 +59,13 @@ from commtest import (
     testing,
     threshold_channel,
     total_variation,
+    tournament_adaptive,
+    tournament_nonadaptive,
 )
-from commtest.core import _fdiv_term
+from commtest.core import _fdiv_term, _push
 from commtest.quantizer import QuantizeResult
 from commtest.revmarkov import ThresholdGrid, _best_cuts, _cell_sums
-from commtest.testing import llr_statistic
+from commtest.testing import llr_statistic, message_llr
 
 SPECS = ("hellinger", "tv", "sym_kl", "triangular", "sym_chi_1", "sym_chi_1.5", "sym_chi_2")
 _EPS = float(np.finfo(float).eps)
@@ -310,6 +323,8 @@ def signature(value):
         return ("dist", value.probs.tobytes())
     if isinstance(value, ThresholdGrid):
         return ("grid", tuple(signature(v) for v in value.nus), signature(value.achieved))
+    if isinstance(value, tuple):
+        return tuple(signature(v) for v in value)
     assert isinstance(value, float), type(value)
     return (type(value).__name__, np.float64(value).tobytes())
 
@@ -466,16 +481,19 @@ class TestLlrStatistic:
         for size in LLR_SIZES:
             for trial_shape in ((), (64,), (4, 9)):
                 for kind in ("normal", "lattice", "special"):
-                    groups = 1 + cases % 4
-                    sizes = [size] + [int(rng.choice(LLR_SIZES)) for _ in range(groups - 1)]
-                    llr = [random_llr(rng, d, kind) for d in sizes]
-                    counts = [rng.integers(0, 4, trial_shape + (d,))
-                              * (rng.random(trial_shape + (d,)) < 0.6) for d in sizes]
-                    want = ref_llr_statistic(counts, llr)
-                    assert array_signature(llr_statistic(counts, llr)) == \
-                        array_signature(want), (size, trial_shape, kind)
-                    cases += 1
-        assert cases == len(LLR_SIZES) * 9
+                    for per_trial in (False, True):  # one LLR table per trial, as in a round robin
+                        groups = 1 + cases % 4
+                        sizes = [size] + [int(rng.choice(LLR_SIZES)) for _ in range(groups - 1)]
+                        tables = [trial_shape if per_trial and (g == 0 or rng.random() < 0.5)
+                                  else () for g in range(groups)]
+                        llr = [random_llr(rng, t + (d,), kind) for t, d in zip(tables, sizes)]
+                        counts = [rng.integers(0, 4, trial_shape + (d,))
+                                  * (rng.random(trial_shape + (d,)) < 0.6) for d in sizes]
+                        want = ref_llr_statistic(counts, llr)
+                        assert array_signature(llr_statistic(counts, llr)) == \
+                            array_signature(want), (size, trial_shape, kind, per_trial)
+                        cases += 1
+        assert cases == len(LLR_SIZES) * 18
 
     def test_layout_of_counts_does_not_matter(self):
         # the row sums of a C-contiguous array, whatever the layout of counts
@@ -552,6 +570,201 @@ class TestSimulationMatchesReferenceKernel:
 
 
 # --------------------------------------------------------------------------
+# M-ary layer: one step per pair, per hypothesis and per game
+
+
+def ref_family_stats(dists):
+    min_h, max_h, min_tv = math.inf, 0.0, math.inf
+    for a, b in combinations(dists, 2):
+        h = math.sqrt(hellinger_sq(a, b))
+        tv = total_variation(a, b)
+        if tv == 0.0:
+            raise DegenerateInputError("family contains duplicate hypotheses")
+        min_h, max_h, min_tv = min(min_h, h), max(max_h, h), min(min_tv, tv)
+    return min_h, max_h, min_tv
+
+
+def ref_min_pairwise_tv_after(channel, family):
+    images = [apply_channel(channel, d) for d in family.dists]
+    return min(total_variation(a, b) for a, b in combinations(images, 2))
+
+
+def ref_pairwise_indicator_reduction(family):
+    pairs = list(combinations(range(family.m), 2))
+    rows = np.zeros((len(pairs) + 1, family.k))
+    for r, (i, j) in enumerate(pairs):
+        rows[r] = (family.dists[i].probs > family.dists[j].probs).astype(float)
+    col_sums = rows[:-1].sum(axis=0)
+    out = np.zeros_like(rows)
+    nonzero = col_sums > 0
+    out[:-1, nonzero] = rows[:-1, nonzero] / col_sums[nonzero]
+    out[-1, ~nonzero] = 1.0
+    return Channel(out)
+
+
+def ref_l1_average(family, channel):
+    t_base = _push(channel.matrix, family.base.probs)
+    return float(np.mean([0.5 * np.abs(_push(channel.matrix, d.probs) - t_base).sum()
+                          for d in family.dists]))
+
+
+def ref_tournament_nonadaptive(family, out_size, sampler, seed, constant, designs):
+    """The round robin as a transcript dict, one game at a time: draw,
+    count and decide each game before the next one draws. `designs` keeps
+    each pair's channel and LLR table across calls."""
+    rng = np.random.default_rng(seed)
+    n_samples = game_sample_size(family, out_size, constant)
+    games, losses = [], np.zeros(family.m, dtype=int)
+    for i, j in combinations(range(family.m), 2):
+        p, q = family.dists[i], family.dists[j]
+        if (p, q, out_size) not in designs:
+            channel = design_hellinger_channel(p, q, out_size).channel
+            designs[p, q, out_size] = channel, message_llr(channel, p, q)
+        channel, llr = designs[p, q, out_size]
+        counts = channel.matrix @ sampler(rng, n_samples)
+        winner = i if ref_llr_statistic([counts], [llr]) >= 0 else j
+        losses[j if winner == i else i] += 1
+        games.append({"i": i, "j": j, "samples": n_samples, "winner": winner})
+    undefeated = np.flatnonzero(losses == 0)
+    if undefeated.size == 1:
+        final, ambiguous = int(undefeated[0]), False
+    else:
+        final = int(undefeated[0]) if undefeated.size else int(np.argmin(losses))
+        ambiguous = True
+    return {"games": games, "winner": final,
+            "total_samples": n_samples * len(games), "ambiguous": ambiguous}
+
+
+def random_family_dists(rng, i):
+    """M in 2..16 hypotheses on k in 2..32 atoms with zero masses; every
+    25th family repeats a hypothesis, which both paths must reject."""
+    m, k = int(rng.integers(2, 17)), int(rng.integers(2, 33))
+    probs = rng.dirichlet(np.full(k, rng.choice([0.3, 1.0, 5.0])), size=m)
+    probs[rng.random((m, k)) < 0.25] = 0.0
+    probs[probs.sum(axis=1) == 0, 0] = 1.0
+    if i % 25 == 0:
+        probs[-1] = probs[0]
+    return [Distribution(row / row.sum()) for row in probs]
+
+
+def random_channels(rng, family, i):
+    """A stochastic channel with zero entries, the pairwise reduction, a
+    JL sketch (sub-stochastic rows plus slack) and, when it fits, the
+    identity embedding."""
+    d = int(rng.integers(2, 9))
+    matrix = rng.random((d, family.k)) * (rng.random((d, family.k)) < 0.7)
+    matrix[0, matrix.sum(axis=0) == 0] = 1.0
+    channels = [Channel(matrix / matrix.sum(axis=0)), pairwise_indicator_reduction(family)]
+    try:
+        channels.append(mary.jl_sketch_channel(family, d, seed=i, max_retries=3))
+    except StochasticFailureError as exc:
+        channels += [exc.best] if exc.best is not None else []
+    if family.k <= d:
+        channels.append(Channel.identity(family.k, d))
+    return channels
+
+
+def family_stats(dists):
+    fam = HypothesisFamily(dists)
+    return fam.min_pairwise_hellinger, fam.max_pairwise_hellinger, fam.min_pairwise_tv
+
+
+def transcript_signature(transcript):
+    return json.dumps(transcript, sort_keys=True)
+
+
+N_FAMILIES = 330
+
+
+class TestMaryMatchesPerPairLoops:
+    def test_family_statistics_and_output_separation(self):
+        rng = np.random.default_rng(2206027)
+        families = duplicates = 0
+        for i in range(N_FAMILIES):
+            dists = random_family_dists(rng, i)
+            want = outcome(ref_family_stats, dists)
+            assert outcome(family_stats, dists) == want, i
+            if want[0] == "raised":
+                duplicates += 1
+                continue
+            fam = HypothesisFamily(dists)
+            assert signature(pairwise_indicator_reduction(fam)) == \
+                signature(ref_pairwise_indicator_reduction(fam)), i
+            for channel in random_channels(rng, fam, i):
+                assert signature(min_pairwise_tv_after(channel, fam)) == \
+                    signature(ref_min_pairwise_tv_after(channel, fam)), i
+            families += 1
+        assert families >= 300 and duplicates >= N_FAMILIES // 25
+
+    def test_hadamard_families(self):
+        rng = np.random.default_rng(31)
+        for m, eps in ((2, 0.5), (3, 0.4), (7, 0.35), (12, 0.3), (15, 0.2), (31, 0.4)):
+            fam = hadamard_instance(m, eps)
+            assert outcome(family_stats, fam.dists) == outcome(ref_family_stats, fam.dists)
+            for d in (2, 3, 5):
+                matrix = rng.random((d, fam.k))
+                channel = Channel(matrix / matrix.sum(axis=0))
+                assert signature(min_pairwise_tv_after(channel, fam)) == \
+                    signature(ref_min_pairwise_tv_after(channel, fam))
+                _, slack = l1_embedding_bound_check(fam, channel)
+                bound = eps * math.sqrt(d) / math.sqrt(m)
+                assert signature(slack) == signature(bound - ref_l1_average(fam, channel))
+
+    def test_round_robin_transcripts(self):
+        """Hadamard families at game constant 0.05, where many games are
+        near ties, and random families, at several out sizes and truths."""
+        rng = np.random.default_rng(1080)
+        plans = [(hadamard_instance(m, eps), 0.05) for m, eps in
+                 ((2, 0.3), (3, 0.1), (5, 0.05), (7, 0.02), (9, 0.2), (15, 0.1))]
+        while len(plans) < 16:
+            dists = random_family_dists(rng, len(plans) + 1)
+            if outcome(ref_family_stats, dists)[0] != "raised":
+                plans.append((HypothesisFamily(dists), float(rng.choice([0.05, 1.0]))))
+        games, designs = 0, {}
+        for n, (fam, constant) in enumerate(plans):
+            for d in (2, 3, 5):
+                for seed in range(3):
+                    sampler = counts_sampler(fam.dists[(seed * 5 + n) % fam.m])
+                    got = tournament_nonadaptive(fam, d, sampler, seed=seed, constant=constant)
+                    want = ref_tournament_nonadaptive(fam, d, sampler, seed, constant, designs)
+                    assert transcript_signature(got.to_json()) == \
+                        transcript_signature(want), (n, d, seed)
+                    games += len(got.games)
+        assert games > 1000
+
+    def test_every_game_is_drawn_before_any_is_decided(self, monkeypatch):
+        """The stream contract behind the batched round robin: one sampler
+        call per game, in transcript order, each of the game's sample size,
+        all before the first decision; the knockout alternates."""
+        fam = hadamard_instance(7, 0.35)
+        events, drawn = [], []
+        draw = counts_sampler(fam.dists[3])
+
+        def recording(rng, n):
+            events.append(("draw", n))
+            drawn.append(draw(rng, n))
+            return drawn[-1]
+
+        kernel = mary.llr_statistic
+
+        def deciding(counts, llr):
+            events.append(("decide",))
+            return kernel(counts, llr)
+
+        monkeypatch.setattr(mary, "llr_statistic", deciding)
+        n = game_sample_size(fam, 3, 0.05)
+        tr = tournament_nonadaptive(fam, 3, recording, seed=4, constant=0.05)
+        assert events == [("draw", n)] * len(tr.games) + [("decide",)]
+        replay = iter(drawn)
+        want = ref_tournament_nonadaptive(fam, 3, lambda rng, size: next(replay), 4, 0.05, {})
+        assert transcript_signature(tr.to_json()) == transcript_signature(want)
+
+        events.clear()
+        tr = tournament_adaptive(fam, 3, recording, seed=4, constant=0.05)
+        assert events == [("draw", n), ("decide",)] * len(tr.games)
+
+
+# --------------------------------------------------------------------------
 # The public boundary still rejects bad input
 
 
@@ -600,6 +813,9 @@ BAD_INPUTS = [
     ("reverse_markov_best budget", lambda: reverse_markov_best(BETA_RV, 1), ValidationError),
     ("l1 check size", lambda: l1_embedding_bound_check(hadamard_instance(3, 0.5),
                                                        Channel.identity(2)), DimensionError),
+    ("separation after size", lambda: min_pairwise_tv_after(Channel.identity(2),
+                                                            hadamard_instance(3, 0.5)),
+     DimensionError),
 ] + [
     # the designer validates the spec once instead of every candidate's thresholds
     (f"designer kappa={kappa}", lambda kappa=kappa: design_fdiv_channel(
