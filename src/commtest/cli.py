@@ -248,25 +248,32 @@ def cmd_mary_instance(args) -> int:
 
 
 def cmd_mary_identical(args) -> int:
+    if args.design == "reduction":
+        for flag in ("d", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValidationError("the reduction has M(M-1)/2+1 outputs and draws "
+                                      f"nothing; drop --{flag}")
+    elif args.d is None:
+        raise ValidationError(f"--design {args.design} needs --d")
+    seed = args.seed or 0
     fam = _family_from_args(args)
     if args.design == "best":
-        channel, score = identical_channel_design(fam, args.d, seed=args.seed)
+        channel, score = identical_channel_design(fam, args.d, seed=seed)
     elif args.design == "reduction":
         channel = pairwise_indicator_reduction(fam)
         score = min_pairwise_tv_after(channel, fam)
     else:  # sketch
         try:
-            channel, score = _jl_sketch(fam, args.d, args.seed)
+            channel, score = _jl_sketch(fam, args.d, seed)
         except StochasticFailureError as exc:
-            _emit({"error": str(exc), "seed": args.seed,
-                   "best_score": exc.best_score}, args)
+            _emit({"error": str(exc), "seed": seed, "best_score": exc.best_score}, args)
             return EXIT_STOCHASTIC
     _emit(
         {
             "channel": channel.to_json(),
             "min_pairwise_output_tv": score,
             "design": args.design,
-            "seed": args.seed,
+            "seed": seed,
         },
         args,
     )
@@ -302,10 +309,13 @@ def cmd_mary_tournament(args) -> int:
 
 
 def cmd_mary_verify(args) -> int:
+    if args.seed is not None and args.samples == 0:
+        raise ValidationError("--seed draws the sampled channels; drop --seed or add --samples")
+    seed = args.seed or 0
     fam = _family_from_args(args)
-    report = verify_identical_d2_bound(fam, channel_samples=args.samples, seed=args.seed)
+    report = verify_identical_d2_bound(fam, channel_samples=args.samples, seed=seed)
     obj = report.to_json()
-    obj["seed"] = args.seed
+    obj["seed"] = seed
     obj["limit"] = SQUEEZE_CONSTANT_LIMIT
     _emit(obj, args)
     return EXIT_OK if report.constant <= SQUEEZE_CONSTANT_LIMIT else EXIT_GUARANTEE
@@ -407,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--family", help="family JSON / @file")
     mc.add_argument("--m", type=int)
     mc.add_argument("--eps", type=float)
-    mc.add_argument("--d", type=int, required=True)
+    mc.add_argument("--d", type=int, help="number of outputs (best and sketch only)")
     mc.add_argument("--design", choices=["best", "sketch", "reduction"], default="best")
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--seed", type=int, help="(best and sketch only; default 0)")
     _add_io_args(mc)
     mc.set_defaults(func=cmd_mary_identical)
 
@@ -431,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--eps", type=float)
     mv.add_argument("--samples", type=int, default=0,
                     help="random stochastic channels whose best score is the lower bound")
-    mv.add_argument("--seed", type=int, default=0)
+    mv.add_argument("--seed", type=int, help="seed of the --samples draw (default 0)")
     _add_io_args(mv)
     mv.set_defaults(func=cmd_mary_verify)
 

@@ -160,18 +160,25 @@ def _trusted(cls, **values):
 
 
 def _push(matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """The output law T @ p, clipped at 0 and divided by its sum twice:
-    without the second division last bits, and designer choices, would move."""
-    out = np.clip(matrix @ probs, 0.0, None)
-    out = out / out.sum()
-    return out / out.sum()
+    """The output law T @ p of a law p, or of each row of a stack of laws,
+    clipped at 0 and divided by its sum twice: without the second division
+    last bits, and designer choices, would move. Each row gets the floats it
+    gets alone; a 2-D product over the stacked rows would not give them."""
+    out = np.clip(matrix @ probs[..., None], 0.0, None)[..., 0]
+    out = out / out.sum(axis=-1, keepdims=True)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
+def _check_channel_input(channel: Channel, k: int) -> None:
+    """Raise unless `channel` reads an alphabet of size k."""
+    if channel.in_size != k:
+        raise DimensionError(
+            f"channel expects alphabet size {channel.in_size}, distribution has {k}"
+        )
 
 
 def apply_channel(channel: Channel, dist: Distribution) -> Distribution:
-    if channel.in_size != dist.k:
-        raise DimensionError(
-            f"channel expects alphabet size {channel.in_size}, distribution has {dist.k}"
-        )
+    _check_channel_input(channel, dist.k)
     return _trusted(Distribution, probs=_push(channel.matrix, dist.probs))
 
 

@@ -14,12 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    Channel,
-    Distribution,
-    _push,
-    apply_channel,
-)
+from .core import Channel, Distribution, _check_channel_input, _push, _trusted
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -140,21 +135,9 @@ def _pair_tv(rows: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(rows[ii] - rows[jj]).sum(axis=1)
 
 
-def _images(matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """`_push(matrix, row)` for every row of `probs`, as one M x D array.
-    The 3-D batched product gives each row the floats `_push` gives it
-    alone; a 2-D product over the stacked rows moves last bits."""
-    out = np.clip(matrix @ probs[:, :, None], 0.0, None)[:, :, 0]
-    out = out / out.sum(axis=1, keepdims=True)
-    return out / out.sum(axis=1, keepdims=True)
-
-
 def min_pairwise_tv_after(channel: Channel, family: HypothesisFamily) -> float:
-    if channel.in_size != family.k:
-        raise DimensionError(
-            f"channel expects alphabet size {channel.in_size}, distribution has {family.k}"
-        )
-    return float(_pair_tv(_images(channel.matrix, family._probs)).min())
+    _check_channel_input(channel, family.k)
+    return float(_pair_tv(_push(channel.matrix, family._probs)).min())
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +280,8 @@ def identical_channel_design(
 
     try_sketch(family, None, seed)
     reduction = pairwise_indicator_reduction(family)
-    reduced = HypothesisFamily([apply_channel(reduction, d) for d in family.dists])
+    reduced = HypothesisFamily([_trusted(Distribution, probs=row)
+                                for row in _push(reduction.matrix, family._probs)])
     try_sketch(reduced, reduction, seed + 1)
     if family.k <= out_size:
         ident = Channel.identity(family.k, out_size)
@@ -500,10 +484,8 @@ def l1_embedding_bound_check(
     returns (holds, slack = bound - average)."""
     if family.base is None or family.hadamard_eps is None:
         raise ValidationError("family must carry its base distribution and eps")
-    if channel.in_size != family.k:
-        raise DimensionError("channel and family must share the alphabet")
-    t_base = _push(channel.matrix, family.base.probs)
-    images = _images(channel.matrix, family._probs)
-    avg = float(np.mean(0.5 * np.abs(images - t_base).sum(axis=1)))
+    _check_channel_input(channel, family.k)
+    images = _push(channel.matrix, np.vstack([family.base.probs, family._probs]))
+    avg = float(np.mean(0.5 * np.abs(images[1:] - images[0]).sum(axis=1)))
     bound = family.hadamard_eps * math.sqrt(channel.out_size) / math.sqrt(family.m)
     return avg <= bound + 1e-12, bound - avg

@@ -25,12 +25,12 @@ from .core import (
     Distribution,
     FDivergenceSpec,
     ThresholdSet,
+    _check_channel_input,
     _fdiv_sum,
     _fdiv_term,
     _push,
     _ratio_labels,
     _trusted,
-    apply_channel,
     builtin_fdiv,
     f_divergence,
     hellinger_sq,
@@ -80,7 +80,8 @@ def fdiv_ratio(
     """Preservation ratio I_f(p,q) / I_f(Tp, Tq); inf when the output
     divergence vanishes but the input one does not."""
     num = f_divergence(spec, p, q)
-    return _ratio_of(num, f_divergence(spec, apply_channel(channel, p), apply_channel(channel, q)))
+    _check_channel_input(channel, p.k)
+    return _ratio_of(num, _fdiv_sum(spec, *_push(channel.matrix, np.stack([p.probs, q.probs]))))
 
 
 def _ratio_of(num: float, den: float) -> float:
@@ -103,13 +104,13 @@ def _min_ratio(p: Distribution, q: Distribution) -> float:
     return min(1.0, (np.minimum(pa, qa)[both] / np.maximum(pa, qa)[both]).min())
 
 
-def _threshold_score(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, p: Distribution,
-                     q: Distribution, levels: list[float], out_size: int):
+def _threshold_score(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq: np.ndarray,
+                     levels: list[float], out_size: int):
     """(preservation ratio, channel, thresholds) through `levels` padded to
-    D - 1 of them, given i_f = I_f(p, q) and the likelihood ratios of (p, q)."""
+    D - 1 of them, given i_f = I_f(p, q) and the likelihood ratios and stack pq of (p, q)."""
     levels = np.array(_pad_levels(levels, out_size))
     labels = _ratio_labels(ratios, levels)
-    ratio = _ratio_of(i_f, _fdiv_sum(spec, _push(labels, p.probs), _push(labels, q.probs)))
+    ratio = _ratio_of(i_f, _fdiv_sum(spec, *_push(labels, pq)))
     return ratio, _trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels)
 
 
@@ -188,7 +189,8 @@ def design_fdiv_channel(
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
-    scored = [_threshold_score(spec, i_f, ratios, p, q, levels, out_size) + (case,)
+    pq = np.stack([pa, qa])
+    scored = [_threshold_score(spec, i_f, ratios, pq, levels, out_size) + (case,)
               for levels, case in candidates]
     ratio, channel, gamma, case = min(scored, key=lambda item: item[0])  # first of ties
 
@@ -250,8 +252,8 @@ def brute_force_threshold_channel(
         for b in range(a + 1, n + 1):
             score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
-    ratio, channel, gamma = _threshold_score(
-        spec, i_f, ratios, p, q, [cuts[c - 1] for c in chosen], out_size)
+    ratio, channel, gamma = _threshold_score(spec, i_f, ratios, np.stack([p.probs, q.probs]),
+                                             [cuts[c - 1] for c in chosen], out_size)
     return QuantizeResult(channel=channel, gamma=gamma, ratio_achieved=ratio, bound=math.inf,
                           case_taken="oracle", r_value=math.nan)
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Channel, Distribution, apply_channel
+from .core import Channel, Distribution, _check_channel_input, _check_same_alphabet, _push
 from .errors import DimensionError, NonConvergenceError, ValidationError
 
 DEFAULT_ERROR_BUDGET = 0.1
@@ -53,8 +53,13 @@ class TestRule:
 def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarray:
     """Per-message log((Tp)_y / (Tq)_y): +inf or -inf where one image is 0,
     and 0 for messages impossible under both."""
-    tp = apply_channel(channel, p).probs
-    tq = apply_channel(channel, q).probs
+    _check_channel_input(channel, p.k)
+    _check_channel_input(channel, q.k)
+    return _log_ratio(*_push(channel.matrix, np.stack([p.probs, q.probs])))
+
+
+def _log_ratio(tp: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    """`message_llr` given the images tp = Tp and tq = Tq."""
     neither = (tp == 0) & (tq == 0)
     with np.errstate(divide="ignore"):
         return np.log(np.where(neither, 1.0, tp)) - np.log(np.where(neither, 1.0, tq))
@@ -145,26 +150,15 @@ def _group_sizes(rule: TestRule, n: int) -> list[int]:
     return [(n - i + g - 1) // g for i in range(g)]
 
 
-def _simulate_branch(
-    rule: TestRule,
-    p: Distribution,
-    q: Distribution,
-    truth: Distribution,
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """LRT statistics for `trials` runs of n users sampling from `truth`.
-
-    Message counts per channel group are multinomial draws from T @ truth,
-    which matches per-user sampling exactly (users are iid within a group).
-    """
-    groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
+def _simulate_branch(sizes: list[int], truths: list[np.ndarray], llr: list[np.ndarray],
+                     trials: int, rng: np.random.Generator) -> np.ndarray:
+    """LRT statistics for `trials` runs in which channel group g has sizes[g]
+    users and LLR table llr[g]. Its message counts are multinomial draws from
+    truths[g], the group's image of the sampled law, which matches per-user
+    sampling exactly (users are iid within a group)."""
     # a generator, so only one group's counts are held at a time
-    counts = (
-        rng.multinomial(n_g, apply_channel(c, truth).probs, size=trials) for c, n_g in groups
-    )
-    return llr_statistic(counts, [message_llr(c, p, q) for c, _ in groups])
+    counts = (rng.multinomial(n_g, t, size=trials) for n_g, t in zip(sizes, truths))
+    return llr_statistic(counts, llr)
 
 
 def simulate_error(
@@ -185,13 +179,17 @@ def simulate_error(
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
-    seq = np.random.SeedSequence(seed)
-    child_p, child_q = seq.spawn(2)
-    truth_p = p_sampler if p_sampler is not None else p
-    truth_q = q_sampler if q_sampler is not None else q
-
-    stats_p = _simulate_branch(rule, p, q, truth_p, n, trials, np.random.default_rng(child_p))
-    stats_q = _simulate_branch(rule, p, q, truth_q, n, trials, np.random.default_rng(child_q))
+    laws = (p, q, p if p_sampler is None else p_sampler, q if q_sampler is None else q_sampler)
+    for dist in laws:
+        _check_channel_input(rule.channels[0], dist.k)
+    stacked = np.stack([dist.probs for dist in laws])
+    groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
+    sizes = [n_g for _, n_g in groups]
+    images = [_push(c.matrix, stacked) for c, _ in groups]  # rows: Tp, Tq, then the samplers'
+    llr = [_log_ratio(tp, tq) for tp, tq, _, _ in images]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+    stats_p = _simulate_branch(sizes, [im[2] for im in images], llr, trials, rngs[0])
+    stats_q = _simulate_branch(sizes, [im[3] for im in images], llr, trials, rngs[1])
     err_p = float(np.count_nonzero(stats_p < 0)) / trials
     err_q = float(np.count_nonzero(stats_q >= 0)) / trials
     var = err_p * (1 - err_p) / trials + err_q * (1 - err_q) / trials
@@ -209,8 +207,7 @@ def simulate_error(
 def scheffe_channel(p: Distribution, q: Distribution) -> Channel:
     """Binary indicator of the set A = {x : p(x) >= q(x)}; output 0 reports
     membership in A, so it preserves total variation exactly."""
-    if p.k != q.k:
-        raise DimensionError(f"alphabet mismatch: {p.k} vs {q.k}")
+    _check_same_alphabet(p, q)
     in_a = p.probs >= q.probs
     m = np.vstack([in_a.astype(float), (~in_a).astype(float)])
     return Channel(m)

@@ -254,6 +254,55 @@ class TestMary:
         assert out == ""
         assert err.startswith("error: --family replaces --m and --eps")
 
+    @pytest.mark.parametrize("argv, flag, values", [
+        *[pytest.param(["identical", "--design", design], "--d", ("3", "5"),
+                       id=f"identical-{design}-d") for design in ("best", "sketch", "reduction")],
+        *[pytest.param(["identical", "--design", design, *extra], "--seed", ("0", "9"),
+                       id=f"identical-{design}-seed")
+          for design, extra in (("best", ["--d", "3"]), ("sketch", ["--d", "3"]),
+                                ("reduction", []))],
+        pytest.param(["verify"], "--seed", ("0", "9"), id="verify-seed"),
+        pytest.param(["verify", "--samples", "50"], "--seed", ("0", "9"),
+                     id="verify-samples-seed"),
+    ])
+    def test_every_accepted_flag_is_read(self, capsys, argv, flag, values):
+        """An accepted flag changes the printed channel or report (the
+        echoed seed aside); a flag the command would ignore exits 1."""
+        runs = [run(capsys, "mary", *argv, "--m", "4", "--eps", "0.4", flag, value)
+                for value in values]
+        if runs[0][0] == EXIT_INVALID:
+            for code, out, err in runs:
+                assert code == EXIT_INVALID and out == ""
+                assert err.startswith("error: ") and f"drop {flag}" in err
+            return
+        reports = []
+        for code, out, _ in runs:
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+            reports[-1].pop("seed")
+        assert reports[0] != reports[1]
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["identical", "--d", "3"], ["--design", "best", "--seed", "0"]),
+        (["identical", "--d", "3", "--design", "sketch"], ["--seed", "0"]),
+        (["identical", "--design", "reduction"], []),
+        (["verify", "--samples", "20"], ["--seed", "0"]),
+        (["verify"], []),
+    ])
+    def test_seed_defaults_to_zero(self, capsys, argv, defaults):
+        """The seed is echoed as 0 when it is left out, also where nothing is drawn."""
+        args = ("mary", *argv, "--m", "4", "--eps", "0.4")
+        code, implicit, _ = run(capsys, *args)
+        assert code == EXIT_OK and json.loads(implicit)["seed"] == 0
+        assert run(capsys, *args, *defaults)[1] == implicit
+
+    @pytest.mark.parametrize("design", ["best", "sketch"])
+    def test_designs_that_draw_need_d(self, capsys, design):
+        code, out, err = run(capsys, "mary", "identical", "--m", "4", "--eps", "0.4",
+                             "--design", design)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith(f"error: --design {design} needs --d")
+
     def test_verify_bound(self, capsys):
         code, out, _ = run(capsys, "mary", "verify", "--m", "4", "--eps", "0.4")
         assert code == EXIT_OK

@@ -5,10 +5,12 @@ the threshold-channel oracle, `apply_channel`, `fdiv_ratio` and the
 reverse-Markov grids as they were written on the public, validating objects
 (a `ThresholdSet`, a `Channel` and two validated `Distribution` images per
 candidate, a `DiscreteRV` and a checked grid per objective, one `np.dot` per
-objective), the LLR statistic as one numpy row sum per channel group, and
-the M-ary family statistics, output separations and round robin as one
-Python step per pair, per hypothesis and per game. The kernels must give the
-same floats, the same arrays and the same errors. The boundary tests check
+objective), the LLR statistic as one numpy row sum per channel group, the
+M-ary family statistics, output separations and round robin as one Python
+step per pair, per hypothesis and per game, the push through a channel one
+law at a time, and the simulator pushing its laws and building its LLR
+tables once per branch. The kernels must give the same floats, the same
+arrays and the same errors. The boundary tests check
 that every public constructor and entry point still rejects bad input.
 """
 
@@ -48,12 +50,14 @@ from commtest import (
     huber_lfd,
     l1_embedding_bound_check,
     likelihood_ratios,
+    lrt_decide,
     mary,
     min_pairwise_tv_after,
     pairwise_indicator_reduction,
     quantizer,
     reverse_markov_best,
     revmarkov_objective,
+    robust_decide,
     scheffe_channel,
     simulate_error,
     testing,
@@ -570,6 +574,113 @@ class TestSimulationMatchesReferenceKernel:
 
 
 # --------------------------------------------------------------------------
+# One push kernel: stacks of laws, and every law pushed once per simulation
+
+
+def ref_push(matrix, probs):
+    """`_push` on one law, as it was written before it took stacks."""
+    out = np.clip(matrix @ probs, 0.0, None)
+    out = out / out.sum()
+    return out / out.sum()
+
+
+def ref_message_llr(channel, p, q):
+    tp, tq = ref_push(channel.matrix, p.probs), ref_push(channel.matrix, q.probs)
+    neither = (tp == 0) & (tq == 0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(neither, 1.0, tp)) - np.log(np.where(neither, 1.0, tq))
+
+
+def ref_simulate_error(rule, p, q, n, trials, seed, p_sampler=None, q_sampler=None):
+    """The simulator as it was written: each branch pushes p, q and its
+    sampled law through every channel, and builds its own LLR tables."""
+
+    def branch(truth, rng):
+        groups = [(c, n_g) for c, n_g in zip(rule.channels, testing._group_sizes(rule, n))
+                  if n_g]
+        counts = (rng.multinomial(n_g, ref_push(c.matrix, truth.probs), size=trials)
+                  for c, n_g in groups)
+        return llr_statistic(counts, [ref_message_llr(c, p, q) for c, _ in groups])
+
+    child_p, child_q = np.random.SeedSequence(seed).spawn(2)
+    stats_p = branch(p_sampler if p_sampler is not None else p, np.random.default_rng(child_p))
+    stats_q = branch(q_sampler if q_sampler is not None else q, np.random.default_rng(child_q))
+    err_p = float(np.count_nonzero(stats_p < 0)) / trials
+    err_q = float(np.count_nonzero(stats_q >= 0)) / trials
+    var = err_p * (1 - err_p) / trials + err_q * (1 - err_q) / trials
+    return {"n": n, "trials": trials, "error_p": err_p, "error_q": err_q,
+            "error_sum_estimate": err_p + err_q,
+            "ci_halfwidth": testing._Z95 * math.sqrt(var), "seed": seed}
+
+
+def random_push_case(rng, i):
+    """(D x k channel matrix, stack of 1-6 laws on k atoms): D 1..12, k 1..80;
+    0/1 threshold channels, sub-stochastic sketch-like channels, laws with
+    atoms of zero mass under every law and subnormal masses."""
+    d, k, rows = int(rng.integers(1, 13)), int(rng.integers(1, 81)), int(rng.integers(1, 7))
+    kind = i % 4
+    if kind == 0:  # 0/1 threshold channel
+        matrix = (np.arange(d)[:, None] == rng.integers(0, d, k)).astype(float)
+    else:
+        matrix = rng.random((d, k)) * (rng.random((d, k)) < 0.7)
+        matrix[0, matrix.sum(axis=0) == 0] = 1.0
+        matrix = matrix / matrix.sum(axis=0)
+        if kind == 3:  # a slack row dropped: columns sum to less than 1
+            matrix = matrix * rng.uniform(0.5, 1.0, k)
+    laws = rng.dirichlet(np.full(k, rng.choice([0.3, 1.0, 5.0])), size=rows)
+    if kind >= 1 and k > 1:
+        laws[:, rng.integers(0, k)] = 0.0  # zero mass under every law
+    if kind == 2:
+        laws[rng.random(laws.shape) < 0.2] *= 1e-310  # subnormal masses
+    laws = laws / laws.sum(axis=1, keepdims=True)
+    return matrix, laws
+
+
+N_PUSH_CASES = 1200
+
+
+class TestOnePushKernel:
+    def test_stacked_rows_match_single_laws(self):
+        rng = np.random.default_rng(13)
+        subnormal = 0
+        for i in range(N_PUSH_CASES):
+            matrix, laws = random_push_case(rng, i)
+            stacked = _push(matrix, laws)
+            assert stacked.shape == (len(laws), len(matrix)), i
+            for row, law in zip(stacked, laws):
+                assert row.tobytes() == ref_push(matrix, law).tobytes(), i
+            assert _push(matrix, laws[0]).tobytes() == ref_push(matrix, laws[0]).tobytes(), i
+            subnormal += bool(np.any((laws > 0) & (laws < np.finfo(float).tiny)))
+        assert subnormal >= N_PUSH_CASES // 8
+
+    def test_simulator_matches_per_branch_pushes(self):
+        rng = np.random.default_rng(1317)
+        infinite = samplers = 0
+        for i in range(60):
+            k = int(rng.integers(2, 9))
+            probs = rng.dirichlet(np.ones(k), size=4)
+            if i % 3 == 0:  # one-sided atoms: +-inf LLRs
+                probs[0, 0] = probs[1, 1] = 0.0
+            p, q, p_s, q_s = (Distribution(row / row.sum()) for row in probs)
+            channels = [Channel.identity(k), scheffe_channel(p, q)]
+            matrix = rng.random((int(rng.integers(2, 5)), k))
+            channels.append(Channel(matrix / matrix.sum(axis=0)))
+            if p != q:
+                channels.append(design_hellinger_channel(p, q, 3).channel)
+            rule = TestRule([channels[j] for j in rng.permutation(len(channels))[:i % 4 + 1]])
+            n = int(rng.choice([1, 2, 7, 50, 333]))
+            sampler_p = p_s if i % 4 in (1, 3) else None
+            sampler_q = q_s if i % 4 in (2, 3) else None
+            got = simulate_error(rule, p, q, n, trials=1_000, seed=i,
+                                 p_sampler=sampler_p, q_sampler=sampler_q)
+            want = ref_simulate_error(rule, p, q, n, 1_000, i, sampler_p, sampler_q)
+            assert json.dumps(got.to_json()) == json.dumps(want), i
+            infinite += any(np.isinf(ref_message_llr(c, p, q)).any() for c in rule.channels)
+            samplers += sampler_p is not None and sampler_q is not None
+        assert infinite >= 10 and samplers >= 10
+
+
+# --------------------------------------------------------------------------
 # M-ary layer: one step per pair, per hypothesis and per game
 
 
@@ -769,6 +880,7 @@ class TestMaryMatchesPerPairLoops:
 
 
 BETA_RV = DiscreteRV([0.0, 0.5], [0.5, 0.5], 1.0)
+P2, Q2, Q3 = Distribution([0.7, 0.3]), Distribution([0.3, 0.7]), Distribution([0.2, 0.3, 0.5])
 
 BAD_INPUTS = [
     ("Distribution non-finite", lambda: Distribution([math.nan, 1.0]), ValidationError),
@@ -816,6 +928,20 @@ BAD_INPUTS = [
     ("separation after size", lambda: min_pairwise_tv_after(Channel.identity(2),
                                                             hadamard_instance(3, 0.5)),
      DimensionError),
+    ("lrt_decide size", lambda: lrt_decide(P2, Q3, TestRule([Channel.identity(3)]), [0, 2]),
+     DimensionError),
+    ("robust_decide size", lambda: robust_decide(
+        Channel.identity(3), huber_lfd(ContaminationSetup(P2, Q2, 0.05)), [0, 2]),
+     DimensionError),
+    ("message_llr p size", lambda: message_llr(Channel.identity(3), P2, Q3), DimensionError),
+    ("message_llr q size", lambda: message_llr(Channel.identity(3), Q3, P2), DimensionError),
+] + [
+    # each law of the simulation mismatched in turn: p, q, p_sampler, q_sampler
+    (f"simulate_error {name} size", lambda laws=laws: simulate_error(
+        TestRule([Channel.identity(3)]), *laws[:2], 10, trials=10,
+        p_sampler=laws[2], q_sampler=laws[3]), DimensionError)
+    for name, laws in (("p", (P2, Q3, None, None)), ("q", (Q3, P2, None, None)),
+                       ("p_sampler", (Q3, Q3, P2, None)), ("q_sampler", (Q3, Q3, None, P2)))
 ] + [
     # the designer validates the spec once instead of every candidate's thresholds
     (f"designer kappa={kappa}", lambda kappa=kappa: design_fdiv_channel(
