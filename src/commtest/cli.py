@@ -67,28 +67,23 @@ EXIT_STOCHASTIC = 3
 
 def _load_json_arg(text: str):
     """Parse an inline JSON argument, or read it from a file via @path."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValidationError("JSON nested too deeply") from exc
 
 
-def _dist_arg(text: str) -> Distribution:
+def _value_arg(cls, text: str):
+    """A Distribution or Channel given as its JSON object or a bare list."""
     obj = _load_json_arg(text)
-    if isinstance(obj, list):
-        return Distribution(obj)
-    return Distribution.from_json(obj)
+    return cls(obj) if isinstance(obj, list) else cls.from_json(obj)
 
 
-def _channel_arg(text: str) -> Channel:
-    obj = _load_json_arg(text)
-    if isinstance(obj, list):
-        return Channel(obj)
-    return Channel.from_json(obj)
-
-
-def _family_arg(text: str) -> HypothesisFamily:
-    return HypothesisFamily.from_json(_load_json_arg(text))
+def _pq_args(args) -> tuple[Distribution, Distribution]:
+    return _value_arg(Distribution, args.p), _value_arg(Distribution, args.q)
 
 
 def _write(text: str, args) -> None:
@@ -127,7 +122,7 @@ def _emit_csv(rows: list[dict], args) -> None:
 
 
 def cmd_divergence(args) -> int:
-    p, q = _dist_arg(args.p), _dist_arg(args.q)
+    p, q = _pq_args(args)
     spec = builtin_fdiv(args.spec)
     _emit(
         {
@@ -143,7 +138,7 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    p, q = _dist_arg(args.p), _dist_arg(args.q)
+    p, q = _pq_args(args)
     if args.oracle:
         result = brute_force_threshold_channel(builtin_fdiv(args.spec), p, q, args.d)
     elif args.spec == "hellinger":
@@ -160,7 +155,7 @@ def cmd_quantize(args) -> int:
 
 def _build_rule(args, p: Distribution, q: Distribution) -> TestRule:
     if args.channel is not None:
-        return TestRule([_channel_arg(args.channel)])
+        return TestRule([_value_arg(Channel, args.channel)])
     if args.rule == "scheffe":
         return TestRule([scheffe_channel(p, q)])
     return TestRule([design_hellinger_channel(p, q, 2 if args.d is None else args.d).channel])
@@ -172,27 +167,23 @@ def cmd_simulate(args) -> int:
     if args.d is not None and (args.channel is not None or args.rule == "scheffe"):
         raise ValidationError("--d sizes the designed channel; drop --d with "
                               "--rule scheffe or --channel")
-    p, q = _dist_arg(args.p), _dist_arg(args.q)
+    p, q = _pq_args(args)
     if args.search:
         if args.n is not None:
             raise ValidationError("--search finds n itself; drop --n")
         if args.format != "json":
             raise ValidationError("--search prints JSON only; drop --format csv")
+    elif args.budget is not None:
+        raise ValidationError("--budget sets the --search error budget; add --search")
+    rule = _build_rule(args, p, q)
+    if args.search:
         budget = DEFAULT_ERROR_BUDGET if args.budget is None else args.budget
         n_hat = empirical_sample_complexity(
-            lambda n: _build_rule(args, p, q),
-            p,
-            q,
-            trials=args.trials,
-            seed=args.seed,
-            budget=budget,
+            lambda n: rule, p, q, trials=args.trials, seed=args.seed, budget=budget
         )
         _emit({"n_hat": n_hat, "budget": budget, "trials": args.trials,
                "seed": args.seed}, args)
         return EXIT_OK
-    if args.budget is not None:
-        raise ValidationError("--budget sets the --search error budget; add --search")
-    rule = _build_rule(args, p, q)
     ns = [int(x) for x in ("100" if args.n is None else args.n).split(",")]
     reports = [
         simulate_error(rule, p, q, n, trials=args.trials, seed=args.seed)
@@ -208,7 +199,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_robust_lfd(args) -> int:
-    p, q = _dist_arg(args.p), _dist_arg(args.q)
+    p, q = _pq_args(args)
     setup = ContaminationSetup(p, q, args.eps)
     lfd = huber_lfd(setup)
     obj = lfd.to_json()
@@ -219,7 +210,7 @@ def cmd_robust_lfd(args) -> int:
 
 
 def cmd_robust_design(args) -> int:
-    p, q = _dist_arg(args.p), _dist_arg(args.q)
+    p, q = _pq_args(args)
     setup = ContaminationSetup(p, q, args.eps)
     lfd, design = design_robust_channel(setup, args.d)
     _emit({"lfd": lfd.to_json(), "design": design.to_json(), "epsilon": args.eps}, args)
@@ -232,7 +223,7 @@ def _family_from_args(args) -> HypothesisFamily:
     if args.family is not None:
         if args.m is not None or args.eps is not None:
             raise ValidationError("--family replaces --m and --eps; drop them")
-        return _family_arg(args.family)
+        return HypothesisFamily.from_json(_load_json_arg(args.family))
     if args.m is None or args.eps is None:
         raise ValidationError("provide --family or both --m and --eps")
     return hadamard_instance(args.m, args.eps)
@@ -462,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     except StochasticFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STOCHASTIC
-    except (CommtestError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CommtestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -10,12 +10,19 @@ Conventions used throughout:
 
 Public functions and constructors validate their inputs; `_`-prefixed
 kernels trust theirs and run on plain arrays.
+
+Frozen dataclasses are values. A validating constructor ends in one `_freeze`
+call (fields set, arrays read-only); `_trusted` builds from arrays known valid.
+`_Value` classes are equal, and hash alike, when of one type with equal fields,
+arrays by shape and value (-0.0 = 0.0). Every `from_json` reads through
+`_read_json`: a missing key, or a value of the wrong type or shape, raises
+ValidationError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,10 +36,14 @@ STRICT_TOL = 1e-12
 _SQRT_FLOAT_MAX = math.sqrt(float(np.finfo(float).max))
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
+def _as_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """A finite, non-empty float copy of `values` with `ndim` axes."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers") from exc
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -40,8 +51,56 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Distribution:
+def _freeze(obj, **values):
+    """Set the fields of the frozen value `obj`, making its arrays read-only."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _trusted(cls, **values):
+    """`cls(**values)` for one of the frozen input dataclasses, unvalidated."""
+    return _freeze(object.__new__(cls), **values)
+
+
+class _Value:
+    """Equality and hash by content (see above), for dataclasses with eq=False."""
+
+    def _key(self) -> tuple:
+        return tuple((v.shape, (v + 0.0).tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+# The JSON types each kind of `_read_json` takes; no bool counts as a number.
+_JSON_KINDS = {"int": int, "number": (int, float), "array": list}
+
+
+def _read_json(obj, what: str, **kinds: str) -> list:
+    """The values of the JSON object `obj` under the keys of `kinds`, each of
+    its kind in _JSON_KINDS; a kind ending in " or null" also takes null or a
+    missing key, read as None. Else raises ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} JSON must be an object")
+    values = [obj.get(key) for key in kinds]
+    for (key, kind), value in zip(kinds.items(), values):
+        base = kind.removesuffix(" or null")
+        if value is None and base != kind:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[base]):
+            raise ValidationError(f"{what} JSON needs '{key}': {kind}")
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class Distribution(_Value):
     """A probability vector over a finite alphabet."""
 
     probs: np.ndarray
@@ -53,9 +112,8 @@ class Distribution:
         total = arr.sum()
         if abs(total - 1.0) > NORMALIZE_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        arr /= total
+        _freeze(self, probs=arr)
 
     @property
     def k(self) -> int:
@@ -69,37 +127,24 @@ class Distribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Distribution":
-        if not isinstance(obj, dict) or "probs" not in obj:
-            raise ValidationError("distribution JSON must be an object with a 'probs' key")
-        return cls(obj["probs"])
-
-    def __eq__(self, other):
-        return isinstance(other, Distribution) and np.array_equal(self.probs, other.probs)
-
-    def __hash__(self):
-        return hash(self.probs.tobytes())
+        return cls(*_read_json(obj, "distribution", probs="array"))
 
 
-@dataclass(frozen=True)
-class Channel:
+@dataclass(frozen=True, eq=False)
+class Channel(_Value):
     """A column-stochastic matrix mapping alphabet [k] to outputs [D]."""
 
     matrix: np.ndarray
 
     def __init__(self, matrix):
-        arr = np.asarray(matrix, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError(f"channel matrix must be 2-d, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("channel matrix contains non-finite entries")
+        arr = _as_float_array(matrix, "channel matrix", ndim=2)
         if np.any(arr < 0):
             raise ValidationError("channel entries must be non-negative")
         sums = arr.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > NORMALIZE_TOL):
             raise ValidationError("channel columns must each sum to 1")
-        arr = arr / sums
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        arr /= sums
+        _freeze(self, matrix=arr)
 
     @property
     def out_size(self) -> int:
@@ -129,14 +174,11 @@ class Channel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Channel":
-        try:
-            rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        except (TypeError, KeyError) as exc:
-            raise ValidationError("channel JSON must have 'rows', 'cols', 'data'") from exc
-        arr = np.asarray(data, dtype=float)
-        if arr.size != rows * cols:
-            raise ValidationError("channel data length does not match rows*cols")
-        return cls(arr.reshape(rows, cols))
+        rows, cols, data = _read_json(obj, "channel", rows="int", cols="int", data="array")
+        data = _as_float_array(data, "channel data")
+        if min(rows, cols) < 1 or data.size != rows * cols:
+            raise ValidationError("channel JSON needs rows, cols >= 1 and rows*cols data")
+        return cls(data.reshape(rows, cols))
 
     @classmethod
     def identity(cls, k: int, out_size: int | None = None) -> "Channel":
@@ -147,16 +189,6 @@ class Channel:
         m = np.zeros((d, k))
         m[:k, :k] = np.eye(k)
         return cls(m)
-
-
-def _trusted(cls, **values):
-    """`cls(**values)` for one of the frozen input dataclasses, unvalidated."""
-    obj = object.__new__(cls)
-    for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _push(matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -182,8 +214,8 @@ def apply_channel(channel: Channel, dist: Distribution) -> Distribution:
     return _trusted(Distribution, probs=_push(channel.matrix, dist.probs))
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+@dataclass(frozen=True, eq=False)
+class ThresholdSet(_Value):
     """Sorted positive thresholds 0 < g_1 <= ... <= g_{D-1} < inf on the
     likelihood ratio axis; repeated values produce empty (unused) cells."""
 
@@ -195,8 +227,7 @@ class ThresholdSet:
             raise ValidationError("thresholds must be strictly positive")
         if np.any(np.diff(arr) < 0):
             raise ValidationError("thresholds must be sorted non-decreasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _freeze(self, values=arr)
 
     @property
     def out_size(self) -> int:
@@ -207,9 +238,7 @@ class ThresholdSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ThresholdSet":
-        if not isinstance(obj, dict) or "thresholds" not in obj:
-            raise ValidationError("threshold JSON must be an object with a 'thresholds' key")
-        return cls(obj["thresholds"])
+        return cls(*_read_json(obj, "threshold", thresholds="array"))
 
 
 def geometric_threshold_set(x: float, out_size: int) -> ThresholdSet:

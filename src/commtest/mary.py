@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Channel, Distribution, _check_channel_input, _push, _trusted
+from .core import Channel, Distribution, _check_channel_input, _freeze, _push, _read_json, _trusted
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -66,22 +66,18 @@ class HypothesisFamily:
             raise DimensionError("family members must share the alphabet")
         if base is not None and base.k != k:
             raise DimensionError(f"base alphabet {base.k} differs from the family's {k}")
+        if not (hadamard_eps is None or isinstance(hadamard_eps, float) and 0 < hadamard_eps < 1):
+            raise ValidationError("hadamard_eps must be None or a float in (0, 1)")
         probs = np.stack([d.probs for d in dists])
-        probs.setflags(write=False)
         ii, jj = _pairs(len(dists))
         roots = np.sqrt(probs)
         h = np.sqrt(((roots[ii] - roots[jj]) ** 2).sum(axis=1))
         tv = _pair_tv(probs)
         if not tv.all():
             raise DegenerateInputError("family contains duplicate hypotheses")
-        object.__setattr__(self, "dists", dists)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "hadamard_eps", hadamard_eps)
-        object.__setattr__(self, "min_pairwise_hellinger", float(h.min()))
-        object.__setattr__(self, "max_pairwise_hellinger", float(h.max()))
-        object.__setattr__(self, "min_pairwise_tv", float(tv.min()))
-        object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_games", {})
+        _freeze(self, dists=dists, base=base, hadamard_eps=hadamard_eps,
+                min_pairwise_hellinger=float(h.min()), max_pairwise_hellinger=float(h.max()),
+                min_pairwise_tv=float(tv.min()), _probs=probs, _games={})
 
     @property
     def m(self) -> int:
@@ -113,13 +109,10 @@ class HypothesisFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HypothesisFamily":
-        if not isinstance(obj, dict) or "dists" not in obj:
-            raise ValidationError("family JSON must be an object with a 'dists' key")
-        return cls(
-            [Distribution(row) for row in obj["dists"]],
-            base=Distribution(obj["base"]) if "base" in obj else None,
-            hadamard_eps=obj.get("hadamard_eps"),
-        )
+        dists, base, eps = _read_json(obj, "family", dists="array", base="array or null",
+                                      hadamard_eps="number or null")
+        return cls([Distribution(row) for row in dists],
+                   base=None if base is None else Distribution(base), hadamard_eps=eps)
 
 
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -106,12 +106,11 @@ def _min_ratio(p: Distribution, q: Distribution) -> float:
 
 def _threshold_score(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq: np.ndarray,
                      levels: list[float], out_size: int):
-    """(preservation ratio, channel, thresholds) through `levels` padded to
+    """(preservation ratio, channel matrix, thresholds) through `levels` padded to
     D - 1 of them, given i_f = I_f(p, q) and the likelihood ratios and stack pq of (p, q)."""
     levels = np.array(_pad_levels(levels, out_size))
     labels = _ratio_labels(ratios, levels)
-    ratio = _ratio_of(i_f, _fdiv_sum(spec, *_push(labels, pq)))
-    return ratio, _trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels)
+    return _ratio_of(i_f, _fdiv_sum(spec, *_push(labels, pq))), labels, levels
 
 
 def _near_one_grid(
@@ -192,7 +191,7 @@ def design_fdiv_channel(
     pq = np.stack([pa, qa])
     scored = [_threshold_score(spec, i_f, ratios, pq, levels, out_size) + (case,)
               for levels, case in candidates]
-    ratio, channel, gamma, case = min(scored, key=lambda item: item[0])  # first of ties
+    ratio, labels, levels, case = min(scored, key=lambda item: item[0])  # first of ties
 
     k_support = int(np.count_nonzero(support))
     if math.isinf(i_f):
@@ -206,8 +205,8 @@ def design_fdiv_channel(
     f_edge = spec.evaluate(1.0 / (1.0 + spec.kappa))
     main = MAIN_TERM_COEFF * f_nu / f_edge if math.isfinite(f_nu) else math.inf
     bound = main + BLOWUP_COEFF * (spec.c2 / spec.c1) * max(1.0, r_value / out_size)
-    return QuantizeResult(channel=channel, gamma=gamma, ratio_achieved=ratio, bound=bound,
-                          case_taken=case, r_value=r_value)
+    return QuantizeResult(_trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels),
+                          ratio, bound, case, r_value)
 
 
 def design_hellinger_channel(
@@ -252,10 +251,10 @@ def brute_force_threshold_channel(
         for b in range(a + 1, n + 1):
             score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
-    ratio, channel, gamma = _threshold_score(spec, i_f, ratios, np.stack([p.probs, q.probs]),
+    ratio, labels, levels = _threshold_score(spec, i_f, ratios, np.stack([p.probs, q.probs]),
                                              [cuts[c - 1] for c in chosen], out_size)
-    return QuantizeResult(channel=channel, gamma=gamma, ratio_achieved=ratio, bound=math.inf,
-                          case_taken="oracle", r_value=math.nan)
+    return QuantizeResult(_trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels),
+                          ratio, math.inf, "oracle", math.nan)
 
 
 def hell_tight_instance(rho: float) -> tuple[Distribution, Distribution]:

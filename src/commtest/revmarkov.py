@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .core import NORMALIZE_TOL, _as_float_array
+from .core import Distribution, _Value, _as_float_array, _freeze, _read_json
 
 GUARANTEE_FACTOR = 1.0 / 13.0
 
 
-@dataclass(frozen=True)
-class DiscreteRV:
+@dataclass(frozen=True, eq=False)
+class DiscreteRV(_Value):
     """A discrete random variable on finitely many points of [0, beta)."""
 
     values: np.ndarray
@@ -32,7 +32,7 @@ class DiscreteRV:
 
     def __init__(self, values, masses, beta):
         values = _as_float_array(values, "values")
-        masses = _as_float_array(masses, "masses")
+        masses = Distribution(masses).probs  # a law on the values
         beta = float(beta)
         if values.size != masses.size:
             raise ValidationError("values and masses must have equal length")
@@ -42,17 +42,7 @@ class DiscreteRV:
             raise ValidationError("values must lie in [0, beta)")
         if np.any(np.diff(values) <= 0):
             raise ValidationError("values must be strictly increasing")
-        if np.any(masses < 0):
-            raise ValidationError("masses must be non-negative")
-        total = masses.sum()
-        if abs(total - 1.0) > NORMALIZE_TOL:
-            raise ValidationError(f"masses sum to {total!r}, not 1")
-        masses = masses / total
-        values.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "beta", beta)
+        _freeze(self, values=values, masses=masses, beta=beta)
 
     def mean(self) -> float:
         return float(self.values @ self.masses)
@@ -68,14 +58,11 @@ class DiscreteRV:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteRV":
-        try:
-            beta = obj["beta"]
-            atoms = obj["atoms"]
-        except (TypeError, KeyError) as exc:
-            raise ValidationError("rv JSON must have 'beta' and 'atoms'") from exc
-        atoms = sorted((float(v), float(m)) for v, m in atoms)
-        values = [v for v, _ in atoms]
-        masses = [m for _, m in atoms]
+        beta, atoms = _read_json(obj, "rv", beta="number", atoms="array")
+        atoms = _as_float_array(atoms, "atoms", ndim=2)
+        if atoms.shape[1] != 2:
+            raise ValidationError("rv atoms must be [value, mass] pairs")
+        values, masses = atoms[np.lexsort(atoms.T[::-1])].T  # by value, then by mass
         return cls(values, masses, beta)
 
 

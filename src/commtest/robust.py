@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     Channel,
     Distribution,
+    _freeze,
     apply_channel,
     hellinger_sq,
     likelihood_ratios,
@@ -49,9 +50,7 @@ class ContaminationSetup:
             raise InfeasibleContaminationError(
                 f"epsilon={epsilon} >= d_TV(p,q)/2 = {tv / 2.0}: balls meet"
             )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "epsilon", epsilon)
+        _freeze(self, p=p, q=q, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

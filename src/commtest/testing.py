@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Channel, Distribution, _check_channel_input, _check_same_alphabet, _push
+from .core import Channel, Distribution, _check_channel_input, _check_same_alphabet, _freeze, _push
 from .errors import DimensionError, NonConvergenceError, ValidationError
 
 DEFAULT_ERROR_BUDGET = 0.1
@@ -36,7 +36,7 @@ class TestRule:
         k = channels[0].in_size
         if any(c.in_size != k for c in channels):
             raise DimensionError("all channels must share the input alphabet")
-        object.__setattr__(self, "channels", channels)
+        _freeze(self, channels=channels)
 
     @property
     def identical(self) -> bool:

@@ -499,7 +499,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **kwargs) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SUITES[name](seed=seed, **kwargs)
+    return SUITES[name](seed=seed)

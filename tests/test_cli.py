@@ -124,6 +124,22 @@ class TestSimulate:
         assert code == EXIT_OK
         assert 1 <= json.loads(out)["n_hat"] <= 30
 
+    def test_search_designs_the_channel_once(self, capsys, monkeypatch):
+        import commtest.cli
+
+        designs = []
+
+        def counted(*args):
+            designs.append(args)
+            return design_hellinger_channel(*args)
+
+        design_hellinger_channel = commtest.cli.design_hellinger_channel
+        monkeypatch.setattr("commtest.cli.design_hellinger_channel", counted)
+        code, out, _ = run(capsys, "simulate", "--p", P, "--q", Q, "--search",
+                           "--trials", "2000")
+        assert code == EXIT_OK and json.loads(out)["n_hat"] > 2  # several probes
+        assert len(designs) == 1
+
     def test_scheffe_rule(self, capsys):
         code, out, _ = run(capsys, "simulate", "--p", P, "--q", Q, "--n", "10",
                            "--trials", "400", "--rule", "scheffe")
