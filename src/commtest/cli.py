@@ -17,47 +17,21 @@ import io
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import verify
-from .core import (
-    Channel,
-    Distribution,
-    apply_channel,
-    builtin_fdiv,
-    f_divergence,
-    hellinger_affinity,
-    hellinger_sq,
-    total_variation,
-)
 from .errors import CommtestError, StochasticFailureError, ValidationError
-from .mary import (
-    SQUEEZE_CONSTANT_LIMIT,
-    HypothesisFamily,
-    _jl_sketch,
-    counts_sampler,
-    hadamard_instance,
-    identical_channel_design,
-    min_pairwise_tv_after,
-    pairwise_indicator_reduction,
-    tournament_adaptive,
-    tournament_nonadaptive,
-    verify_identical_d2_bound,
-)
-from .quantizer import (
-    brute_force_threshold_channel,
-    design_fdiv_channel,
-    design_hellinger_channel,
-)
-from .robust import ContaminationSetup, design_robust_channel, huber_lfd
-from .testing import (
-    DEFAULT_ERROR_BUDGET,
-    TestRule,
-    empirical_sample_complexity,
-    scheffe_channel,
-    simulate_error,
-)
+
+if TYPE_CHECKING:
+    from .core import Distribution
+    from .mary import HypothesisFamily
+    from .testing import TestRule
+
+# Each handler imports only the modules it runs, so a call loads no more of
+# the package than it needs. The parser shows these two constants without
+# importing verify or testing; tests pin them to verify.SUITE_NAMES and
+# testing.DEFAULT_ERROR_BUDGET.
+_SUITE_NAMES = ("facts", "reverse-markov", "quantizer", "robust", "mary", "tightness")
+_DEFAULT_ERROR_BUDGET = 0.1
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -83,6 +57,7 @@ def _value_arg(cls, text: str):
 
 
 def _pq_args(args) -> tuple[Distribution, Distribution]:
+    from .core import Distribution
     return _value_arg(Distribution, args.p), _value_arg(Distribution, args.q)
 
 
@@ -122,6 +97,7 @@ def _emit_csv(rows: list[dict], args) -> None:
 
 
 def cmd_divergence(args) -> int:
+    from .core import builtin_fdiv, f_divergence, hellinger_affinity, hellinger_sq, total_variation
     p, q = _pq_args(args)
     spec = builtin_fdiv(args.spec)
     _emit(
@@ -138,6 +114,9 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    from .core import builtin_fdiv
+    from .quantizer import (brute_force_threshold_channel, design_fdiv_channel,
+                            design_hellinger_channel)
     p, q = _pq_args(args)
     if args.oracle:
         result = brute_force_threshold_channel(builtin_fdiv(args.spec), p, q, args.d)
@@ -154,6 +133,9 @@ def cmd_quantize(args) -> int:
 
 
 def _build_rule(args, p: Distribution, q: Distribution) -> TestRule:
+    from .core import Channel
+    from .quantizer import design_hellinger_channel
+    from .testing import TestRule, scheffe_channel
     if args.channel is not None:
         return TestRule([_value_arg(Channel, args.channel)])
     if args.rule == "scheffe":
@@ -162,6 +144,7 @@ def _build_rule(args, p: Distribution, q: Distribution) -> TestRule:
 
 
 def cmd_simulate(args) -> int:
+    from .testing import DEFAULT_ERROR_BUDGET, empirical_sample_complexity, simulate_error
     if args.channel is not None and args.rule is not None:
         raise ValidationError("--channel replaces --rule; drop --rule")
     if args.d is not None and (args.channel is not None or args.rule == "scheffe"):
@@ -199,6 +182,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_robust_lfd(args) -> int:
+    from .core import hellinger_sq
+    from .robust import ContaminationSetup, huber_lfd
     p, q = _pq_args(args)
     setup = ContaminationSetup(p, q, args.eps)
     lfd = huber_lfd(setup)
@@ -210,6 +195,7 @@ def cmd_robust_lfd(args) -> int:
 
 
 def cmd_robust_design(args) -> int:
+    from .robust import ContaminationSetup, design_robust_channel
     p, q = _pq_args(args)
     setup = ContaminationSetup(p, q, args.eps)
     lfd, design = design_robust_channel(setup, args.d)
@@ -220,6 +206,7 @@ def cmd_robust_design(args) -> int:
 
 
 def _family_from_args(args) -> HypothesisFamily:
+    from .mary import HypothesisFamily, hadamard_instance
     if args.family is not None:
         if args.m is not None or args.eps is not None:
             raise ValidationError("--family replaces --m and --eps; drop them")
@@ -230,6 +217,7 @@ def _family_from_args(args) -> HypothesisFamily:
 
 
 def cmd_mary_instance(args) -> int:
+    from .mary import hadamard_instance
     fam = hadamard_instance(args.m, args.eps)
     obj = fam.to_json()
     obj["min_pairwise_tv"] = fam.min_pairwise_tv
@@ -239,6 +227,8 @@ def cmd_mary_instance(args) -> int:
 
 
 def cmd_mary_identical(args) -> int:
+    from .mary import (_jl_sketch, identical_channel_design, min_pairwise_tv_after,
+                       pairwise_indicator_reduction)
     if args.design == "reduction":
         for flag in ("d", "seed"):
             if getattr(args, flag) is not None:
@@ -272,6 +262,7 @@ def cmd_mary_identical(args) -> int:
 
 
 def cmd_mary_tournament(args) -> int:
+    from .mary import counts_sampler, tournament_adaptive, tournament_nonadaptive
     fam = _family_from_args(args)
     if not (0 <= args.truth < fam.m):
         raise ValidationError(f"--truth must be in [0, {fam.m})")
@@ -300,6 +291,7 @@ def cmd_mary_tournament(args) -> int:
 
 
 def cmd_mary_verify(args) -> int:
+    from .mary import SQUEEZE_CONSTANT_LIMIT, verify_identical_d2_bound
     if args.seed is not None and args.samples == 0:
         raise ValidationError("--seed draws the sampled channels; drop --seed or add --samples")
     seed = args.seed or 0
@@ -313,6 +305,7 @@ def cmd_mary_verify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     results = verify.run_suite(args.suite, seed=args.seed)
     obj = {
         "suite": args.suite,
@@ -375,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--search", action="store_true",
                     help="binary-search the sample complexity instead")
     sp.add_argument("--budget", type=float,
-                    help=f"total error budget for --search (default {DEFAULT_ERROR_BUDGET})")
+                    help=f"total error budget for --search (default {_DEFAULT_ERROR_BUDGET})")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_io_args(sp)
     sp.set_defaults(func=cmd_simulate)
@@ -437,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     mv.set_defaults(func=cmd_mary_verify)
 
     sp = subs.add_parser("verify", help="run a built-in verification suite")
-    sp.add_argument("suite", choices=list(verify.SUITE_NAMES))
+    sp.add_argument("suite", choices=list(_SUITE_NAMES))
     sp.add_argument("--seed", type=int, default=0)
     _add_io_args(sp)
     sp.set_defaults(func=cmd_verify)

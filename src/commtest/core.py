@@ -51,6 +51,14 @@ def _as_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
+def _as_float(value, name: str) -> float:
+    """`float(value)`, raising ValidationError where that fails or overflows."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be a number") from exc
+
+
 def _freeze(obj, **values):
     """Set the fields of the frozen value `obj`, making its arrays read-only."""
     for name, value in values.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .core import Distribution, _Value, _as_float_array, _freeze, _read_json
+from .core import Distribution, _Value, _as_float, _as_float_array, _freeze, _read_json
 
 GUARANTEE_FACTOR = 1.0 / 13.0
 
@@ -33,7 +33,7 @@ class DiscreteRV(_Value):
     def __init__(self, values, masses, beta):
         values = _as_float_array(values, "values")
         masses = Distribution(masses).probs  # a law on the values
-        beta = float(beta)
+        beta = _as_float(beta, "beta")
         if values.size != masses.size:
             raise ValidationError("values and masses must have equal length")
         if not (beta > 0 and math.isfinite(beta)):

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     Channel,
     Distribution,
+    _as_float,
     _freeze,
     apply_channel,
     hellinger_sq,
@@ -42,8 +43,8 @@ class ContaminationSetup:
     epsilon: float
 
     def __init__(self, p: Distribution, q: Distribution, epsilon: float):
-        epsilon = float(epsilon)
-        if epsilon < 0:
+        epsilon = _as_float(epsilon, "epsilon")
+        if not epsilon >= 0:  # NaN included
             raise ValidationError("epsilon must be non-negative")
         tv = total_variation(p, q)
         if epsilon >= tv / 2.0:

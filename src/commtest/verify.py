@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .core import (
     Channel,
     Distribution,
     _fdiv_sum,
+    _freeze,
     _push,
     apply_channel,
     builtin_fdiv,
@@ -28,15 +30,18 @@ from .core import (
 )
 from .errors import DegenerateInputError, InfeasibleContaminationError, ValidationError
 
-SUITE_NAMES = ("facts", "reverse-markov", "quantizer", "robust", "mary", "tightness")
-
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; `detail` is a read-only copy, left out of the hash."""
+
     name: str
     passed: bool
     value: float
-    detail: dict = field(default_factory=dict)
+    detail: MappingProxyType = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        _freeze(self, detail=MappingProxyType(dict(self.detail)))
 
     def to_json(self) -> dict:
         def plain(v):
@@ -497,6 +502,7 @@ SUITES = {
     "mary": mary_suite,
     "tightness": tightness_suite,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import commtest
 from commtest.cli import (
     EXIT_GUARANTEE,
     EXIT_INVALID,
@@ -125,7 +127,7 @@ class TestSimulate:
         assert 1 <= json.loads(out)["n_hat"] <= 30
 
     def test_search_designs_the_channel_once(self, capsys, monkeypatch):
-        import commtest.cli
+        import commtest.quantizer
 
         designs = []
 
@@ -133,8 +135,8 @@ class TestSimulate:
             designs.append(args)
             return design_hellinger_channel(*args)
 
-        design_hellinger_channel = commtest.cli.design_hellinger_channel
-        monkeypatch.setattr("commtest.cli.design_hellinger_channel", counted)
+        design_hellinger_channel = commtest.quantizer.design_hellinger_channel
+        monkeypatch.setattr("commtest.quantizer.design_hellinger_channel", counted)
         code, out, _ = run(capsys, "simulate", "--p", P, "--q", Q, "--search",
                            "--trials", "2000")
         assert code == EXIT_OK and json.loads(out)["n_hat"] > 2  # several probes
@@ -219,7 +221,7 @@ class TestMary:
             raise StochasticFailureError("no sketch met the floor",
                                          best=None, best_score=0.0)
 
-        monkeypatch.setattr("commtest.cli._jl_sketch", always_fail)
+        monkeypatch.setattr("commtest.mary._jl_sketch", always_fail)
         code, out, _ = run(capsys, "mary", "identical", "--m", "4", "--eps", "0.4",
                            "--d", "3", "--design", "sketch", "--seed", "0")
         assert code == EXIT_STOCHASTIC
@@ -413,14 +415,16 @@ class TestUsage:
         assert "--format" in capsys.readouterr().out
 
     @staticmethod
-    def _after_import(expr):
-        """What `expr` prints in a fresh interpreter after `import commtest.cli`."""
-        code = f"import sys, commtest.cli; print({expr})"
+    def _after_import(expr, setup="import commtest.cli"):
+        """What `expr` prints, as its last line of output, in a fresh
+        interpreter after `setup` (by default `import commtest.cli`)."""
+        code = f"import sys\n{setup}\nprint({expr})"
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=60).stdout.strip()
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        return out.strip().splitlines()[-1]
 
     def test_import_loads_no_scipy(self):
         assert self._after_import(
@@ -429,3 +433,91 @@ class TestUsage:
     def test_import_loads_no_numpy_random(self):
         # commands that draw nothing should not pay for importing numpy.random
         assert self._after_import("'numpy.random' in sys.modules") == "False"
+
+    def test_import_loads_no_numpy_and_no_command_module(self):
+        assert self._after_import(
+            "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'commtest'))"
+        ) == str(["commtest", "commtest.cli", "commtest.errors"])
+
+    def test_package_import_loads_no_numpy(self):
+        assert self._after_import("'numpy' in sys.modules", setup="import commtest") == "False"
+
+    def test_package_loads_a_submodule_on_first_use(self):
+        assert self._after_import("commtest.mary.__name__, 'commtest.verify' in sys.modules",
+                                  setup="import commtest") == "commtest.mary False"
+
+    @pytest.mark.parametrize("argv", [
+        ["divergence", "--p", P, "--q", Q, "--spec", "sym_kl"],
+        ["quantize", "--p", "[0.5,0.3,0.2]", "--q", "[0.2,0.3,0.5]", "--d", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_call_loads_only_the_modules_it_runs(self, argv):
+        setup = f"from commtest.cli import main\nassert main({argv!r}) == 0"
+        assert self._after_import(
+            "[m for m in ('commtest.testing', 'commtest.robust', 'commtest.mary', "
+            "'commtest.verify') if m in sys.modules]", setup=setup) == "[]"
+
+    def test_parser_constants_match_their_modules(self):
+        from commtest import testing, verify
+        from commtest.cli import build_parser
+
+        assert self._after_import(
+            "[m for m in ('commtest.testing', 'commtest.verify') if m in sys.modules]",
+            setup="from commtest.cli import build_parser\nbuild_parser()") == "[]"
+        subs = build_parser()._subparsers._group_actions[0].choices
+        suite, = (a for a in subs["verify"]._actions if a.dest == "suite")
+        budget, = (a for a in subs["simulate"]._actions if a.dest == "budget")
+        assert suite.choices == list(verify.SUITE_NAMES)
+        assert budget.help.endswith(f"(default {testing.DEFAULT_ERROR_BUDGET})")
+
+
+# Every public name of the package, in the order of `commtest.__all__`.
+EXPORTS = [
+    "Channel", "Distribution", "FDivergenceSpec", "ThresholdSet", "apply_channel",
+    "builtin_fdiv", "f_divergence", "geometric_threshold_set", "hellinger_affinity",
+    "hellinger_sq", "likelihood_ratios", "sym_chi_spec", "threshold_channel", "total_variation",
+    "CommtestError", "DegenerateInputError", "DimensionError", "InfeasibleContaminationError",
+    "NonConvergenceError", "StochasticFailureError", "ValidationError",
+    "DiscreteRV", "ThresholdGrid", "brute_force_revmarkov", "guarantee", "reverse_markov_best",
+    "reverse_markov_geometric", "reverse_markov_top", "revmarkov_objective",
+    "tightness_instance",
+    "QuantizeResult", "brute_force_threshold_channel", "design_fdiv_channel",
+    "design_hellinger_channel", "fdiv_ratio", "hell_tight_instance",
+    "SimulationReport", "TestRule", "empirical_sample_complexity", "lrt_decide",
+    "scheffe_channel", "simulate_error",
+    "ContaminationSetup", "LfdPair", "design_robust_channel", "example_nonrobust_instance",
+    "example_phase_transition_instance", "huber_lfd", "moderate_robustness_radius",
+    "robust_decide",
+    "BinaryChannelBoundReport", "GameRecord", "HypothesisFamily", "TournamentTranscript",
+    "chi_square_inner", "counts_sampler", "game_sample_size", "hadamard_instance",
+    "identical_channel_design", "jl_sketch_channel", "l1_embedding_bound_check",
+    "min_pairwise_tv_after", "pairwise_indicator_reduction", "tournament_adaptive",
+    "tournament_nonadaptive", "verify_identical_d2_bound",
+]
+
+
+class TestPackageSurface:
+    def test_all_lists_every_export(self):
+        assert len(EXPORTS) == 66
+        assert commtest.__all__ == EXPORTS
+
+    @pytest.mark.parametrize("name", EXPORTS)
+    def test_export_is_its_defining_modules_object(self, name):
+        obj = getattr(commtest, name)
+        assert obj.__module__.startswith("commtest.") and obj.__name__ == name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+    def test_dir_lists_all_and_unknown_names_raise(self):
+        assert "__all__" in dir(commtest) and set(EXPORTS) <= set(dir(commtest))
+        with pytest.raises(AttributeError, match="nosuch"):
+            commtest.nosuch  # noqa: B018
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from commtest import *", namespace)
+        assert set(EXPORTS) <= set(namespace)
+
+    def test_submodules_import_from_the_package(self):
+        from commtest import mary, quantizer, verify
+
+        assert [m.__name__ for m in (quantizer, mary, verify)] == [
+            "commtest.quantizer", "commtest.mary", "commtest.verify"]

@@ -57,8 +57,8 @@ RESHAPED = {
 
 
 def _frozen_exports():
-    return sorted(name for name, obj in vars(ct).items()
-                  if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+    return sorted(name for name in ct.__all__
+                  if dataclasses.is_dataclass(obj := getattr(ct, name)) and isinstance(obj, type)
                   and obj.__dataclass_params__.frozen)
 
 
@@ -198,6 +198,7 @@ BAD_FROM_JSON = [
     (ct.DiscreteRV, {"beta": 1.0, "atoms": [[0.5, 1.0, 2.0]]}),
     (ct.DiscreteRV, {"beta": 1.0, "atoms": [[0.5], [0.25, 0.5]]}),
     (ct.DiscreteRV, {"beta": 1.0, "atoms": [[0.5, "x"]]}),
+    (ct.DiscreteRV, {"beta": 10 ** 400, "atoms": [[0.5, 1.0]]}),
     (ct.HypothesisFamily, []),
     (ct.HypothesisFamily, {"dists": 5}),
     (ct.HypothesisFamily, {"dists": [0.5, 0.5]}),
@@ -229,6 +230,31 @@ def test_malformed_json_raises_validation_error(cls, obj):
 ])
 def test_json_round_trips(cls, value):
     assert cls.from_json(value.to_json()) == value
+
+
+@pytest.mark.parametrize("build", [
+    lambda big: ct.DiscreteRV([0.5], [1.0], big),
+    lambda big: ct.ContaminationSetup(ct.Distribution(P), ct.Distribution(Q), big),
+], ids=["DiscreteRV", "ContaminationSetup"])
+@pytest.mark.parametrize("scalar", [10 ** 400, None, "x", math.nan],
+                         ids=["1e400", "None", "x", "nan"])
+def test_bad_scalars_raise_validation_error(build, scalar):
+    with pytest.raises(ct.ValidationError):
+        build(scalar)
+
+
+def test_check_results_are_read_only_and_hash_without_detail():
+    from commtest.verify import CheckResult
+
+    detail = {"x": 1}
+    result = CheckResult("c", True, 0.5, detail)
+    detail["x"] = 2  # the caller's dict stays the caller's
+    assert result.detail == {"x": 1}
+    with pytest.raises(TypeError):
+        result.detail["x"] = 3
+    assert hash(result) == hash(CheckResult("c", True, 0.5, {"y": 0}))
+    assert result == CheckResult("c", True, 0.5, {"x": 1}) != CheckResult("c", True, 0.5)
+    assert result.to_json() == {"name": "c", "passed": True, "value": 0.5, "detail": {"x": 1}}
 
 
 def test_hadamard_eps_must_lie_in_the_unit_interval():
