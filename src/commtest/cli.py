@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -439,6 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:  # else the host process owns numpy's thread pool
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # idle workers spin in a short call
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -282,6 +282,12 @@ def _ratio_labels(ratios: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return (np.arange(levels.size + 1)[:, None] == labels).astype(float)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for NaN-free a: same sort, same bytes, no numpy.ma import."""
+    s = np.sort(a, axis=None)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+
+
 def _check_same_alphabet(p: Distribution, q: Distribution) -> None:
     if p.k != q.k:
         raise DimensionError(f"alphabet mismatch: {p.k} vs {q.k}")

@@ -21,7 +21,6 @@ from .errors import (
     StochasticFailureError,
     ValidationError,
 )
-from .quantizer import design_hellinger_channel
 from .testing import llr_statistic, message_llr
 
 # Tournament per-game sample sizing m = ceil(C log(M^2/0.1) R / rho^2).
@@ -101,6 +100,7 @@ class HypothesisFamily:
         entries never go stale. Tournaments play i < j: one design per pair."""
         key = (i, j, out_size)
         if key not in self._games:
+            from .quantizer import design_hellinger_channel
             channel = design_hellinger_channel(
                 self.dists[min(i, j)], self.dists[max(i, j)], out_size
             ).channel

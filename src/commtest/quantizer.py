@@ -30,6 +30,7 @@ from .core import (
     _fdiv_term,
     _push,
     _ratio_labels,
+    _sorted_unique,
     _trusted,
     builtin_fdiv,
     f_divergence,
@@ -148,7 +149,7 @@ def _ratio_cuts(ratios: np.ndarray, support: np.ndarray) -> list[float]:
     the largest finite ratio when some ratio is infinite. No finite cut
     lies past the float maximum: a class there shares the top cell with the
     infinite class."""
-    finite = np.unique(ratios[support & np.isfinite(ratios)])
+    finite = _sorted_unique(ratios[support & np.isfinite(ratios)])
     cuts = [float(v) for v in finite[1:]]
     if np.any(np.isinf(ratios[support])):
         top = float(finite[-1])

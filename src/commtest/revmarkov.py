@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .core import Distribution, _Value, _as_float, _as_float_array, _freeze, _read_json
+from .core import (Distribution, _Value, _as_float, _as_float_array, _freeze, _read_json,
+                   _sorted_unique)
 
 GUARANTEE_FACTOR = 1.0 / 13.0
 
@@ -152,7 +153,7 @@ def reverse_markov_geometric(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
         raise ValidationError("out_size must be at least 2")
     # a positive mean implies an atom with positive value and positive mass
     positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
-    xs = np.unique(positive[:, None] / 2.0 ** np.arange(out_size))
+    xs = _sorted_unique(positive[:, None] / 2.0 ** np.arange(out_size))
     step = max(1, 2 ** 16 // out_size)  # chunks of at most 2^16 levels bound memory
     achieved, grid = max((_first_best_doubling(rv, xs[i:i + step], out_size)
                           for i in range(0, xs.size, step)), key=lambda best: best[0])

@@ -12,7 +12,7 @@ does not depend on the per-element split, so a proportional split is used).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .core import (
     total_variation,
 )
 from .errors import DegenerateInputError, InfeasibleContaminationError, ValidationError
-from .quantizer import QuantizeResult, design_hellinger_channel
-from .testing import TestRule, lrt_decide
+
+if TYPE_CHECKING:
+    from .quantizer import QuantizeResult
 
 # Default slack constant in the moderate-contamination radius 0.01 * d_h^2 / C.
 DEFAULT_RADIUS_SLACK = 10.0
@@ -134,6 +135,7 @@ def design_robust_channel(
     setup: ContaminationSetup, out_size: int
 ) -> tuple[LfdPair, QuantizeResult]:
     """LFD pair plus a Hellinger-preserving channel designed for it."""
+    from .quantizer import design_hellinger_channel
     lfd = huber_lfd(setup)
     design = design_hellinger_channel(lfd.p_lfd, lfd.q_lfd, out_size)
     return lfd, design
@@ -143,6 +145,7 @@ def robust_decide(
     channel: Channel, lfd: LfdPair, messages: Sequence[int]
 ) -> str:
     """LRT between the channel images of the LFD pair; ties go to P."""
+    from .testing import TestRule, lrt_decide
     rule = TestRule([channel])
     return lrt_decide(lfd.p_lfd, lfd.q_lfd, rule, messages)
 

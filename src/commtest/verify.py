@@ -20,6 +20,7 @@ from .core import (
     _fdiv_sum,
     _freeze,
     _push,
+    _sorted_unique,
     apply_channel,
     builtin_fdiv,
     f_divergence,
@@ -156,7 +157,7 @@ def facts_suite(seed: int = 0, pairs: int = 1000, k_max: int = 32,
 
 def _random_rv(rng: np.random.Generator, k_max: int = 12) -> revmarkov.DiscreteRV:
     k = int(rng.integers(1, k_max + 1))
-    vals = np.unique(rng.uniform(0.0, 1.0, k))
+    vals = _sorted_unique(rng.uniform(0.0, 1.0, k))
     masses = rng.dirichlet(np.ones(vals.size))
     return revmarkov.DiscreteRV(vals, masses, 1.0)
 

@@ -18,6 +18,19 @@ from commtest.cli import (
 
 P = '[0.8,0.2]'
 Q = '[0.2,0.8]'
+P3, Q3 = "[0.5,0.3,0.2]", "[0.2,0.3,0.5]"
+
+
+def child_env(blas_threads=None):
+    """os.environ for a fresh interpreter that imports commtest from
+    src, with OPENBLAS_NUM_THREADS unset or set to `blas_threads`."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
 
 
 def run(capsys, *argv):
@@ -415,16 +428,18 @@ class TestUsage:
         assert "--format" in capsys.readouterr().out
 
     @staticmethod
-    def _after_import(expr, setup="import commtest.cli"):
+    def _after_import(expr, setup="import commtest.cli", blas_threads=None):
         """What `expr` prints, as its last line of output, in a fresh
-        interpreter after `setup` (by default `import commtest.cli`)."""
+        interpreter after `setup` (by default `import commtest.cli`), with
+        OPENBLAS_NUM_THREADS unset or set to `blas_threads`."""
         code = f"import sys\n{setup}\nprint({expr})"
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(blas_threads),
+                             check=True, capture_output=True, text=True, timeout=60).stdout
         return out.strip().splitlines()[-1]
+
+    @staticmethod
+    def _call_setup(argv):
+        return f"from commtest.cli import main\nassert main({argv!r}) == 0"
 
     def test_import_loads_no_scipy(self):
         assert self._after_import(
@@ -446,15 +461,54 @@ class TestUsage:
         assert self._after_import("commtest.mary.__name__, 'commtest.verify' in sys.modules",
                                   setup="import commtest") == "commtest.mary False"
 
+    @pytest.mark.parametrize("argv, unused", [
+        (["divergence", "--p", P, "--q", Q, "--spec", "sym_kl"],
+         ["testing", "robust", "mary", "verify"]),
+        (["quantize", "--p", P3, "--q", Q3, "--d", "2"], ["testing", "robust", "mary", "verify"]),
+        (["mary", "instance", "--m", "4", "--eps", "0.4"], ["quantizer", "revmarkov", "verify"]),
+        (["robust-lfd", "--p", P, "--q", Q, "--eps", "0.05"],
+         ["quantizer", "revmarkov", "testing", "verify"]),
+    ], ids=["divergence", "quantize", "mary-instance", "robust-lfd"])
+    def test_a_call_loads_only_the_modules_it_runs(self, argv, unused):
+        modules = [f"commtest.{name}" for name in unused]
+        assert self._after_import(f"[m for m in {modules!r} if m in sys.modules]",
+                                  setup=self._call_setup(argv)) == "[]"
+
     @pytest.mark.parametrize("argv", [
-        ["divergence", "--p", P, "--q", Q, "--spec", "sym_kl"],
-        ["quantize", "--p", "[0.5,0.3,0.2]", "--q", "[0.2,0.3,0.5]", "--d", "2"],
-    ], ids=lambda argv: argv[0])
-    def test_a_call_loads_only_the_modules_it_runs(self, argv):
-        setup = f"from commtest.cli import main\nassert main({argv!r}) == 0"
-        assert self._after_import(
-            "[m for m in ('commtest.testing', 'commtest.robust', 'commtest.mary', "
-            "'commtest.verify') if m in sys.modules]", setup=setup) == "[]"
+        ["quantize", "--p", P3, "--q", Q3, "--d", "3"],
+        ["quantize", "--p", P3, "--q", Q3, "--d", "3", "--oracle"],
+        ["simulate", "--p", P3, "--q", Q3, "--d", "3", "--trials", "200"],
+        ["robust-design", "--p", P3, "--q", Q3, "--eps", "0.05", "--d", "3"],
+    ], ids=["quantize", "quantize-oracle", "simulate", "robust-design"])
+    def test_a_design_loads_no_numpy_ma(self, argv):
+        # np.unique imports numpy.ma on its first call; the designer avoids it
+        assert self._after_import("'numpy.ma' in sys.modules",
+                                  setup=self._call_setup(argv)) == "False"
+
+    @pytest.mark.parametrize("preset, seen", [(None, "'1'"), ("3", "'3'")])
+    def test_a_call_pins_one_blas_thread_unless_set(self, preset, seen):
+        argv = ["divergence", "--p", P, "--q", Q]
+        assert self._after_import("repr(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                                  setup=f"import os\n{self._call_setup(argv)}",
+                                  blas_threads=preset) == seen
+
+    def test_a_call_in_a_numpy_host_leaves_the_environment(self, capsys, monkeypatch):
+        import numpy  # noqa: F401  (a host that already loaded numpy)
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert run(capsys, "divergence", "--p", P, "--q", Q)[0] == EXIT_OK
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--p", P3, "--q", Q3, "--d", "3"],
+        ["verify", "robust", "--seed", "0"],
+    ], ids=["quantize", "verify-robust"])
+    def test_output_does_not_depend_on_blas_threads(self, argv):
+        outs = [subprocess.run([sys.executable, "-m", "commtest.cli", *argv],
+                               env=child_env(threads), check=True, capture_output=True,
+                               timeout=120).stdout for threads in (None, "2")]
+        assert outs[0] == outs[1] != b""
 
     def test_parser_constants_match_their_modules(self):
         from commtest import testing, verify

@@ -10,7 +10,8 @@ M-ary family statistics, output separations and round robin as one Python
 step per pair, per hypothesis and per game, the push through a channel one
 law at a time, and the simulator pushing its laws and building its LLR
 tables once per branch. The kernels must give the same floats, the same
-arrays and the same errors. The boundary tests check
+arrays and the same errors; `_sorted_unique` is checked against `np.unique`
+itself. The boundary tests check
 that every public constructor and entry point still rejects bad input.
 """
 
@@ -66,7 +67,7 @@ from commtest import (
     tournament_adaptive,
     tournament_nonadaptive,
 )
-from commtest.core import _fdiv_term, _push
+from commtest.core import _fdiv_term, _push, _sorted_unique
 from commtest.quantizer import QuantizeResult
 from commtest.revmarkov import ThresholdGrid, _best_cuts, _cell_sums
 from commtest.testing import llr_statistic, message_llr
@@ -873,6 +874,38 @@ class TestMaryMatchesPerPairLoops:
         events.clear()
         tr = tournament_adaptive(fam, 3, recording, seed=4, constant=0.05)
         assert events == [("draw", n), ("decide",)] * len(tr.games)
+
+
+# --------------------------------------------------------------------------
+# The numpy.ma-free sorted unique against np.unique
+
+UNIQUE_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.0 ** -1022])
+
+
+def random_unique_input(rng, i):
+    shape = (int(rng.integers(1, 40)),) if i % 2 else tuple(rng.integers(1, 9, 2))
+    kind = i % 4
+    if kind == 0:  # distinct floats
+        return rng.uniform(-1.0, 1.0, shape)
+    if kind == 1:  # exact ties
+        return rng.integers(-3, 4, shape) / 4.0
+    if kind == 2:  # signed zeros, infinities and subnormals among ties
+        return rng.choice(UNIQUE_SPECIALS, shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(UNIQUE_SPECIALS, shape),
+                    np.ldexp(rng.uniform(0.0, 1.0, shape), -rng.integers(0, 1075, shape)))
+
+
+class TestSortedUnique:
+    def test_matches_np_unique_bytes(self):
+        rng = np.random.default_rng(2718)
+        cases = [random_unique_input(rng, i) for i in range(400)]
+        cases += [np.empty(0), np.array([-0.0, 0.0]), np.array([0.0, -0.0]),
+                  np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([np.inf, np.inf, -np.inf])]
+        for i, a in enumerate(cases):
+            assert array_signature(_sorted_unique(a)) == array_signature(np.unique(a)), i
+        signed = [np.signbit(a[a == 0]) for a in cases if np.any(a == 0)]
+        assert sum(s.any() and not s.all() for s in signed) >= 50
+        assert sum(np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny)) for a in cases) >= 50
 
 
 # --------------------------------------------------------------------------

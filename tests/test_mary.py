@@ -26,7 +26,7 @@ from commtest import (
     tournament_nonadaptive,
     verify_identical_d2_bound,
 )
-from commtest import mary
+from commtest import mary, quantizer
 
 
 def random_family(rng, m, k):
@@ -246,13 +246,13 @@ class TestGameTable:
 
     def test_one_design_per_pair_and_out_size(self, monkeypatch):
         designs = []
-        real = mary.design_hellinger_channel
+        real = quantizer.design_hellinger_channel
 
         def counting(p, q, out_size):
             designs.append((p.probs.tobytes(), q.probs.tobytes(), out_size))
             return real(p, q, out_size)
 
-        monkeypatch.setattr(mary, "design_hellinger_channel", counting)
+        monkeypatch.setattr(quantizer, "design_hellinger_channel", counting)
         families = {}
         for m, eps, d, adaptive, truth, seed in tournament_plan() * 2:
             play(families.setdefault(m, hadamard_instance(m, eps)), d, adaptive, truth, seed)
