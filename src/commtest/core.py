@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import decision
 from .core import Channel, Distribution, _check_channel_input, _freeze, _push, _read_json, _trusted
 from .errors import (
     DegenerateInputError,
@@ -21,7 +22,6 @@ from .errors import (
     StochasticFailureError,
     ValidationError,
 )
-from .testing import llr_statistic, message_llr
 
 # Tournament per-game sample sizing m = ceil(C log(M^2/0.1) R / rho^2).
 DEFAULT_GAME_CONSTANT = 4.0
@@ -104,7 +104,8 @@ class HypothesisFamily:
             channel = design_hellinger_channel(
                 self.dists[min(i, j)], self.dists[max(i, j)], out_size
             ).channel
-            self._games[key] = (channel, message_llr(channel, self.dists[i], self.dists[j]))
+            llr = decision.message_llr(channel, self.dists[i], self.dists[j])
+            self._games[key] = (channel, llr)
         return self._games[key]
 
     @classmethod
@@ -347,12 +348,15 @@ def _play(
 ) -> np.ndarray:
     """Whether ii[g] beats jj[g], for every game g, on fresh samples: draws
     every game's samples first, one `sampler` call per game in game order,
-    then decides all games with one statistic call. Ties go to ii[g]."""
+    then decides all games with one statistic call. Ties go to ii[g]. A
+    knockout's single game takes the statistic's row path: a 0-d answer."""
     drawn = np.array([sampler(rng, n_samples) for _ in ii])
     tables = [family._game(i, j, out_size) for i, j in zip(ii, jj)]
     channels = np.array([channel.matrix for channel, _ in tables])
     counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
-    return llr_statistic([counts], [np.array([llr for _, llr in tables])]) >= 0
+    if len(tables) == 1:
+        return decision.llr_statistic([counts[0]], [tables[0][1]]) >= 0
+    return decision.llr_statistic([counts], [np.array([llr for _, llr in tables])]) >= 0
 
 
 def tournament_nonadaptive(
@@ -404,7 +408,7 @@ def tournament_adaptive(
     champion = 0
     for j in range(1, family.m):
         first = _play(family, [champion], [j], out_size, n_samples, sampler, rng)
-        winner = champion if first[0] else j
+        winner = champion if first else j
         games.append(GameRecord(i=champion, j=j, samples=n_samples, winner=winner))
         champion = winner
     return TournamentTranscript(

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import decision
 from .core import Channel, Distribution, _check_channel_input, _check_same_alphabet, _freeze, _push
 from .errors import DimensionError, NonConvergenceError, ValidationError
 
@@ -50,68 +51,6 @@ class TestRule:
         return self.channels[user % len(self.channels)]
 
 
-def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarray:
-    """Per-message log((Tp)_y / (Tq)_y): +inf or -inf where one image is 0,
-    and 0 for messages impossible under both."""
-    _check_channel_input(channel, p.k)
-    _check_channel_input(channel, q.k)
-    return _log_ratio(*_push(channel.matrix, np.stack([p.probs, q.probs])))
-
-
-def _log_ratio(tp: np.ndarray, tq: np.ndarray) -> np.ndarray:
-    """`message_llr` given the images tp = Tp and tq = Tq."""
-    neither = (tp == 0) & (tq == 0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.where(neither, 1.0, tp)) - np.log(np.where(neither, 1.0, tq))
-
-
-def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
-    """The referee's statistic: sum over channel groups g of counts[g] . llr[g],
-    with leading axes of counts[g] indexing trials; llr[g] is one table, or
-    one table per trial when it carries those axes too. An unsent message
-    adds 0 even where its LLR is infinite; a total of +inf + (-inf) is NaN
-    and counts as 0, a tie, which goes to P like every tie.
-
-    With trial axes and one table, each group's sum adds whole columns of
-    trials in the order numpy sums the rows of a C-contiguous
-    np.where(c > 0, c * lg, 0.0), so the floats are those of that row sum,
-    at a fraction of its cost."""
-    total = 0.0
-    with np.errstate(invalid="ignore"):  # 0 * inf, and +inf + -inf
-        for c, lg in zip(counts, llr):
-            if np.ndim(c) < 2 or np.ndim(lg) == np.ndim(c):
-                total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
-            else:
-                # c = 0 against a negative finite LLR gives -0.0 here, not
-                # +0.0: that can flip only the sign of a zero sum, and adding
-                # it to total, which starts at +0.0, makes every zero +0.0
-                terms = [col * v if math.isfinite(v) else np.where(col > 0, v, 0.0)
-                         for col, v in zip(np.moveaxis(c, -1, 0), lg, strict=True)]
-                total = total + _numpy_sum_order(terms)
-    return np.where(np.isnan(total), 0.0, total)
-
-
-def _numpy_sum_order(terms: list[np.ndarray]) -> np.ndarray:
-    """terms[0] + ... + terms[-1], elementwise, in the order of numpy's
-    pairwise `sum` along a contiguous axis (Higham 1993): fewer than 8 terms
-    left to right, up to 128 in 8 strided accumulators, longer runs split in
-    two at a multiple of 8 below the middle. Adds into the terms in place."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum_order(terms[:half]) + _numpy_sum_order(terms[half:])
-    if n < 8:
-        acc, tail = terms[0], terms[1:]
-    else:
-        r, tail = terms[:8], terms[n - n % 8:]
-        for i in range(8, n - n % 8):
-            r[i % 8] += terms[i]
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in tail:
-        acc += t
-    return acc
-
-
 def lrt_decide(
     p: Distribution, q: Distribution, rule: TestRule, messages: Sequence[int]
 ) -> str:
@@ -121,14 +60,18 @@ def lrt_decide(
     if msgs.ndim != 1 or (msgs.size and msgs.dtype.kind not in "iu"):
         raise ValidationError("messages must be a flat sequence of integers")
     msgs = msgs.astype(np.int64, copy=False)
-    sizes = np.resize([c.out_size for c in rule.channels], msgs.size)  # round robin
-    bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
-    if bad.size:
-        raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
     g = len(rule.channels)
-    counts = [np.bincount(msgs[i::g], minlength=c.out_size) for i, c in enumerate(rule.channels)]
-    llr = [message_llr(c, p, q) for c in rule.channels]
-    return "P" if llr_statistic(counts, llr) >= 0 else "Q"
+    groups = [(msgs[i::g], c) for i, c in enumerate(rule.channels)]  # round robin
+    if any(m.size and (m.min() < 0 or m.max() >= c.out_size) for m, c in groups):
+        sizes = np.resize([c.out_size for c in rule.channels], msgs.size)  # the first bad user
+        bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
+        raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
+    for dist in (p, q):
+        _check_channel_input(rule.channels[0], dist.k)
+    laws = np.stack([p.probs, q.probs])
+    counts = [np.bincount(m, minlength=c.out_size) for m, c in groups]
+    llr = [decision._log_ratio(*_push(c.matrix, laws)) for c in rule.channels]
+    return "P" if decision.llr_statistic(counts, llr) >= 0 else "Q"
 
 
 @dataclass(frozen=True)
@@ -158,7 +101,7 @@ def _simulate_branch(sizes: list[int], truths: list[np.ndarray], llr: list[np.nd
     sampling exactly (users are iid within a group)."""
     # a generator, so only one group's counts are held at a time
     counts = (rng.multinomial(n_g, t, size=trials) for n_g, t in zip(sizes, truths))
-    return llr_statistic(counts, llr)
+    return decision.llr_statistic(counts, llr)
 
 
 def simulate_error(
@@ -186,7 +129,7 @@ def simulate_error(
     groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
     sizes = [n_g for _, n_g in groups]
     images = [_push(c.matrix, stacked) for c, _ in groups]  # rows: Tp, Tq, then the samplers'
-    llr = [_log_ratio(tp, tq) for tp, tq, _, _ in images]
+    llr = [decision._log_ratio(tp, tq) for tp, tq, _, _ in images]
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
     stats_p = _simulate_branch(sizes, [im[2] for im in images], llr, trials, rngs[0])
     stats_q = _simulate_branch(sizes, [im[3] for im in images], llr, trials, rngs[1])
@@ -234,9 +177,9 @@ def empirical_sample_complexity(
     if accept(n):
         return n
     while True:
-        lo, n = n, n * 2
-        if n > n_max:
+        if n >= n_max:
             raise NonConvergenceError(f"no acceptable n found up to {n_max}")
+        lo, n = n, min(n * 2, n_max)  # n_max itself is the last probe
         if accept(n):
             break
     hi = n

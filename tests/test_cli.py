@@ -461,18 +461,27 @@ class TestUsage:
         assert self._after_import("commtest.mary.__name__, 'commtest.verify' in sys.modules",
                                   setup="import commtest") == "commtest.mary False"
 
-    @pytest.mark.parametrize("argv, unused", [
-        (["divergence", "--p", P, "--q", Q, "--spec", "sym_kl"],
-         ["testing", "robust", "mary", "verify"]),
-        (["quantize", "--p", P3, "--q", Q3, "--d", "2"], ["testing", "robust", "mary", "verify"]),
-        (["mary", "instance", "--m", "4", "--eps", "0.4"], ["quantizer", "revmarkov", "verify"]),
-        (["robust-lfd", "--p", P, "--q", Q, "--eps", "0.05"],
-         ["quantizer", "revmarkov", "testing", "verify"]),
-    ], ids=["divergence", "quantize", "mary-instance", "robust-lfd"])
-    def test_a_call_loads_only_the_modules_it_runs(self, argv, unused):
-        modules = [f"commtest.{name}" for name in unused]
-        assert self._after_import(f"[m for m in {modules!r} if m in sys.modules]",
-                                  setup=self._call_setup(argv)) == "[]"
+    @pytest.mark.parametrize("argv, used, unused", [
+        (["divergence", "--p", P, "--q", Q, "--spec", "sym_kl"], ["core"],
+         ["decision", "testing", "robust", "mary", "verify"]),
+        (["quantize", "--p", P3, "--q", Q3, "--d", "2"], ["quantizer"],
+         ["decision", "testing", "robust", "mary", "verify"]),
+        (["mary", "instance", "--m", "4", "--eps", "0.4"], ["mary", "decision"],
+         ["testing", "quantizer", "revmarkov", "verify"]),
+        (["mary", "tournament", "--m", "4", "--eps", "0.4", "--adaptive"], ["mary", "decision"],
+         ["testing", "robust", "verify"]),
+        (["robust-lfd", "--p", P, "--q", Q, "--eps", "0.05"], ["robust"],
+         ["decision", "quantizer", "revmarkov", "testing", "verify"]),
+        (["simulate", "--p", P3, "--q", Q3, "--d", "3", "--trials", "200"],
+         ["testing", "decision"], ["robust", "mary", "verify"]),
+    ], ids=["divergence", "quantize", "mary-instance", "mary-tournament", "robust-lfd",
+            "simulate"])
+    def test_a_call_loads_only_the_modules_it_runs(self, argv, used, unused):
+        used, unused = ([f"commtest.{name}" for name in names] for names in (used, unused))
+        assert self._after_import(
+            f"[m for m in {used!r} if m not in sys.modules], "
+            f"[m for m in {unused!r} if m in sys.modules]",
+            setup=self._call_setup(argv)) == "[] []"
 
     @pytest.mark.parametrize("argv", [
         ["quantize", "--p", P3, "--q", Q3, "--d", "3"],

@@ -7,9 +7,11 @@ reverse-Markov grids as they were written on the public, validating objects
 candidate, a `DiscreteRV` and a checked grid per objective, one `np.dot` per
 objective), the LLR statistic as one numpy row sum per channel group, the
 M-ary family statistics, output separations and round robin as one Python
-step per pair, per hypothesis and per game, the push through a channel one
-law at a time, and the simulator pushing its laws and building its LLR
-tables once per branch. The kernels must give the same floats, the same
+step per pair, per hypothesis and per game, the knockout deciding each game
+with that row sum, the push through a channel one law at a time, the
+simulator pushing its laws and building its LLR tables once per branch,
+and the referee scanning every user's range and building one validated LLR
+table per channel. The kernels must give the same floats, the same
 arrays and the same errors; `_sorted_unique` is checked against `np.unique`
 itself. The boundary tests check
 that every public constructor and entry point still rejects bad input.
@@ -40,6 +42,7 @@ from commtest import (
     brute_force_threshold_channel,
     builtin_fdiv,
     counts_sampler,
+    decision,
     design_fdiv_channel,
     design_hellinger_channel,
     design_robust_channel,
@@ -68,9 +71,9 @@ from commtest import (
     tournament_nonadaptive,
 )
 from commtest.core import _fdiv_term, _push, _sorted_unique
+from commtest.decision import llr_statistic, message_llr
 from commtest.quantizer import QuantizeResult
 from commtest.revmarkov import ThresholdGrid, _best_cuts, _cell_sums
-from commtest.testing import llr_statistic, message_llr
 
 SPECS = ("hellinger", "tv", "sym_kl", "triangular", "sym_chi_1", "sym_chi_1.5", "sym_chi_2")
 _EPS = float(np.finfo(float).eps)
@@ -516,10 +519,10 @@ class TestLlrStatistic:
 
 
 def checked_kernel(monkeypatch):
-    """Route testing's statistic through a check against the reference; a
+    """Route the leaf's statistic through a check against the reference; a
     run then gives the reference kernel's report exactly. Returns the list
     of checked calls."""
-    kernel, calls = testing.llr_statistic, []
+    kernel, calls = decision.llr_statistic, []
 
     def checked(counts, llr):
         counts, llr = list(counts), list(llr)
@@ -528,7 +531,7 @@ def checked_kernel(monkeypatch):
         calls.append(len(counts))
         return got
 
-    monkeypatch.setattr(testing, "llr_statistic", checked)
+    monkeypatch.setattr(decision, "llr_statistic", checked)
     return calls
 
 
@@ -682,6 +685,158 @@ class TestOnePushKernel:
 
 
 # --------------------------------------------------------------------------
+# The referee: a range check per channel group, one stack of p and q, and
+# the statistic's row path
+
+
+def ref_lrt_decide(p, q, rule, messages):
+    """The referee as it was written: a range scan over every user, then a
+    validated LLR table per channel and the reference row sum."""
+    msgs = np.asarray(messages)
+    if msgs.ndim != 1 or (msgs.size and msgs.dtype.kind not in "iu"):
+        raise ValidationError("messages must be a flat sequence of integers")
+    msgs = msgs.astype(np.int64, copy=False)
+    sizes = np.resize([c.out_size for c in rule.channels], msgs.size)
+    bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
+    if bad.size:
+        raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
+    for dist in (p, q):
+        if dist.k != rule.in_size:
+            raise DimensionError(
+                f"channel expects alphabet size {rule.in_size}, distribution has {dist.k}")
+    g = len(rule.channels)
+    counts = [np.bincount(msgs[i::g], minlength=c.out_size) for i, c in enumerate(rule.channels)]
+    llr = [ref_message_llr(c, p, q) for c in rule.channels]
+    return "P" if ref_llr_statistic(counts, llr) >= 0 else "Q"
+
+
+def verdict(decide, *args):
+    """The referee's decision, or the type and text of its error."""
+    try:
+        return decide(*args)
+    except ValidationError as exc:  # DimensionError included
+        return type(exc).__name__, str(exc)
+
+
+# Round robin over out sizes 5, 2 and 3 on five atoms: a message can be in
+# range for one user and out of range for the next.
+MIXED_RULE = TestRule([
+    Channel.identity(5),
+    Channel(np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]])),
+    Channel(np.array([[1.0, 0.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0, 0.5],
+                      [0.0, 0.0, 1.0, 1.0, 0.0]])),
+])
+P5, Q5 = Distribution([0.4, 0.0, 0.2, 0.2, 0.2]), Distribution([0.1, 0.3, 0.2, 0.0, 0.4])
+NOT_FLAT = ("ValidationError", "messages must be a flat sequence of integers")
+
+
+def out_of_range(message, user):
+    return "ValidationError", f"message {message} out of range for user {user}"
+
+
+REFEREE_CASES = [
+    ("in range for user 0, not user 1", [4, 4], out_of_range(4, 1)),
+    ("in range for user 1, not user 2", [0, 1, 3], out_of_range(3, 2)),
+    # group 1 (user 4) is bad too, but user 2 comes first
+    ("first bad user in a later group", [0, 0, 3, 0, 2, 0], out_of_range(3, 2)),
+    ("bad user after the wrap-around", [4, 1, 2, 5, 0, 0], out_of_range(5, 3)),
+    ("negative", [0, -1], out_of_range(-1, 1)),
+    ("negative for user 0", [-3, 0, 0], out_of_range(-3, 0)),
+    ("far out of range", [0, 0, 0, 10**12], out_of_range(10**12, 3)),
+    ("uint64 past int64", [2**63 + 5], out_of_range(5 - 2**63, 0)),
+    ("past uint64", [2**64], NOT_FLAT),
+    ("bool", [True, False], NOT_FLAT),
+    ("float", [0.0, 1.0], NOT_FLAT),
+    ("int and float", [0, 1.5], NOT_FLAT),
+    ("2-D", [[0, 1], [1, 0]], NOT_FLAT),
+    ("scalar", 3, NOT_FLAT),
+    ("empty", [], "P"),
+    ("one user, +inf", [3], "P"),
+    ("one user", [4], "Q"),
+    ("+inf meets -inf", [3, 0, 0, 1], "P"),
+    ("mixed sizes in range", [4, 1, 2, 2, 0, 1, 0, 1, 0], "P"),
+    ("mixed sizes in range, to Q", [4, 1, 1, 2, 0, 1], "Q"),
+]
+
+
+class TestRefereeMatchesFullScan:
+    @pytest.mark.parametrize("messages, want", [case[1:] for case in REFEREE_CASES],
+                             ids=[case[0] for case in REFEREE_CASES])
+    def test_range_and_type_checks(self, messages, want):
+        for given in (messages, np.asarray(messages)):
+            assert verdict(lrt_decide, P5, Q5, MIXED_RULE, given) == want
+            assert verdict(ref_lrt_decide, P5, Q5, MIXED_RULE, given) == want
+
+    def test_range_error_comes_before_the_alphabet_check(self):
+        p3 = Distribution([0.2, 0.3, 0.5])
+        for p, q, messages in ((p3, Q5, [0, 1]), (P5, p3, [0, 1]), (p3, p3, [])):
+            want = ("DimensionError", "channel expects alphabet size 5, distribution has 3")
+            assert verdict(lrt_decide, p, q, MIXED_RULE, messages) == want
+            assert verdict(lrt_decide, p, q, MIXED_RULE, messages + [9]) == \
+                verdict(ref_lrt_decide, p, q, MIXED_RULE, messages + [9]) == \
+                out_of_range(9, len(messages))
+
+    def test_decisions_match_reference_kernels(self):
+        """Rules of 1-4 groups with D 2-16, on both sides of the statistic's
+        8-term switch; zero masses give +-inf LLRs, and uniform messages
+        send the impossible ones."""
+        rng = np.random.default_rng(1717)
+        wide = narrow = infinite = ties = 0
+        seen = set()
+        for i in range(1500):
+            k = int(rng.integers(2, 25))
+            probs = rng.dirichlet(np.full(k, 0.7), size=2)
+            probs[rng.random((2, k)) < 0.2] = 0.0
+            probs[:, 0] += probs.sum(axis=1) == 0
+            p, q = (Distribution(row / row.sum()) for row in probs)
+            channels = []
+            for _ in range(1 + i % 4):
+                d = int(rng.integers(2, 17))
+                if rng.random() < 0.5:  # 0/1 threshold-like channel
+                    matrix = (np.arange(d)[:, None] == rng.integers(0, d, k)).astype(float)
+                else:
+                    matrix = rng.random((d, k)) * (rng.random((d, k)) < 0.6)
+                    matrix[0, matrix.sum(axis=0) == 0] = 1.0
+                    matrix = matrix / matrix.sum(axis=0)
+                channels.append(Channel(matrix))
+            rule = TestRule(channels)
+            n = int(rng.integers(0, 80))
+            truth = (p, q, None)[i % 3]
+            if truth is None:  # uniform messages, impossible ones included
+                sizes = np.resize([c.out_size for c in channels], n)
+                messages = (rng.random(n) * sizes).astype(int).tolist()
+            else:
+                images = [_push(c.matrix, truth.probs) for c in channels]
+                messages = [int(rng.choice(im.size, p=images[u % len(images)]))
+                            for u in range(n) for im in [images[u % len(images)]]]
+            want = ref_lrt_decide(p, q, rule, messages)
+            assert lrt_decide(p, q, rule, messages) == want, i
+            assert lrt_decide(p, q, rule, np.array(messages, dtype=int)) == want, i
+            seen.add(want)
+            wide += any(c.out_size >= 8 for c in channels)
+            narrow += any(c.out_size < 8 for c in channels)
+            tables = [ref_message_llr(c, p, q) for c in channels]
+            infinite += any(np.isinf(t).any() for t in tables)
+            ties += n > 0 and ref_llr_statistic(
+                [np.bincount(messages[g::len(channels)], minlength=c.out_size)
+                 for g, c in enumerate(channels)], tables) == 0
+        assert seen == {"P", "Q"}
+        assert min(wide, narrow) >= 300 and infinite >= 300 and ties >= 20
+
+    def test_robust_referee(self):
+        rng = np.random.default_rng(1718)
+        for i in range(60):
+            k = int(rng.integers(2, 12))
+            p, q = (Distribution(row) for row in rng.dirichlet(np.ones(k), size=2))
+            lfd = huber_lfd(ContaminationSetup(p, q, 0.1 * total_variation(p, q)))
+            out_size = int(rng.integers(2, 10))
+            channel = design_hellinger_channel(lfd.p_lfd, lfd.q_lfd, out_size).channel
+            messages = rng.integers(0, channel.out_size, int(rng.integers(1, 200))).tolist()
+            assert robust_decide(channel, lfd, messages) == \
+                ref_lrt_decide(lfd.p_lfd, lfd.q_lfd, TestRule([channel]), messages), i
+
+
+# --------------------------------------------------------------------------
 # M-ary layer: one step per pair, per hypothesis and per game
 
 
@@ -747,6 +902,26 @@ def ref_tournament_nonadaptive(family, out_size, sampler, seed, constant, design
             "total_samples": n_samples * len(games), "ambiguous": ambiguous}
 
 
+def ref_tournament_adaptive(family, out_size, sampler, seed, constant, designs):
+    """The knockout as a transcript dict, each game decided by the
+    reference statistic on its count vector and the reference LLR table."""
+    rng = np.random.default_rng(seed)
+    n_samples = game_sample_size(family, out_size, constant)
+    games, champion = [], 0
+    for j in range(1, family.m):
+        p, q = family.dists[champion], family.dists[j]
+        if (p, q, out_size) not in designs:
+            channel = design_hellinger_channel(p, q, out_size).channel
+            designs[p, q, out_size] = channel, ref_message_llr(channel, p, q)
+        channel, llr = designs[p, q, out_size]
+        counts = channel.matrix @ sampler(rng, n_samples)
+        winner = champion if ref_llr_statistic([counts], [llr]) >= 0 else j
+        games.append({"i": champion, "j": j, "samples": n_samples, "winner": winner})
+        champion = winner
+    return {"games": games, "winner": champion,
+            "total_samples": n_samples * len(games), "ambiguous": False}
+
+
 def random_family_dists(rng, i):
     """M in 2..16 hypotheses on k in 2..32 atoms with zero masses; every
     25th family repeats a hypothesis, which both paths must reject."""
@@ -774,6 +949,19 @@ def random_channels(rng, family, i):
     if family.k <= d:
         channels.append(Channel.identity(family.k, d))
     return channels
+
+
+def tournament_plans():
+    """(family, game constant): Hadamard families at constant 0.05, where
+    many games are near ties, and random families."""
+    rng = np.random.default_rng(1080)
+    plans = [(hadamard_instance(m, eps), 0.05) for m, eps in
+             ((2, 0.3), (3, 0.1), (5, 0.05), (7, 0.02), (9, 0.2), (15, 0.1))]
+    while len(plans) < 16:
+        dists = random_family_dists(rng, len(plans) + 1)
+        if outcome(ref_family_stats, dists)[0] != "raised":
+            plans.append((HypothesisFamily(dists), float(rng.choice([0.05, 1.0]))))
+    return plans
 
 
 def family_stats(dists):
@@ -825,15 +1013,8 @@ class TestMaryMatchesPerPairLoops:
     def test_round_robin_transcripts(self):
         """Hadamard families at game constant 0.05, where many games are
         near ties, and random families, at several out sizes and truths."""
-        rng = np.random.default_rng(1080)
-        plans = [(hadamard_instance(m, eps), 0.05) for m, eps in
-                 ((2, 0.3), (3, 0.1), (5, 0.05), (7, 0.02), (9, 0.2), (15, 0.1))]
-        while len(plans) < 16:
-            dists = random_family_dists(rng, len(plans) + 1)
-            if outcome(ref_family_stats, dists)[0] != "raised":
-                plans.append((HypothesisFamily(dists), float(rng.choice([0.05, 1.0]))))
         games, designs = 0, {}
-        for n, (fam, constant) in enumerate(plans):
+        for n, (fam, constant) in enumerate(tournament_plans()):
             for d in (2, 3, 5):
                 for seed in range(3):
                     sampler = counts_sampler(fam.dists[(seed * 5 + n) % fam.m])
@@ -843,6 +1024,21 @@ class TestMaryMatchesPerPairLoops:
                         transcript_signature(want), (n, d, seed)
                     games += len(got.games)
         assert games > 1000
+
+    def test_knockout_transcripts(self):
+        """Each knockout game, one count vector, takes the statistic's row
+        path; the plans of the round robin test."""
+        games, designs = 0, {}
+        for n, (fam, constant) in enumerate(tournament_plans()):
+            for d in (2, 3, 5, 9):
+                for seed in range(3):
+                    sampler = counts_sampler(fam.dists[(seed * 5 + n) % fam.m])
+                    got = tournament_adaptive(fam, d, sampler, seed=seed, constant=constant)
+                    want = ref_tournament_adaptive(fam, d, sampler, seed, constant, designs)
+                    assert transcript_signature(got.to_json()) == \
+                        transcript_signature(want), (n, d, seed)
+                    games += len(got.games)
+        assert games > 500
 
     def test_every_game_is_drawn_before_any_is_decided(self, monkeypatch):
         """The stream contract behind the batched round robin: one sampler
@@ -857,13 +1053,13 @@ class TestMaryMatchesPerPairLoops:
             drawn.append(draw(rng, n))
             return drawn[-1]
 
-        kernel = mary.llr_statistic
+        kernel = decision.llr_statistic
 
         def deciding(counts, llr):
             events.append(("decide",))
             return kernel(counts, llr)
 
-        monkeypatch.setattr(mary, "llr_statistic", deciding)
+        monkeypatch.setattr(decision, "llr_statistic", deciding)
         n = game_sample_size(fam, 3, 0.05)
         tr = tournament_nonadaptive(fam, 3, recording, seed=4, constant=0.05)
         assert events == [("draw", n)] * len(tr.games) + [("decide",)]

@@ -17,7 +17,8 @@ from commtest import (
     simulate_error,
     total_variation,
 )
-from commtest.testing import _group_sizes, llr_statistic, message_llr
+from commtest.decision import llr_statistic, message_llr
+from commtest.testing import _group_sizes
 
 # +inf on message 0, -inf on message 1, finite on messages 2 and 3.
 CONFLICT_P = Distribution([0.4, 0.0, 0.3, 0.3])
@@ -269,6 +270,28 @@ class TestSampleComplexity:
             empirical_sample_complexity(
                 lambda n: identity_rule(2), p, p, trials=100, seed=0, n_max=64
             )
+
+    def test_probes_n_max_once_doubling_passes_it(self):
+        # the doubling stops at 1024; 2048 is past n_max, so n_max is probed
+        p, q = Distribution([0.5, 0.5]), Distribution([0.45, 0.55])
+        probed = []
+
+        def search(n_max):
+            probed.clear()
+            return empirical_sample_complexity(lambda n: probed.append(n) or identity_rule(2),
+                                               p, q, trials=4000, seed=0, n_max=n_max)
+
+        assert search(1_000_000) == 1154
+        doubling = [2 ** i for i in range(11)]
+        # each n's estimate has its own seed, so bisecting (1024, 1154]
+        # meets an accepted n below the one that bisecting (1024, 2048] found
+        assert search(1154) == 1105 and probed[:12] == doubling + [1154]
+        with pytest.raises(NonConvergenceError, match="up to 1153"):
+            search(1153)
+        assert probed == doubling + [1153]
+        with pytest.raises(NonConvergenceError, match="up to 1024"):
+            search(1024)
+        assert probed == doubling  # n_max was the last doubling: no second probe
 
     def test_scaling_with_hellinger(self):
         # harder pair needs more samples
