@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import decision
-from .core import Channel, Distribution, _check_channel_input, _freeze, _push, _read_json, _trusted
+from .core import (Channel, Distribution, _check_channel_input, _check_same_alphabet, _freeze,
+                   _push, _read_json, _trusted)
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -30,9 +31,6 @@ JL_COLUMN_SCALE = 11.0        # Q1 = 11 * D'
 JL_NOISE_SCALE = 10.0         # Q2 = 10 * sqrt(log(k D'))
 DEFAULT_JL_ACCEPT = 0.02  # pilot-calibrated: single-draw success ~0.85
 DEFAULT_JL_RETRIES = 100
-# Largest constant M * sup_T min d_h(Tp_i, Tp_j) / max d_h(p_i, p_j) that the
-# binary-channel squeeze checks accept.
-SQUEEZE_CONSTANT_LIMIT = 3.0 * math.sqrt(2.0)
 
 # Draws n samples as counts over the alphabet. A tournament calls it once per
 # game, in game order, drawing every game's samples before it decides any
@@ -160,6 +158,8 @@ def hadamard_instance(m: int, eps: float) -> HypothesisFamily:
 
 def chi_square_inner(base: Distribution, a: Distribution, b: Distribution) -> float:
     """Centered inner product sum (a_i - u_i)(b_i - u_i) / u_i."""
+    _check_same_alphabet(base, a)
+    _check_same_alphabet(base, b)
     u = base.probs
     if np.any(u <= 0):
         raise ValidationError("base distribution must have full support")

@@ -165,8 +165,10 @@ def empirical_sample_complexity(
     budget: float = DEFAULT_ERROR_BUDGET,
     n_max: int = 1_000_000,
 ) -> int:
-    """Smallest n whose estimated total error (plus CI half-width) is within
-    `budget`, found by doubling then bisection. Deterministic given `seed`."""
+    """The n where doubling from 1, then bisection, stop: n meets `budget` (estimated
+    total error plus CI half-width) and n - 1 does not. Each n has its own Monte Carlo
+    seed, so acceptance need not be monotone: a smaller n may meet the budget too, and
+    the answer can move with `n_max`. Deterministic given `seed`."""
 
     def accept(n: int) -> bool:
         run_seed = int(np.random.SeedSequence((seed, n)).generate_state(1)[0])

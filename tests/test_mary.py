@@ -104,6 +104,17 @@ class TestHadamardInstance:
         with pytest.raises(ValidationError):
             chi_square_inner(base, d, d)
 
+    def test_chi_square_rejects_a_one_atom_hypothesis(self):
+        # numpy would broadcast the single atom against the base and return 0.0
+        fam = hadamard_instance(2, 0.4)
+        with pytest.raises(DimensionError):
+            chi_square_inner(fam.base, Distribution([1.0]), fam.dists[0])
+
+    def test_chi_square_rejects_a_hypothesis_on_another_alphabet(self):
+        fam = hadamard_instance(2, 0.4)
+        with pytest.raises(DimensionError):
+            chi_square_inner(fam.base, fam.dists[0], Distribution([0.5, 0.5]))
+
 
 class TestReduction:
     def test_pairwise_guarantee(self):
