@@ -44,11 +44,10 @@ _EXPORTS = {
     ),
     "mary": (
         "BinaryChannelBoundReport", "GameRecord", "HypothesisFamily",
-        "TournamentTranscript", "chi_square_inner", "counts_sampler",
+        "TournamentTranscript", "chi_square_budget", "chi_square_inner", "counts_sampler",
         "game_sample_size", "hadamard_instance", "identical_channel_design",
-        "jl_sketch_channel", "l1_embedding_bound_check", "min_pairwise_tv_after",
-        "pairwise_indicator_reduction", "tournament_adaptive", "tournament_nonadaptive",
-        "verify_identical_d2_bound",
+        "jl_sketch_channel", "min_pairwise_tv_after", "pairwise_indicator_reduction",
+        "tournament_adaptive", "tournament_nonadaptive", "verify_identical_d2_bound",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

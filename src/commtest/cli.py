@@ -337,18 +337,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hypothesis testing under communication constraints.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    pq = argparse.ArgumentParser(add_help=False)  # parent of the (p, q) commands
+    pq.add_argument("--p", required=True, help="JSON list / {'probs': ...} / @file")
+    pq.add_argument("--q", required=True, help="as --p")
+    family = argparse.ArgumentParser(add_help=False)  # parent of the family commands
+    family.add_argument("--family", help="family JSON / @file")
+    family.add_argument("--m", type=int)
+    family.add_argument("--eps", type=float)
 
-    sp = subs.add_parser("divergence", help="evaluate divergences between p and q")
-    sp.add_argument("--p", required=True, help="JSON list / {'probs': ...} / @file")
-    sp.add_argument("--q", required=True)
+    sp = subs.add_parser("divergence", parents=[pq],
+                         help="evaluate divergences between p and q")
     sp.add_argument("--spec", default="hellinger",
                     help="generator name (hellinger, tv, sym_kl, triangular, sym_chi_<s>)")
     _add_io_args(sp)
     sp.set_defaults(func=cmd_divergence)
 
-    sp = subs.add_parser("quantize", help="design a divergence-preserving channel")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
+    sp = subs.add_parser("quantize", parents=[pq], help="design a divergence-preserving channel")
     sp.add_argument("--d", type=int, required=True, help="number of channel outputs")
     sp.add_argument("--spec", default="hellinger")
     sp.add_argument("--oracle", action="store_true",
@@ -356,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(sp)
     sp.set_defaults(func=cmd_quantize)
 
-    sp = subs.add_parser("simulate", help="Monte Carlo error of the quantized LRT")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
+    sp = subs.add_parser("simulate", parents=[pq], help="Monte Carlo error of the quantized LRT")
     sp.add_argument("--n", help="sample size, or comma list for a curve (default 100)")
     sp.add_argument("--d", type=int, help="outputs of the designed channel (default 2)")
     sp.add_argument("--rule", choices=["designed", "scheffe"], help="(default designed)")
@@ -373,16 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(sp)
     sp.set_defaults(func=cmd_simulate)
 
-    sp = subs.add_parser("robust-lfd", help="least favorable pair for TV contamination")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
+    sp = subs.add_parser("robust-lfd", parents=[pq],
+                         help="least favorable pair for TV contamination")
     sp.add_argument("--eps", type=float, required=True)
     _add_io_args(sp)
     sp.set_defaults(func=cmd_robust_lfd)
 
-    sp = subs.add_parser("robust-design", help="LFD pair plus a channel designed for it")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
+    sp = subs.add_parser("robust-design", parents=[pq],
+                         help="LFD pair plus a channel designed for it")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--d", type=int, required=True)
     _add_io_args(sp)
@@ -397,20 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(mi)
     mi.set_defaults(func=cmd_mary_instance)
 
-    mc = msubs.add_parser("identical", help="design one channel shared by all users")
-    mc.add_argument("--family", help="family JSON / @file")
-    mc.add_argument("--m", type=int)
-    mc.add_argument("--eps", type=float)
+    mc = msubs.add_parser("identical", parents=[family],
+                          help="design one channel shared by all users")
     mc.add_argument("--d", type=int, help="number of outputs (best and sketch only)")
     mc.add_argument("--design", choices=["best", "sketch", "reduction"], default="best")
     mc.add_argument("--seed", type=int, help="(best and sketch only; default 0)")
     _add_io_args(mc)
     mc.set_defaults(func=cmd_mary_identical)
 
-    mt = msubs.add_parser("tournament", help="pairwise tournament identification")
-    mt.add_argument("--family", help="family JSON / @file")
-    mt.add_argument("--m", type=int)
-    mt.add_argument("--eps", type=float)
+    mt = msubs.add_parser("tournament", parents=[family],
+                          help="pairwise tournament identification")
     mt.add_argument("--d", type=int, default=2)
     mt.add_argument("--truth", type=int, default=0)
     mt.add_argument("--adaptive", action="store_true")
@@ -419,10 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(mt)
     mt.set_defaults(func=cmd_mary_tournament)
 
-    mv = msubs.add_parser("verify", help="certified binary-channel squeeze bound")
-    mv.add_argument("--family", help="family JSON / @file")
-    mv.add_argument("--m", type=int)
-    mv.add_argument("--eps", type=float)
+    mv = msubs.add_parser("verify", parents=[family],
+                          help="certified binary-channel squeeze bound")
     mv.add_argument("--samples", type=int, default=0,
                     help="random stochastic channels whose best score is the lower bound")
     mv.add_argument("--seed", type=int, help="seed of the --samples draw (default 0)")

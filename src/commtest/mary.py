@@ -474,15 +474,24 @@ def verify_identical_d2_bound(
     )
 
 
-def l1_embedding_bound_check(
-    family: HypothesisFamily, channel: Channel
-) -> tuple[bool, float]:
-    """Average TV to the base after any channel is at most eps sqrt(D/M):
-    returns (holds, slack = bound - average)."""
+def chi_square_budget(family: HypothesisFamily, channel: Channel) -> float:
+    """sum_i chi^2(T p_i || T b) / (eps^2 (D - 1)) for a D-output channel T,
+    at most 1 on a Hadamard family.
+
+    There g_i = (p_i - b) / b are orthogonal in L2(b), each of norm eps and
+    mean zero. Write t = T(y | .) for one output y, so 0 <= t <= 1. Then
+    T p_i(y) - T b(y) = <t - E_b t, g_i>_b, and Bessel's inequality gives
+    sum_i (T p_i(y) - T b(y))^2 <= eps^2 Var_b(t) <= eps^2 T b(y) (1 - T b(y)).
+    Dividing by T b(y) and summing over the D outputs gives eps^2 (D - 1).
+    An output unused under b adds 0. The sign channels [1{p_a > b},
+    1{p_a <= b}] meet the budget with equality.
+    """
     if family.base is None or family.hadamard_eps is None:
         raise ValidationError("family must carry its base distribution and eps")
     _check_channel_input(channel, family.k)
+    if channel.out_size < 2:
+        raise ValidationError("the budget needs a channel with at least two outputs")
     images = _push(channel.matrix, np.vstack([family.base.probs, family._probs]))
-    avg = float(np.mean(0.5 * np.abs(images[1:] - images[0]).sum(axis=1)))
-    bound = family.hadamard_eps * math.sqrt(channel.out_size) / math.sqrt(family.m)
-    return avg <= bound + 1e-12, bound - avg
+    used = images[0] > 0
+    chi2 = ((images[1:, used] - images[0, used]) ** 2 / images[0, used]).sum()
+    return float(chi2) / (family.hadamard_eps ** 2 * (channel.out_size - 1))

@@ -192,26 +192,10 @@ def tightness_suite(seed: int = 0,
         ident = max(abs(rv.masses.sum() - 1.0), abs(mean - r * k))
         results.append(CheckResult(f"identities_rho_{rho:g}", ident <= 1e-12, ident))
 
-        kprime = 1.0 + math.log2(1.0 / mean)
-        r_big = max(float(k), kprime)
-        worst2 = -math.inf  # part 2: brute / (4 E D / R) - 1, want <= 0
-        worst1 = -math.inf  # part 1 functional vs 200 E[X^2] D / R
-        x_vals = np.sqrt(rv.values)
-        ex2 = float((rv.values * rv.masses).sum())
-        per_delta = []
-        for dv in x_vals:
-            mask = x_vals >= dv - 1e-15
-            tail = rv.masses[mask].sum()
-            cond = float((x_vals[mask] * rv.masses[mask]).sum()) / tail
-            per_delta.append(tail * cond * cond)
-        per_delta = np.sort(np.asarray(per_delta))[::-1]
-        for d in range(2, max(2, int(0.1 * k)) + 1):
-            brute = revmarkov.brute_force_revmarkov(rv, d)
-            worst2 = max(worst2, brute.achieved / (4.0 * mean * d / r_big) - 1.0)
-            part1 = float(per_delta[: d - 1].sum())
-            worst1 = max(worst1, part1 / (200.0 * ex2 * d / r_big) - 1.0)
-        results.append(CheckResult(f"threshold_sum_ceiling_rho_{rho:g}", worst2 <= 0.0, worst2))
-        results.append(CheckResult(f"conditional_mean_ceiling_rho_{rho:g}", worst1 <= 0.0, worst1))
+        # At D = 2 the level 2^-j keeps mass r (2^(j+1) - 2): best at j = k, 2^-k.
+        exact = revmarkov.brute_force_revmarkov(rv, 2).achieved * 2.0 ** k - 1.0
+        results.append(CheckResult(f"threshold_sum_exact_rho_{rho:g}", abs(exact) <= 1e-12,
+                                   exact))
 
         # Preservation-loss trend: oracle ratio on the Hellinger-tight
         # pair at D=2, between 1 and the designer's; the per-rho constant
@@ -223,14 +207,12 @@ def tightness_suite(seed: int = 0,
         results.append(CheckResult(f"hell_sandwich_rho_{rho:g}", sandwich_ok, h2,
                                    {"lower": 0.02 * e_bound, "upper": e_bound}))
         oracle = quantizer.brute_force_threshold_channel(spec_h, p, q, 2)
-        designed = quantizer.design_hellinger_channel(p, q, 2).ratio_achieved
-        kq = 2 * k
-        kq_prime = max(1.0, math.log2(4.0 / h2))
-        r_over_d = min(float(kq), kq_prime) / 2.0
+        designed = quantizer.design_hellinger_channel(p, q, 2)
+        r_over_d = designed.r_value / 2.0
         oracle_ratios[rho] = oracle.ratio_achieved
         results.append(CheckResult(
             f"tight_ratio_rho_{rho:g}",
-            1.0 - 1e-12 <= oracle.ratio_achieved <= (1.0 + 1e-12) * designed,
+            1.0 - 1e-12 <= oracle.ratio_achieved <= (1.0 + 1e-12) * designed.ratio_achieved,
             oracle.ratio_achieved,
             {"measured_constant": oracle.ratio_achieved / r_over_d, "r_over_d": r_over_d},
         ))
@@ -411,7 +393,8 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
     results.append(CheckResult("hadamard_orthogonality", worst_o <= 1e-10, worst_o))
     worst_tv = min(total_variation(a, b)
                    for idx, a in enumerate(fam4.dists) for b in fam4.dists[idx + 1:])
-    results.append(CheckResult("hadamard_min_tv", worst_tv >= 0.01 * 0.4, worst_tv))
+    # Two Hadamard rows differ on exactly k/2 atoms, each by 2 eps / k: TV eps/2.
+    results.append(CheckResult("hadamard_min_tv", abs(worst_tv - 0.2) <= 1e-12, worst_tv))
 
     # JL sketch: single-draw success rate.
     succ = 0
@@ -424,17 +407,14 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
     results.append(CheckResult("jl_success_rate", succ >= 0.6 * jl_seeds, float(succ),
                                {"seeds": jl_seeds}))
 
-    # Average-TV embedding bound over random channels.
+    # Chi-square budget: random channels, then the sign channels, which meet it.
     fam8 = mary.hadamard_instance(8, 0.4)
-    worst_slack = math.inf
-    for _ in range(channel_checks):
-        d_out = int(rng.integers(2, 6))
-        ch = _random_channel(rng, fam8.k, d_out)
-        ok, slack = mary.l1_embedding_bound_check(fam8, ch)
-        worst_slack = min(worst_slack, slack)
-        if not ok:
-            break
-    results.append(CheckResult("l1_embedding_bound", worst_slack >= -1e-12, worst_slack))
+    channels = [_random_channel(rng, fam8.k, int(rng.integers(2, 6)))
+                for _ in range(channel_checks)]
+    u = fam8.base.probs
+    channels += [Channel(np.vstack([d.probs > u, d.probs <= u])) for d in fam8.dists]
+    worst_chi2 = max(mary.chi_square_budget(fam8, ch) for ch in channels)
+    results.append(CheckResult("chi_square_budget", worst_chi2 <= 1.0 + 1e-12, worst_chi2))
 
     # Binary-channel squeeze: sampled channels never beat the certified upper
     # bound (value: the largest lower / upper seen).

@@ -550,8 +550,8 @@ EXPORTS = [
     "example_phase_transition_instance", "huber_lfd", "moderate_robustness_radius",
     "robust_decide",
     "BinaryChannelBoundReport", "GameRecord", "HypothesisFamily", "TournamentTranscript",
-    "chi_square_inner", "counts_sampler", "game_sample_size", "hadamard_instance",
-    "identical_channel_design", "jl_sketch_channel", "l1_embedding_bound_check",
+    "chi_square_budget", "chi_square_inner", "counts_sampler", "game_sample_size",
+    "hadamard_instance", "identical_channel_design", "jl_sketch_channel",
     "min_pairwise_tv_after", "pairwise_indicator_reduction", "tournament_adaptive",
     "tournament_nonadaptive", "verify_identical_d2_bound",
 ]

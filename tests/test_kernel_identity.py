@@ -41,6 +41,7 @@ from commtest import (
     apply_channel,
     brute_force_threshold_channel,
     builtin_fdiv,
+    chi_square_budget,
     counts_sampler,
     decision,
     design_fdiv_channel,
@@ -52,7 +53,6 @@ from commtest import (
     hadamard_instance,
     hellinger_sq,
     huber_lfd,
-    l1_embedding_bound_check,
     likelihood_ratios,
     lrt_decide,
     mary,
@@ -869,12 +869,6 @@ def ref_pairwise_indicator_reduction(family):
     return Channel(out)
 
 
-def ref_l1_average(family, channel):
-    t_base = _push(channel.matrix, family.base.probs)
-    return float(np.mean([0.5 * np.abs(_push(channel.matrix, d.probs) - t_base).sum()
-                          for d in family.dists]))
-
-
 def ref_tournament_nonadaptive(family, out_size, sampler, seed, constant, designs):
     """The round robin as a transcript dict, one game at a time: draw,
     count and decide each game before the next one draws. `designs` keeps
@@ -1006,9 +1000,6 @@ class TestMaryMatchesPerPairLoops:
                 channel = Channel(matrix / matrix.sum(axis=0))
                 assert signature(min_pairwise_tv_after(channel, fam)) == \
                     signature(ref_min_pairwise_tv_after(channel, fam))
-                _, slack = l1_embedding_bound_check(fam, channel)
-                bound = eps * math.sqrt(d) / math.sqrt(m)
-                assert signature(slack) == signature(bound - ref_l1_average(fam, channel))
 
     def test_round_robin_transcripts(self):
         """Hadamard families at game constant 0.05, where many games are
@@ -1152,8 +1143,8 @@ BAD_INPUTS = [
      ValidationError),
     ("objective bad shape", lambda: revmarkov_objective(BETA_RV, [[0.2, 1.0]]), ValidationError),
     ("reverse_markov_best budget", lambda: reverse_markov_best(BETA_RV, 1), ValidationError),
-    ("l1 check size", lambda: l1_embedding_bound_check(hadamard_instance(3, 0.5),
-                                                       Channel.identity(2)), DimensionError),
+    ("chi-square budget size", lambda: chi_square_budget(hadamard_instance(3, 0.5),
+                                                         Channel.identity(2)), DimensionError),
     ("separation after size", lambda: min_pairwise_tv_after(Channel.identity(2),
                                                             hadamard_instance(3, 0.5)),
      DimensionError),

@@ -12,13 +12,13 @@ from commtest import (
     StochasticFailureError,
     ValidationError,
     apply_channel,
+    chi_square_budget,
     chi_square_inner,
     counts_sampler,
     game_sample_size,
     hadamard_instance,
     identical_channel_design,
     jl_sketch_channel,
-    l1_embedding_bound_check,
     min_pairwise_tv_after,
     pairwise_indicator_reduction,
     total_variation,
@@ -315,18 +315,55 @@ class TestVerifiers:
         rep = verify_identical_d2_bound(fam)
         assert rep.sup_min_hellinger == pytest.approx(fam.max_pairwise_hellinger, rel=1e-15)
 
-    def test_l1_embedding_bound(self):
+    def test_chi_square_budget_and_its_average_tv_corollary(self):
+        # Cauchy-Schwarz: TV(Tp_i, Tb) <= sqrt(chi^2_i) / 2, and the mean of
+        # the roots is at most the root of the mean, so the budget implies
+        # avg TV <= eps sqrt((D - 1) / M) / 2, below the eps sqrt(D / M) of
+        # the L1 embedding bound
         fam = hadamard_instance(8, 0.4)
         rng = np.random.default_rng(45)
-        for _ in range(20):
-            m = rng.random((3, fam.k)) + 1e-3
+        for d in (2, 3, 5) * 7:
+            m = rng.random((d, fam.k)) + 1e-3
             chan = Channel(m / m.sum(axis=0))
-            holds, slack = l1_embedding_bound_check(fam, chan)
-            assert holds and slack >= -1e-12
+            budget = chi_square_budget(fam, chan)
+            assert 0.0 < budget <= 1.0 + 1e-12
+            t_base = apply_channel(chan, fam.base)
+            avg_tv = np.mean([total_variation(apply_channel(chan, p), t_base)
+                              for p in fam.dists])
+            bound = 0.5 * 0.4 * math.sqrt((d - 1) / fam.m)
+            assert avg_tv <= bound * math.sqrt(budget) * (1 + 1e-12)
+            assert bound < 0.4 * math.sqrt(d / fam.m)
 
-    def test_l1_embedding_needs_base(self):
+    @pytest.mark.parametrize("m", [2, 7, 8, 31, 63])
+    @pytest.mark.parametrize("eps", [0.1, 0.4, 0.9])
+    def test_sign_channels_meet_the_chi_square_budget(self, m, eps):
+        fam = hadamard_instance(m, eps)
+        u = fam.base.probs
+        for p in fam.dists:
+            chan = Channel(np.vstack([p.probs > u, p.probs <= u]))
+            assert chi_square_budget(fam, chan) == pytest.approx(1.0, rel=0, abs=1.1e-14)
+
+    def test_chi_square_budget_of_the_identity_channel(self):
+        # chi^2(p_i || u) = eps^2 for every row, so the budget is M / (k - 1):
+        # met at M = k - 1
+        assert chi_square_budget(hadamard_instance(7, 0.3), Channel.identity(8)) == \
+            pytest.approx(1.0, rel=1e-14)
+        assert chi_square_budget(hadamard_instance(4, 0.3), Channel.identity(8)) == \
+            pytest.approx(4 / 7, rel=1e-14)
+
+    def test_chi_square_budget_skips_outputs_unused_under_the_base(self):
+        fam = hadamard_instance(3, 0.4)  # k = 4
+        half = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        with_idle = Channel(np.vstack([half, np.zeros(4)]))
+        # same chi^2 sum, spread over D - 1 = 2 instead of 1
+        assert chi_square_budget(fam, with_idle) == \
+            pytest.approx(chi_square_budget(fam, Channel(half)) / 2, rel=1e-15)
+
+    def test_chi_square_budget_validation(self):
         fam = HypothesisFamily(
             [Distribution([0.9, 0.1]), Distribution([0.1, 0.9])]
         )
-        with pytest.raises(ValidationError):
-            l1_embedding_bound_check(fam, Channel.identity(2))
+        with pytest.raises(ValidationError, match="base"):
+            chi_square_budget(fam, Channel.identity(2))
+        with pytest.raises(ValidationError, match="two outputs"):
+            chi_square_budget(hadamard_instance(3, 0.4), Channel(np.ones((1, 4))))
