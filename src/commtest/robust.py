@@ -102,15 +102,10 @@ def huber_lfd(setup: ContaminationSetup) -> LfdPair:
     """Least favorable pair for the TV balls: exact eps of mass moves in each
     distribution and the LFD likelihood ratio is the clipped original ratio."""
     eps = setup.epsilon
-    if eps == 0.0:
-        r = likelihood_ratios(setup.p, setup.q)
-        both = (setup.p.probs > 0) & (setup.q.probs > 0)
-        return LfdPair(
-            p_lfd=setup.p,
-            q_lfd=setup.q,
-            clip_low=float(r[both].min()),
-            clip_high=float(r[both].max()),
-        )
+    if eps == 0.0:  # no clip: the constants span the ratios of the joint support, 0 and inf too
+        r = likelihood_ratios(setup.p, setup.q)[(setup.p.probs > 0) | (setup.q.probs > 0)]
+        return LfdPair(p_lfd=setup.p, q_lfd=setup.q, clip_low=float(r.min()),
+                       clip_high=float(r.max()))
 
     # High region: p loses eps to q; low region, the mirror: q loses eps to p.
     high, share_hi, num_hi, den_hi = _clip_side(setup.p, setup.q, eps)

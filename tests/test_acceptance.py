@@ -49,15 +49,15 @@ def tightness_results():
 
 class TestDivergenceFacts:
     def test_facts_hold_at_1e10(self):
-        # sandwich / subadditivity / tensorization / data processing on 1000
-        # random pairs (k <= 32) plus generator constants on dense grids
+        # sandwich / tensorization / data processing on 1000 random pairs
+        # (k <= 32) plus generator constants on dense grids
         assert_all_passed(facts_suite(seed=0, pairs=1000, k_max=32))
 
 
 class TestReverseMarkovGuarantee:
     def test_floor_oracle_and_exactness(self):
         # 1/13 floor, oracle dominance, and oracle match when D-1 >= support,
-        # over 500 random variables at D in {2, 4, 8}
+        # over 500 random variables and ten flat ones at D in {2, 4, 8}
         assert_all_passed(reverse_markov_suite(seed=0, n_rvs=500))
 
 
@@ -70,8 +70,9 @@ class TestReverseMarkovTightness:
 
 class TestQuantizerCeilings:
     def test_ceilings_and_oracle_dominance(self):
-        # 1800-ceiling on 1000 pairs, oracle dominance on 500, and the
-        # general-generator ceiling for sym_kl / triangular
+        # 1800-ceiling and exactness where the ratio classes fit on 1000
+        # pairs, oracle dominance on 500, and the general-generator ceiling
+        # for sym_kl / triangular
         assert_all_passed(quantizer_suite(seed=0, pairs=1000, oracle_pairs=500))
 
 

@@ -201,6 +201,12 @@ class TestRobust:
         obj = json.loads(out)
         assert obj["p_lfd"]["probs"] == pytest.approx([0.7, 0.3], abs=1e-9)
 
+    def test_lfd_at_zero_radius_on_disjoint_supports(self, capsys):
+        code, out, _ = run(capsys, "robust-lfd", "--p", "[1,0]", "--q", "[0,1]", "--eps", "0")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert (obj["clip_low"], obj["clip_high"]) == (0.0, "inf")
+
     def test_lfd_infeasible(self, capsys):
         code, _, err = run(capsys, "robust-lfd", "--p", P, "--q", Q, "--eps", "0.5")
         assert code == EXIT_INVALID

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -60,6 +61,15 @@ class TestHuberLfd:
         assert lfd.p_lfd == p and lfd.q_lfd == q
         assert lfd.clip_low == pytest.approx(0.25)
         assert lfd.clip_high == pytest.approx(4.0)
+
+    def test_zero_radius_spans_the_joint_support(self):
+        # p/q is inf on the first atom and 0 on the last; a 0/0 atom is left out.
+        cases = [([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], (0.0, math.inf)),
+                 ([1.0, 0.0], [0.0, 1.0], (0.0, math.inf)),
+                 ([0.5, 0.5, 0.0], [0.25, 0.75, 0.0], (0.5 / 0.75, 2.0))]
+        for p, q, clips in cases:
+            lfd = huber_lfd(ContaminationSetup(Distribution(p), Distribution(q), 0.0))
+            assert (lfd.clip_low, lfd.clip_high) == clips
 
     def test_feasibility_and_clip_structure(self):
         rng = np.random.default_rng(31)
