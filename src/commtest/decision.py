@@ -1,10 +1,16 @@
 """The decision kernel shared by the simulator, the referee, the robust
 referee and the tournaments: per-message log-likelihood ratios (LLRs) and
-the LRT statistic on message counts. A leaf: it imports only `core`."""
+the LRT statistic on message counts. A leaf: it imports only `core`.
+
+`message_llr` memoizes its tables by the identity of (channel, p, q): a
+referee asked about many message vectors under one rule and pair builds
+each table once. The tables are read-only, and the memo is bounded: it
+keeps the latest `_MEMO_CAP` triples and drops the oldest first."""
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -12,12 +18,33 @@ import numpy as np
 from .core import Channel, Distribution, _check_channel_input, _push
 
 
+_MEMO_CAP = 64
+# (id(channel), id(p), id(q)) -> (channel, p, q, table), oldest first
+_memo: dict[tuple[int, int, int], tuple[Channel, Distribution, Distribution, np.ndarray]] = {}
+_memo_lock = threading.Lock()  # held by writers; a lookup is one dict.get
+
+
 def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarray:
     """Per-message log((Tp)_y / (Tq)_y): +inf or -inf where one image is 0,
-    and 0 for messages impossible under both."""
+    and 0 for messages impossible under both. Read-only, and memoized by
+    identity: a call with the same three objects as one of the last
+    `_MEMO_CAP` new triples returns that call's table. Channels and
+    distributions are frozen, so a table never goes stale; each entry holds
+    its three objects, and a hit needs all three to be them, so a recycled
+    id never hits."""
+    key = (id(channel), id(p), id(q))
+    entry = _memo.get(key)
+    if entry is not None and entry[0] is channel and entry[1] is p and entry[2] is q:
+        return entry[3]
     _check_channel_input(channel, p.k)
     _check_channel_input(channel, q.k)
-    return _log_ratio(*_push(channel.matrix, np.stack([p.probs, q.probs])))
+    table = _log_ratio(*_push(channel.matrix, np.stack([p.probs, q.probs])))
+    table.setflags(write=False)
+    with _memo_lock:
+        _memo[key] = (channel, p, q, table)
+        while len(_memo) > _MEMO_CAP:
+            del _memo[next(iter(_memo))]
+    return table
 
 
 def _log_ratio(tp: np.ndarray, tq: np.ndarray) -> np.ndarray:

@@ -55,22 +55,27 @@ def lrt_decide(
     p: Distribution, q: Distribution, rule: TestRule, messages: Sequence[int]
 ) -> str:
     """Decide "P" or "Q" from one message per user; ties go to P. Only the
-    message counts per channel matter, not the order of the users."""
+    message counts per channel matter, not the order of the users. The LLR
+    tables come from `decision.message_llr`, which keeps them per (channel,
+    p, q) object triple (read-only, a bounded memo), so repeated calls on
+    one rule and pair build them once."""
     msgs = np.asarray(messages)
     if msgs.ndim != 1 or (msgs.size and msgs.dtype.kind not in "iu"):
         raise ValidationError("messages must be a flat sequence of integers")
     msgs = msgs.astype(np.int64, copy=False)
-    g = len(rule.channels)
-    groups = [(msgs[i::g], c) for i, c in enumerate(rule.channels)]  # round robin
-    if any(m.size and (m.min() < 0 or m.max() >= c.out_size) for m, c in groups):
-        sizes = np.resize([c.out_size for c in rule.channels], msgs.size)  # the first bad user
+    sizes = [c.out_size for c in rule.channels]
+    g = len(sizes)
+    # one scan each way over all users, as the max bounds what bincount
+    # allocates; a group's count vector longer than its channel's outputs
+    # then holds a message out of range for that group
+    counts = []
+    if not msgs.size or (msgs.min() >= 0 and msgs.max() < max(sizes)):
+        counts = [np.bincount(msgs[i::g], minlength=d) for i, d in enumerate(sizes)]
+    if len(counts) < g or any(c.size > d for c, d in zip(counts, sizes)):
+        sizes = np.resize(sizes, msgs.size)  # round robin: the first bad user
         bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
         raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
-    for dist in (p, q):
-        _check_channel_input(rule.channels[0], dist.k)
-    laws = np.stack([p.probs, q.probs])
-    counts = [np.bincount(m, minlength=c.out_size) for m, c in groups]
-    llr = [decision._log_ratio(*_push(c.matrix, laws)) for c in rule.channels]
+    llr = [decision.message_llr(c, p, q) for c in rule.channels]
     return "P" if decision.llr_statistic(counts, llr) >= 0 else "Q"
 
 

@@ -34,7 +34,8 @@ from .errors import DegenerateInputError, InfeasibleContaminationError, Validati
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check's outcome; `detail` is a read-only copy, left out of the hash."""
+    """One check's outcome; `passed` is a Python bool, even from a numpy
+    comparison, and `detail` a read-only copy, left out of the hash."""
 
     name: str
     passed: bool
@@ -42,12 +43,12 @@ class CheckResult:
     detail: MappingProxyType = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        _freeze(self, detail=MappingProxyType(dict(self.detail)))
+        _freeze(self, passed=bool(self.passed), detail=MappingProxyType(dict(self.detail)))
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "value": float(self.value),
             "detail": dict(sorted(self.detail.items())),
         }

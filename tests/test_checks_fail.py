@@ -355,6 +355,15 @@ def suite_checks(suite):
     return checks
 
 
+def test_failed_generator_checks_hold_false_itself():
+    """The generator checks compare numpy floats; their results still hold
+    the bool False, not a numpy bool, when the fault flips them."""
+    with pytest.MonkeyPatch.context() as mp:
+        generator_read_at_one_plus_x(mp)
+        runs = suite_checks("facts")["generator_constants"]
+    assert len(runs) == 7 and all(r.passed is False for r in runs)
+
+
 def test_every_suite_has_a_fault_table():
     assert sorted(FAULT_TABLES) == sorted(verify.SUITES) == sorted(SIZES)
 

@@ -837,6 +837,78 @@ class TestRefereeMatchesFullScan:
 
 
 # --------------------------------------------------------------------------
+# The LLR memo: tables kept per (channel, p, q) object triple
+
+
+def random_llr_case(rng):
+    """(channel, p, q) on 2-12 atoms with D 2-8 and zero masses."""
+    k, d = int(rng.integers(2, 13)), int(rng.integers(2, 9))
+    probs = rng.dirichlet(np.full(k, 0.7), size=2)
+    probs[rng.random((2, k)) < 0.2] = 0.0
+    probs[:, 0] += probs.sum(axis=1) == 0
+    matrix = rng.random((d, k)) * (rng.random((d, k)) < 0.6)
+    matrix[0, matrix.sum(axis=0) == 0] = 1.0
+    return (Channel(matrix / matrix.sum(axis=0)),
+            *(Distribution(row / row.sum()) for row in probs))
+
+
+class TestMemoizedTables:
+    """`message_llr` keeps its tables per (channel, p, q) object triple."""
+
+    def test_repeated_referee_calls_match_reference(self):
+        """One rule and pair asked about many message vectors, as a referee
+        is: every call after the first takes its tables from the memo."""
+        rng = np.random.default_rng(1719)
+        p, q = (Distribution(row) for row in rng.dirichlet(np.ones(5), size=2))
+        lfd = huber_lfd(ContaminationSetup(p, q, 0.1 * total_variation(p, q)))
+        channel = design_hellinger_channel(lfd.p_lfd, lfd.q_lfd, 3).channel
+        robust_rule = TestRule([channel])
+        seen = set()
+        for i in range(300):
+            n = int(rng.integers(0, 60))
+            messages = (rng.random(n) * np.resize([5, 2, 3], n)).astype(int).tolist()
+            want = ref_lrt_decide(P5, Q5, MIXED_RULE, messages)
+            assert lrt_decide(P5, Q5, MIXED_RULE, messages) == want, i
+            robust = rng.integers(0, channel.out_size, int(rng.integers(1, 100))).tolist()
+            assert robust_decide(channel, lfd, robust) == \
+                ref_lrt_decide(lfd.p_lfd, lfd.q_lfd, robust_rule, robust), i
+            seen.add(want)
+        assert seen == {"P", "Q"}
+        for c in MIXED_RULE.channels:
+            assert message_llr(c, P5, Q5) is message_llr(c, P5, Q5)
+        assert message_llr(channel, lfd.p_lfd, lfd.q_lfd) is \
+            message_llr(channel, lfd.p_lfd, lfd.q_lfd)
+
+    def test_equal_content_in_new_objects(self):
+        """Fresh objects equal to earlier ones get tables with the
+        reference's bytes, while the earlier objects' entries are live."""
+        rng = np.random.default_rng(1720)
+        cases = [random_llr_case(rng) for _ in range(20)]
+        for _ in range(3):
+            for i, (channel, p, q) in enumerate(cases):
+                twins = (Channel(channel.matrix.copy()), Distribution(p.probs.copy()),
+                         Distribution(q.probs.copy()))
+                for c, a, b in ((channel, p, q), twins, (channel, q, p)):
+                    assert message_llr(c, a, b).tobytes() == ref_message_llr(c, a, b).tobytes(), i
+
+    def test_recycled_ids_never_hit(self):
+        """Triples made and dropped one after another, well past the cap:
+        CPython hands freed ids to new objects, and no new triple gets an
+        old table."""
+        rng = np.random.default_rng(1721)
+        seen, recycled = set(), 0
+        for i in range(5 * decision._MEMO_CAP):
+            channel, p, q = random_llr_case(rng)
+            ids = {id(channel), id(p), id(q)}
+            recycled += bool(ids & seen)
+            seen |= ids
+            assert message_llr(channel, p, q).tobytes() == \
+                ref_message_llr(channel, p, q).tobytes(), i
+            del channel, p, q
+        assert recycled >= decision._MEMO_CAP
+
+
+# --------------------------------------------------------------------------
 # M-ary layer: one step per pair, per hypothesis and per game
 
 

@@ -17,6 +17,7 @@ from commtest import (
     simulate_error,
     total_variation,
 )
+from commtest import decision
 from commtest.decision import llr_statistic, message_llr
 from commtest.testing import _group_sizes
 
@@ -143,6 +144,27 @@ class TestLlrKernel:
         both_zero = message_llr(Channel.identity(3), Distribution([1.0, 0.0, 0.0]),
                                 Distribution([0.0, 1.0, 0.0]))
         assert both_zero[2] == 0.0
+
+    def test_memoized_table_is_read_only(self):
+        channel = Channel.identity(3)
+        p, q = Distribution([0.5, 0.25, 0.25]), Distribution([0.25, 0.25, 0.5])
+        first = message_llr(channel, p, q)
+        assert message_llr(channel, p, q) is first  # the same objects hit
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert message_llr(channel, q, p) is not first
+
+    def test_memo_never_holds_more_than_its_cap(self):
+        p, q = Distribution([0.5, 0.5]), Distribution([0.25, 0.75])
+        channels = [Channel.identity(2) for _ in range(3 * decision._MEMO_CAP)]
+        for i, channel in enumerate(channels):
+            message_llr(channel, p, q)
+            assert len(decision._memo) <= decision._MEMO_CAP, i
+        # the oldest go first: the latest cap triples are all still there, in order
+        kept = [entry[0] for entry in decision._memo.values()]
+        assert len(kept) == decision._MEMO_CAP
+        assert all(a is b for a, b in zip(kept, channels[-decision._MEMO_CAP:]))
 
     def test_unsent_infinite_messages_add_nothing(self):
         llr = np.array([np.inf, -np.inf, 0.5])
