@@ -228,7 +228,7 @@ def cmd_mary_instance(args) -> int:
 
 
 def cmd_mary_identical(args) -> int:
-    from .mary import (_jl_sketch, identical_channel_design, min_pairwise_tv_after,
+    from .mary import (identical_channel_design, jl_sketch_channel, min_pairwise_tv_after,
                        pairwise_indicator_reduction)
     if args.design == "reduction":
         for flag in ("d", "seed"):
@@ -241,15 +241,14 @@ def cmd_mary_identical(args) -> int:
     fam = _family_from_args(args)
     if args.design == "best":
         channel, score = identical_channel_design(fam, args.d, seed=seed)
-    elif args.design == "reduction":
-        channel = pairwise_indicator_reduction(fam)
-        score = min_pairwise_tv_after(channel, fam)
-    else:  # sketch
+    else:
         try:
-            channel, score = _jl_sketch(fam, args.d, seed)
-        except StochasticFailureError as exc:
+            channel = (pairwise_indicator_reduction(fam) if args.design == "reduction"
+                       else jl_sketch_channel(fam, args.d, seed))
+        except StochasticFailureError as exc:  # sketch only
             _emit({"error": str(exc), "seed": seed, "best_score": exc.best_score}, args)
             return EXIT_STOCHASTIC
+        score = min_pairwise_tv_after(channel, fam)
     _emit(
         {
             "channel": channel.to_json(),

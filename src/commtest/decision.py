@@ -30,28 +30,24 @@ def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarra
     identity: a call with the same three objects as one of the last
     `_MEMO_CAP` new triples returns that call's table. Channels and
     distributions are frozen, so a table never goes stale; each entry holds
-    its three objects, and a hit needs all three to be them, so a recycled
-    id never hits."""
+    strong references to its three objects, so their ids cannot be recycled
+    while it lives, and a hit is always on the same three objects."""
     key = (id(channel), id(p), id(q))
     entry = _memo.get(key)
-    if entry is not None and entry[0] is channel and entry[1] is p and entry[2] is q:
+    if entry is not None:
         return entry[3]
     _check_channel_input(channel, p.k)
     _check_channel_input(channel, q.k)
-    table = _log_ratio(*_push(channel.matrix, np.stack([p.probs, q.probs])))
+    tp, tq = _push(channel.matrix, np.stack([p.probs, q.probs]))
+    neither = (tp == 0) & (tq == 0)
+    with np.errstate(divide="ignore"):
+        table = np.log(np.where(neither, 1.0, tp)) - np.log(np.where(neither, 1.0, tq))
     table.setflags(write=False)
     with _memo_lock:
         _memo[key] = (channel, p, q, table)
         while len(_memo) > _MEMO_CAP:
             del _memo[next(iter(_memo))]
     return table
-
-
-def _log_ratio(tp: np.ndarray, tq: np.ndarray) -> np.ndarray:
-    """`message_llr` given the images tp = Tp and tq = Tq."""
-    neither = (tp == 0) & (tq == 0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.where(neither, 1.0, tp)) - np.log(np.where(neither, 1.0, tq))
 
 
 def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:

@@ -305,15 +305,7 @@ class TournamentTranscript:
     ambiguous: bool  # non-adaptive only: no unique undefeated hypothesis
 
     def to_json(self) -> dict:
-        return {
-            "games": [
-                {"i": g.i, "j": g.j, "samples": g.samples, "winner": g.winner}
-                for g in self.games
-            ],
-            "winner": self.winner,
-            "total_samples": self.total_samples,
-            "ambiguous": self.ambiguous,
-        }
+        return {**asdict(self), "games": [asdict(g) for g in self.games]}
 
 
 def counts_sampler(dist: Distribution) -> Sampler:

@@ -127,17 +127,17 @@ def simulate_error(
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
-    laws = (p, q, p if p_sampler is None else p_sampler, q if q_sampler is None else q_sampler)
-    for dist in laws:
-        _check_channel_input(rule.channels[0], dist.k)
-    stacked = np.stack([dist.probs for dist in laws])
     groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
     sizes = [n_g for _, n_g in groups]
-    images = [_push(c.matrix, stacked) for c, _ in groups]  # rows: Tp, Tq, then the samplers'
-    llr = [decision._log_ratio(tp, tq) for tp, tq, _, _ in images]
+    llr = [decision.message_llr(c, p, q) for c, _ in groups]
+    samplers = (p if p_sampler is None else p_sampler, q if q_sampler is None else q_sampler)
+    for dist in samplers:
+        _check_channel_input(rule.channels[0], dist.k)
+    stacked = np.stack([dist.probs for dist in samplers])
+    images = [_push(c.matrix, stacked) for c, _ in groups]  # rows: the P and Q samplers'
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
-    stats_p = _simulate_branch(sizes, [im[2] for im in images], llr, trials, rngs[0])
-    stats_q = _simulate_branch(sizes, [im[3] for im in images], llr, trials, rngs[1])
+    stats_p = _simulate_branch(sizes, [im[0] for im in images], llr, trials, rngs[0])
+    stats_q = _simulate_branch(sizes, [im[1] for im in images], llr, trials, rngs[1])
     err_p = float(np.count_nonzero(stats_p < 0)) / trials
     err_q = float(np.count_nonzero(stats_q >= 0)) / trials
     var = err_p * (1 - err_p) / trials + err_q * (1 - err_q) / trials

@@ -275,7 +275,7 @@ def quantizer_suite(seed: int = 0, pairs: int = 1000,
         spec = builtin_fdiv(name)
         worst = 0.0
         done = 0
-        while done < 200:
+        while done < pairs // 5:
             k = int(rng.integers(2, 17))
             a = rng.dirichlet(np.ones(k)) + 0.01
             b = rng.dirichlet(np.ones(k)) + 0.01

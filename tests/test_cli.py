@@ -240,7 +240,7 @@ class TestMary:
             raise StochasticFailureError("no sketch met the floor",
                                          best=None, best_score=0.0)
 
-        monkeypatch.setattr("commtest.mary._jl_sketch", always_fail)
+        monkeypatch.setattr("commtest.mary.jl_sketch_channel", always_fail)
         code, out, _ = run(capsys, "mary", "identical", "--m", "4", "--eps", "0.4",
                            "--d", "3", "--design", "sketch", "--seed", "0")
         assert code == EXIT_STOCHASTIC

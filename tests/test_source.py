@@ -1,5 +1,6 @@
 """Static checks over the package source: every imported name is read, and
-the decision kernel stays a leaf of the import graph."""
+the decision kernel stays a leaf of the import graph that no other module
+reaches into."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,15 @@ def imported_names(tree):
     return names
 
 
+def from_module(node):
+    """The module an `ast.ImportFrom` reads from, a relative one as "commtest...";
+    the package sources sit one level deep, so any level is the package."""
+    base = node.module or ""
+    if node.level:
+        base = "commtest" + (f".{base}" if base else "")
+    return base
+
+
 def package_imports(tree):
     """The package modules `tree` imports, as "commtest.<module>", however the
     import is spelled: relative or absolute, `from . import x` or `from .x`."""
@@ -36,14 +46,33 @@ def package_imports(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                base = "commtest" + (f".{base}" if base else "")
+            base = from_module(node)
             if base == "commtest":
                 found.update(f"commtest.{alias.name}" for alias in node.names)
             else:
                 found.add(base)
     return {name for name in found if name.split(".")[0] == "commtest"}
+
+
+def private_reads(tree, module):
+    """The `_`-prefixed names of `module` ("commtest.<name>") that `tree`
+    reads: imported from it, or read off a name bound to it, however the
+    import is spelled."""
+    bound, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == module)
+        elif isinstance(node, ast.ImportFrom):
+            base = from_module(node)
+            for alias in node.names:
+                if base == module and alias.name.startswith("_"):
+                    reads.add(alias.name)
+                elif f"{base}.{alias.name}" == module:
+                    bound.add(alias.asname or alias.name)
+    reads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr.startswith("_") and ast.unparse(node.value) in bound)
+    return reads
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
@@ -65,3 +94,17 @@ def test_package_imports_reads_every_spelling():
                      "from commtest import robust\nfrom commtest.verify import y\nimport numpy\n")
     assert package_imports(tree) == {f"commtest.{name}" for name in
                                      ("core", "errors", "mary", "testing", "robust", "verify")}
+
+
+def test_no_module_reads_a_private_name_of_decision():
+    """The kernel's tables and statistic are reached through its public names."""
+    reads = {path.stem: private_reads(parse(path), "commtest.decision")
+             for path in MODULES if path.stem != "decision"}
+    assert {stem: names for stem, names in reads.items() if names} == {}
+
+
+def test_private_reads_reads_every_spelling():
+    tree = ast.parse("from . import decision\nfrom commtest import decision as d\n"
+                     "import commtest.decision\nfrom .decision import _a, b\nimport numpy as np\n"
+                     "decision._b\nd._c\ncommtest.decision._d\ndecision.e\nnp._f\n")
+    assert private_reads(tree, "commtest.decision") == {"_a", "_b", "_c", "_d"}

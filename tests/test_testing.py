@@ -5,17 +5,23 @@ import pytest
 
 from commtest import (
     Channel,
+    ContaminationSetup,
     Distribution,
     NonConvergenceError,
     TestRule,
     ValidationError,
     apply_channel,
+    counts_sampler,
     empirical_sample_complexity,
+    hadamard_instance,
     hellinger_sq,
+    huber_lfd,
     lrt_decide,
+    robust_decide,
     scheffe_channel,
     simulate_error,
     total_variation,
+    tournament_adaptive,
 )
 from commtest import decision
 from commtest.decision import llr_statistic, message_llr
@@ -180,6 +186,27 @@ class TestLlrKernel:
         llr = np.array([np.inf, -np.inf, -1.0])
         counts = np.array([[1, 0, 2], [0, 0, 2], [1, 1, 0], [0, 2, 0]])
         assert llr_statistic([counts], [llr]).tolist() == [np.inf, -2.0, 0.0, -np.inf]
+
+
+def test_every_referee_reads_its_tables_from_message_llr(monkeypatch):
+    """With `message_llr` swapping p and q, the simulator, the referee, the
+    robust referee and a knockout game all change: each builds no table of
+    its own."""
+    p, q = Distribution([0.7, 0.3]), Distribution([0.3, 0.7])
+    lfd = huber_lfd(ContaminationSetup(p, q, 0.05))
+
+    def outcomes():
+        rep = simulate_error(identity_rule(2), p, q, 5, trials=500, seed=3)
+        fam = hadamard_instance(4, 0.4)  # a fresh family: no game tables kept
+        knockout = tournament_adaptive(fam, 3, counts_sampler(fam.dists[2]), seed=0)
+        return (rep.error_p, rep.error_q, lrt_decide(p, q, identity_rule(2), [0, 0, 1]),
+                robust_decide(Channel.identity(2), lfd, [0, 0, 1]), knockout.games[0].winner)
+
+    exact = outcomes()
+    table = decision.message_llr
+    monkeypatch.setattr(decision, "message_llr", lambda channel, a, b: table(channel, b, a))
+    swapped = outcomes()
+    assert [a != b for a, b in zip(exact, swapped)] == [True] * 5, (exact, swapped)
 
 
 class TestScheffe:
