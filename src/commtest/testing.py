@@ -9,6 +9,7 @@ the message vector under the two hypotheses. Ties go to P.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +21,7 @@ from .errors import DimensionError, NonConvergenceError, ValidationError
 
 DEFAULT_ERROR_BUDGET = 0.1
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_INT64_MAX = 2**63 - 1  # numpy's draws take n and trials as int64
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,38 @@ def lrt_decide(
     p: Distribution, q: Distribution, rule: TestRule, messages: Sequence[int]
 ) -> str:
     """Decide "P" or "Q" from one message per user; ties go to P. Only the
-    message counts per channel matter, not the order of the users. The LLR
-    tables come from `decision.message_llr`, which keeps them per (channel,
-    p, q) object triple (read-only, a bounded memo), so repeated calls on
-    one rule and pair build them once."""
-    msgs = np.asarray(messages)
-    if msgs.ndim != 1 or (msgs.size and msgs.dtype.kind not in "iu"):
-        raise ValidationError("messages must be a flat sequence of integers")
-    msgs = msgs.astype(np.int64, copy=False)
+    message counts per channel matter, not the order of the users.
+
+    `messages` holds one integer code per user: a list, tuple or 1-D array
+    of ints or numpy integers. A list or tuple whose entries all give 0..255
+    through `__index__` is read as bytes; anything else goes through
+    `np.asarray`, which rejects all-bool input, floats, nesting, `str` and
+    `bytes`. The LLR tables come from `decision.message_llr`, which keeps
+    them per (channel, p, q) object triple (read-only, a bounded memo), so
+    repeated calls on one rule and pair build them once."""
+    msgs = None
+    # bytearray takes only integers in 0..255, through __index__, which
+    # numpy's bool scalars lack; a list led by a Python bool is left to
+    # numpy, which rejects it only when every entry is a bool
+    if type(messages) in (list, tuple) and not (messages and type(messages[0]) is bool):
+        try:
+            msgs = np.frombuffer(bytearray(messages), np.uint8)
+        except (TypeError, ValueError):
+            pass  # np.asarray decides, with its own error text
+    if msgs is None:
+        msgs = np.asarray(messages)
+        if msgs.ndim != 1 or (msgs.size and msgs.dtype.kind not in "iu"):
+            raise ValidationError("messages must be a flat sequence of integers")
+        msgs = msgs.astype(np.int64, copy=False)
     sizes = [c.out_size for c in rule.channels]
     g = len(sizes)
-    # one scan each way over all users, as the max bounds what bincount
-    # allocates; a group's count vector longer than its channel's outputs
-    # then holds a message out of range for that group
+    # bincount allocates as many entries as the largest message: at most 256
+    # for bytes, and an int64 array is scanned both ways first to bound it.
+    # A group's count vector longer than its channel's outputs then holds a
+    # message out of range for that group
     counts = []
-    if not msgs.size or (msgs.min() >= 0 and msgs.max() < max(sizes)):
+    if msgs.dtype == np.uint8 or not msgs.size or (
+            msgs.min() >= 0 and msgs.max() < max(sizes)):
         counts = [np.bincount(msgs[i::g], minlength=d) for i, d in enumerate(sizes)]
     if len(counts) < g or any(c.size > d for c, d in zip(counts, sizes)):
         sizes = np.resize(sizes, msgs.size)  # round robin: the first bad user
@@ -125,8 +144,7 @@ def simulate_error(
     and a Q-branch (sampling from `q_sampler`, default q; wrong = decide P)
     and sums the two error frequencies.
     """
-    if n < 1 or trials < 1:
-        raise ValidationError("n and trials must be positive")
+    n, trials, seed = _count("n", n), _count("trials", trials), _count("seed", seed, 0, False)
     groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
     sizes = [n_g for _, n_g in groups]
     llr = [decision.message_llr(c, p, q) for c, _ in groups]
@@ -152,6 +170,22 @@ def simulate_error(
     )
 
 
+def _count(name: str, value, least: int = 1, bounded: bool = True) -> int:
+    """`value` as a Python int of at least `least`, and at most 2**63 - 1 if
+    `bounded`; a bool is not a count."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValidationError(f"{name} must be at least {least}, got {count}")
+    if bounded and count > _INT64_MAX:
+        raise ValidationError(f"{name} must be at most 2**63 - 1, got {count}")
+    return count
+
+
 def scheffe_channel(p: Distribution, q: Distribution) -> Channel:
     """Binary indicator of the set A = {x : p(x) >= q(x)}; output 0 reports
     membership in A, so it preserves total variation exactly."""
@@ -174,6 +208,8 @@ def empirical_sample_complexity(
     total error plus CI half-width) and n - 1 does not. Each n has its own Monte Carlo
     seed, so acceptance need not be monotone: a smaller n may meet the budget too, and
     the answer can move with `n_max`. Deterministic given `seed`."""
+    trials, n_max = _count("trials", trials), _count("n_max", n_max)
+    seed = _count("seed", seed, 0, False)
 
     def accept(n: int) -> bool:
         run_seed = int(np.random.SeedSequence((seed, n)).generate_state(1)[0])

@@ -118,6 +118,17 @@ class TestSimulate:
         obj = json.loads(out)
         assert obj["n"] == 10 and obj["seed"] == 3
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", "-1"), "error: seed must be at least 0, got -1\n"),
+        (("--seed", "-1", "--search"), "error: seed must be at least 0, got -1\n"),
+        (("--n", "0"), "error: n must be at least 1, got 0\n"),
+        (("--n", str(10**19)), "error: n must be at most 2**63 - 1, got 10000000000000000000\n"),
+        (("--trials", "0"), "error: trials must be at least 1, got 0\n"),
+    ], ids=["seed -1", "search seed -1", "n 0", "n 10**19", "trials 0"])
+    def test_invalid_sizes_and_seed(self, capsys, flags, message):
+        code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, *flags)
+        assert (code, out, err) == (EXIT_INVALID, "", message)
+
     def test_byte_identical_reruns(self, capsys):
         args = ("simulate", "--p", P, "--q", Q, "--n", "5,10",
                 "--trials", "400", "--seed", "11")

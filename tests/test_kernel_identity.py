@@ -756,6 +756,36 @@ REFEREE_CASES = [
     ("+inf meets -inf", [3, 0, 0, 1], "P"),
     ("mixed sizes in range", [4, 1, 2, 2, 0, 1, 0, 1, 0], "P"),
     ("mixed sizes in range, to Q", [4, 1, 1, 2, 0, 1], "Q"),
+    # lists and tuples of codes 0..255 are read as bytes; the rest goes
+    # through np.asarray, so each row here is decided the same either way
+    ("tuple", (4, 1, 1, 2, 0, 1), "Q"),
+    ("numpy int64 entries", [np.int64(m) for m in (4, 1, 1, 2, 0, 1)], "Q"),
+    ("numpy bool entries", [np.True_, np.False_], NOT_FLAT),
+    ("numpy float entries", [np.float64(0.0), np.float64(1.0)], NOT_FLAT),
+    ("bool then int", [True, 3], out_of_range(3, 1)),
+    ("int then bool", [3, True], "P"),
+    ("bytes", b"\x04\x01", NOT_FLAT),
+    ("str", "41", NOT_FLAT),
+    # a bytearray is a buffer of uint8 to np.asarray, so it is decided
+    ("bytearray", bytearray(b"\x04\x01\x01\x02\x00\x01"), "Q"),
+    ("255 for a two-output user", [0, 255], out_of_range(255, 1)),
+    ("256 on small channels", [256], out_of_range(256, 0)),
+]
+
+
+# Codes either side of the byte boundary: a 300-output channel sends even
+# codes from atom 0 and odd ones from atom 1, round robin with a binary one.
+WIDE_MATRIX = np.zeros((300, 2))
+WIDE_MATRIX[0::2, 0] = WIDE_MATRIX[1::2, 1] = 1 / 150
+WIDE_RULE = TestRule([Channel(WIDE_MATRIX), Channel.identity(2)])
+P2, Q2 = Distribution([0.9, 0.1]), Distribution([0.1, 0.9])
+
+WIDE_REFEREE_CASES = [
+    ("255 on a 300-output channel", [255], "Q"),
+    ("256 on a 300-output channel", [256], "P"),
+    ("255 and 256 on a 300-output channel", [256, 0, 255, 1, 256], "P"),
+    ("255 for a binary user", [254, 255], out_of_range(255, 1)),
+    ("300 on a 300-output channel", [299, 0, 300], out_of_range(300, 2)),
 ]
 
 
@@ -766,6 +796,13 @@ class TestRefereeMatchesFullScan:
         for given in (messages, np.asarray(messages)):
             assert verdict(lrt_decide, P5, Q5, MIXED_RULE, given) == want
             assert verdict(ref_lrt_decide, P5, Q5, MIXED_RULE, given) == want
+
+    @pytest.mark.parametrize("messages, want", [case[1:] for case in WIDE_REFEREE_CASES],
+                             ids=[case[0] for case in WIDE_REFEREE_CASES])
+    def test_codes_past_a_byte(self, messages, want):
+        for given in (messages, tuple(messages), np.asarray(messages)):
+            assert verdict(lrt_decide, P2, Q2, WIDE_RULE, given) == want
+            assert verdict(ref_lrt_decide, P2, Q2, WIDE_RULE, given) == want
 
     def test_range_error_comes_before_the_alphabet_check(self):
         p3 = Distribution([0.2, 0.3, 0.5])
@@ -779,11 +816,14 @@ class TestRefereeMatchesFullScan:
     def test_decisions_match_reference_kernels(self):
         """Rules of 1-4 groups with D 2-16, on both sides of the statistic's
         8-term switch; zero masses give +-inf LLRs, and uniform messages
-        send the impossible ones."""
+        send the impossible ones. The last 300 rules give each channel D
+        257-320 with even odds, so codes fall either side of the byte
+        boundary."""
         rng = np.random.default_rng(1717)
         wide = narrow = infinite = ties = 0
+        past_a_byte = within_a_byte = 0
         seen = set()
-        for i in range(1500):
+        for i in range(1800):
             k = int(rng.integers(2, 25))
             probs = rng.dirichlet(np.full(k, 0.7), size=2)
             probs[rng.random((2, k)) < 0.2] = 0.0
@@ -792,6 +832,8 @@ class TestRefereeMatchesFullScan:
             channels = []
             for _ in range(1 + i % 4):
                 d = int(rng.integers(2, 17))
+                if i >= 1500 and rng.random() < 0.5:
+                    d = int(rng.integers(257, 321))
                 if rng.random() < 0.5:  # 0/1 threshold-like channel
                     matrix = (np.arange(d)[:, None] == rng.integers(0, d, k)).astype(float)
                 else:
@@ -811,7 +853,11 @@ class TestRefereeMatchesFullScan:
                             for u in range(n) for im in [images[u % len(images)]]]
             want = ref_lrt_decide(p, q, rule, messages)
             assert lrt_decide(p, q, rule, messages) == want, i
+            assert lrt_decide(p, q, rule, tuple(messages)) == want, i
             assert lrt_decide(p, q, rule, np.array(messages, dtype=int)) == want, i
+            if any(c.out_size > 256 for c in channels):
+                past_a_byte += max(messages, default=0) > 255
+                within_a_byte += max(messages, default=0) <= 255
             seen.add(want)
             wide += any(c.out_size >= 8 for c in channels)
             narrow += any(c.out_size < 8 for c in channels)
@@ -822,6 +868,7 @@ class TestRefereeMatchesFullScan:
                  for g, c in enumerate(channels)], tables) == 0
         assert seen == {"P", "Q"}
         assert min(wide, narrow) >= 300 and infinite >= 300 and ties >= 20
+        assert min(past_a_byte, within_a_byte) >= 50
 
     def test_robust_referee(self):
         rng = np.random.default_rng(1718)

@@ -140,6 +140,52 @@ class TestLrtDecide:
             simulate_error(identity_rule(5), p, q, 6, trials=300, seed=1,
                            p_sampler=Distribution([0.2] * 5))
 
+    def test_codes_through_index_are_read_as_bytes(self):
+        class Code:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        p, q = Distribution([0.9, 0.1]), Distribution([0.1, 0.9])
+        assert lrt_decide(p, q, identity_rule(2), [Code(1), Code(1), 0]) == "Q"
+        assert lrt_decide(p, q, identity_rule(2), (Code(0),)) == "P"
+        with pytest.raises(ValidationError, match="^messages must be a flat"):
+            lrt_decide(p, q, identity_rule(2), [Code(256)])  # past a byte: to numpy
+
+
+def test_referees_read_a_list_of_codes_without_numpy_conversion(monkeypatch):
+    """A list or tuple of codes 0..255 never reaches `np.asarray`: `lrt_decide`
+    and `robust_decide` read it as bytes, while an array still goes through it."""
+    from commtest import testing
+
+    rng = np.random.default_rng(23)
+    p, q = (Distribution(row) for row in rng.dirichlet(np.ones(6), size=2))
+    rule = TestRule([Channel(rng.dirichlet(np.ones(d), size=6).T) for d in (2, 4, 8)])
+    lfd = huber_lfd(ContaminationSetup(p, q, 0.05))
+    robust = Channel(rng.dirichlet(np.ones(4), size=6).T)
+    msgs = (rng.random(999) * np.resize([2, 4, 8], 999)).astype(int).tolist()
+    robust_msgs = rng.integers(0, 4, 500).tolist()
+    want = [lrt_decide(p, q, rule, np.array(msgs)),
+            robust_decide(robust, lfd, np.array(robust_msgs))]
+    converted = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, *args, **kwargs):
+            converted.append(args[0])
+            return np.asarray(*args, **kwargs)
+
+    monkeypatch.setattr(testing, "np", Spy())
+    for given, robust_given in ((msgs, robust_msgs), (tuple(msgs), tuple(robust_msgs))):
+        assert [lrt_decide(p, q, rule, given), robust_decide(robust, lfd, robust_given)] == want
+    assert converted == []
+    assert lrt_decide(p, q, rule, np.array(msgs)) == want[0]
+    assert len(converted) == 1  # the spy sees the array path
+
 
 class TestLlrKernel:
     def test_message_llr(self):
@@ -232,6 +278,22 @@ class TestScheffe:
         assert tp.probs == pytest.approx([0.52, 0.48])
 
 
+SIMULATE_ARG_CASES = [
+    ({"n": 10.5}, "n must be an integer, got 10.5"),
+    ({"n": True}, "n must be an integer, got True"),
+    ({"n": 0}, "n must be at least 1, got 0"),
+    ({"n": 10**19}, "n must be at most 2**63 - 1, got 10000000000000000000"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": False}, "trials must be an integer, got False"),
+    ({"trials": -3}, "trials must be at least 1, got -3"),
+    ({"trials": 2**63}, "trials must be at most 2**63 - 1, got 9223372036854775808"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": [1, 2]}, "seed must be an integer, got [1, 2]"),
+]
+
+
 class TestSimulateError:
     def test_deterministic_given_seed(self):
         p = Distribution([0.8, 0.2])
@@ -285,6 +347,23 @@ class TestSimulateError:
         with pytest.raises(ValidationError):
             simulate_error(identity_rule(2), p, q, 0, trials=10)
 
+    @pytest.mark.parametrize("kwargs, message", SIMULATE_ARG_CASES,
+                             ids=[message for _, message in SIMULATE_ARG_CASES])
+    def test_sizes_and_seed_are_checked(self, kwargs, message):
+        p, q = Distribution([0.9, 0.1]), Distribution([0.1, 0.9])
+        args = {"n": 10, "trials": 10, "seed": 0, **kwargs}
+        with pytest.raises(ValidationError) as exc:
+            simulate_error(identity_rule(2), p, q, **args)
+        assert str(exc.value) == message
+
+    def test_numpy_ints_are_echoed_as_int(self):
+        p, q = Distribution([0.9, 0.1]), Distribution([0.1, 0.9])
+        rep = simulate_error(identity_rule(2), p, q, np.int64(10), trials=np.uint16(50),
+                             seed=np.int32(4))
+        assert [type(v) for v in (rep.n, rep.trials, rep.seed)] == [int] * 3
+        assert rep == simulate_error(identity_rule(2), p, q, 10, trials=50, seed=4)
+        assert simulate_error(identity_rule(2), p, q, 10, trials=50, seed=2**70).seed == 2**70
+
     def test_report_json(self):
         p = Distribution([0.9, 0.1])
         q = Distribution([0.1, 0.9])
@@ -296,7 +375,25 @@ class TestSimulateError:
         )
 
 
+SEARCH_ARG_CASES = [
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": 0}, "trials must be at least 1, got 0"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"n_max": 64.0}, "n_max must be an integer, got 64.0"),
+    ({"n_max": 0}, "n_max must be at least 1, got 0"),
+]
+
+
 class TestSampleComplexity:
+    @pytest.mark.parametrize("kwargs, message", SEARCH_ARG_CASES,
+                             ids=[message for _, message in SEARCH_ARG_CASES])
+    def test_trials_seed_and_n_max_are_checked(self, kwargs, message):
+        p, q = Distribution([0.9, 0.1]), Distribution([0.1, 0.9])
+        with pytest.raises(ValidationError) as exc:
+            empirical_sample_complexity(lambda n: identity_rule(2), p, q, **kwargs)
+        assert str(exc.value) == message
+
     def test_bernoulli_in_expected_range(self):
         p = Distribution([0.9, 0.1])
         q = Distribution([0.1, 0.9])
