@@ -168,7 +168,11 @@ def cmd_simulate(args) -> int:
         _emit({"n_hat": n_hat, "budget": budget, "trials": args.trials,
                "seed": args.seed}, args)
         return EXIT_OK
-    ns = [int(x) for x in ("100" if args.n is None else args.n).split(",")]
+    try:
+        ns = [int(x) for x in ("100" if args.n is None else args.n).split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--n takes a sample size or a comma list of sizes, got {args.n!r}") from None
     reports = [
         simulate_error(rule, p, q, n, trials=args.trials, seed=args.seed)
         for n in ns

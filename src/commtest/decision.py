@@ -2,6 +2,10 @@
 referee and the tournaments: per-message log-likelihood ratios (LLRs) and
 the LRT statistic on message counts. A leaf: it imports only `core`.
 
+Callers pick the statistic for their shape: `llr_statistic` on one count
+vector per channel group (the referees, a knockout game), `trial_statistics`
+on stacks of trials (the simulator, the round robin).
+
 `message_llr` memoizes its tables by the identity of (channel, p, q): a
 referee asked about many message vectors under one rule and pair builds
 each table once. The tables are read-only, and the memo is bounded: it
@@ -50,37 +54,38 @@ def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarra
     return table
 
 
-def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
-    """The referee's statistic: sum over channel groups g of counts[g] . llr[g],
-    with leading axes of counts[g] indexing trials; llr[g] is one table, or
-    one table per trial when it carries those axes too. An unsent message
-    adds 0 even where its LLR is infinite; a total of +inf + (-inf) is NaN
-    and counts as 0, a tie, which goes to P like every tie.
+def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> float:
+    """The referee's statistic on one count vector per channel group: the sum
+    over groups g of counts[g] . llr[g]. An unsent message adds 0 even where
+    its LLR is infinite; a total of +inf + (-inf) is NaN and counts as 0, a
+    tie, which goes to P like every tie.
 
-    Each group's sum has the floats of numpy's row sum of
-    np.where(c > 0, c * lg, 0.0), at a fraction of its cost: one count
-    vector against one table (the referee, a knockout game) in Python
-    floats, and trial axes against one table column by column."""
+    In Python floats, each group summed in the order of numpy's row sum of
+    np.where(c > 0, c * lg, 0.0): a row of `trial_statistics`, bit for bit."""
     total = 0.0
     for c, lg in zip(counts, llr):
-        # the row path in Python floats, with no errstate; getattr, as np.ndim costs a third of it
-        if isinstance(total, float) and getattr(c, "ndim", 0) == 1 == getattr(lg, "ndim", 0):
-            terms = [ci * li if ci > 0 else 0.0
-                     for ci, li in zip(c.tolist(), lg.tolist(), strict=True)]
-            total += _numpy_sum_order(terms or [0.0])
-            continue
-        with np.errstate(invalid="ignore"):  # 0 * inf, and +inf + -inf
-            if np.ndim(c) < 2 or np.ndim(lg) == np.ndim(c):
+        terms = [ci * li if ci > 0 else 0.0
+                 for ci, li in zip(c.tolist(), lg.tolist(), strict=True)]
+        total += _numpy_sum_order(terms or [0.0])
+    return 0.0 if math.isnan(total) else total
+
+
+def trial_statistics(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
+    """`llr_statistic` of every trial, as an array: the leading axes of
+    counts[g] index trials, and llr[g] is one table for all trials (the
+    simulator) or one per trial, with those axes too (a round robin's games)."""
+    total = 0.0
+    with np.errstate(invalid="ignore"):  # 0 * inf, and +inf + -inf
+        for c, lg in zip(counts, llr):
+            if lg.ndim > 1:  # numpy's row sums
                 total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
-            else:
+            else:  # the same floats, a shared table added column by column
                 # c = 0 against a negative finite LLR gives -0.0 here, not
                 # +0.0: that can flip only the sign of a zero sum, and adding
                 # it to total, which starts at +0.0, makes every zero +0.0
                 terms = [col * v if math.isfinite(v) else np.where(col > 0, v, 0.0)
                          for col, v in zip(np.moveaxis(c, -1, 0), lg, strict=True)]
                 total = total + _numpy_sum_order(terms)
-    if isinstance(total, float):
-        return np.array(0.0 if math.isnan(total) else total)
     return np.where(np.isnan(total), 0.0, total)
 
 

@@ -33,8 +33,8 @@ DEFAULT_JL_ACCEPT = 0.02  # pilot-calibrated: single-draw success ~0.85
 DEFAULT_JL_RETRIES = 100
 
 # Draws n samples as counts over the alphabet. A tournament calls it once per
-# game, in game order, drawing every game's samples before it decides any
-# game. Quoted, so that importing commtest does not import numpy.random.
+# game, in game order; the round robin draws every game's samples before it
+# decides any game. Quoted, so that importing commtest does not import numpy.random.
 Sampler = Callable[["np.random.Generator", int], np.ndarray]
 
 
@@ -329,28 +329,6 @@ def game_sample_size(
     return math.ceil(constant * math.log(family.m ** 2 / 0.1) * r / rho_sq)
 
 
-def _play(
-    family: HypothesisFamily,
-    ii: Sequence[int],
-    jj: Sequence[int],
-    out_size: int,
-    n_samples: int,
-    sampler: Sampler,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Whether ii[g] beats jj[g], for every game g, on fresh samples: draws
-    every game's samples first, one `sampler` call per game in game order,
-    then decides all games with one statistic call. Ties go to ii[g]. A
-    knockout's single game takes the statistic's row path: a 0-d answer."""
-    drawn = np.array([sampler(rng, n_samples) for _ in ii])
-    tables = [family._game(i, j, out_size) for i, j in zip(ii, jj)]
-    channels = np.array([channel.matrix for channel, _ in tables])
-    counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
-    if len(tables) == 1:
-        return decision.llr_statistic([counts[0]], [tables[0][1]]) >= 0
-    return decision.llr_statistic([counts], [np.array([llr for _, llr in tables])]) >= 0
-
-
 def tournament_nonadaptive(
     family: HypothesisFamily,
     out_size: int,
@@ -367,7 +345,12 @@ def tournament_nonadaptive(
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
     ii, jj = _pairs(family.m)
-    first = _play(family, ii.tolist(), jj.tolist(), out_size, n_samples, sampler, rng)
+    drawn = np.array([sampler(rng, n_samples) for _ in range(ii.size)])
+    tables = [family._game(i, j, out_size) for i, j in zip(ii.tolist(), jj.tolist())]
+    channels = np.array([channel.matrix for channel, _ in tables])
+    counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
+    llr = np.array([table for _, table in tables])
+    first = decision.trial_statistics([counts], [llr]) >= 0  # ties go to ii
     losses = np.bincount(np.where(first, jj, ii), minlength=family.m)
     games = tuple(map(GameRecord, ii.tolist(), jj.tolist(), [n_samples] * ii.size,
                       np.where(first, ii, jj).tolist()))
@@ -399,8 +382,9 @@ def tournament_adaptive(
     games = []
     champion = 0
     for j in range(1, family.m):
-        first = _play(family, [champion], [j], out_size, n_samples, sampler, rng)
-        winner = champion if first else j
+        channel, llr = family._game(champion, j, out_size)
+        counts = channel.matrix @ sampler(rng, n_samples)
+        winner = champion if decision.llr_statistic([counts], [llr]) >= 0 else j
         games.append(GameRecord(i=champion, j=j, samples=n_samples, winner=winner))
         champion = winner
     return TournamentTranscript(

@@ -21,6 +21,7 @@ from .core import (
     Distribution,
     _as_float,
     _freeze,
+    _trusted,
     apply_channel,
     hellinger_sq,
     likelihood_ratios,
@@ -141,7 +142,7 @@ def robust_decide(
 ) -> str:
     """LRT between the channel images of the LFD pair; ties go to P."""
     from .testing import TestRule, lrt_decide
-    rule = TestRule([channel])
+    rule = _trusted(TestRule, channels=(channel,))  # one channel: nothing to check
     return lrt_decide(lfd.p_lfd, lfd.q_lfd, rule, messages)
 
 

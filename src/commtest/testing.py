@@ -125,7 +125,7 @@ def _simulate_branch(sizes: list[int], truths: list[np.ndarray], llr: list[np.nd
     sampling exactly (users are iid within a group)."""
     # a generator, so only one group's counts are held at a time
     counts = (rng.multinomial(n_g, t, size=trials) for n_g, t in zip(sizes, truths))
-    return decision.llr_statistic(counts, llr)
+    return decision.trial_statistics(counts, llr)
 
 
 def simulate_error(

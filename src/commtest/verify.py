@@ -246,7 +246,7 @@ def quantizer_suite(seed: int = 0, pairs: int = 1000,
         worst_frac = max(worst_frac, res.ratio_achieved / res.bound)
         worst_lb = min(worst_lb, res.ratio_achieved)
         support = (p.probs > 0) | (q.probs > 0)
-        if np.unique(likelihood_ratios(p, q)[support]).size <= d:
+        if _sorted_unique(likelihood_ratios(p, q)[support]).size <= d:
             worst_fit = max(worst_fit, res.ratio_achieved - 1.0)
         done += 1
     results.append(CheckResult("hellinger_ceiling", worst_frac <= 1.0, worst_frac))

@@ -124,7 +124,11 @@ class TestSimulate:
         (("--n", "0"), "error: n must be at least 1, got 0\n"),
         (("--n", str(10**19)), "error: n must be at most 2**63 - 1, got 10000000000000000000\n"),
         (("--trials", "0"), "error: trials must be at least 1, got 0\n"),
-    ], ids=["seed -1", "search seed -1", "n 0", "n 10**19", "trials 0"])
+        (("--n", "1.5"), "error: --n takes a sample size or a comma list of sizes, got '1.5'\n"),
+        (("--n", "5,"), "error: --n takes a sample size or a comma list of sizes, got '5,'\n"),
+        (("--n", "abc"), "error: --n takes a sample size or a comma list of sizes, got 'abc'\n"),
+    ], ids=["seed -1", "search seed -1", "n 0", "n 10**19", "trials 0", "n 1.5", "n 5,",
+            "n abc"])
     def test_invalid_sizes_and_seed(self, capsys, flags, message):
         code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, *flags)
         assert (code, out, err) == (EXIT_INVALID, "", message)

@@ -71,7 +71,7 @@ from commtest import (
     tournament_nonadaptive,
 )
 from commtest.core import _fdiv_term, _push, _sorted_unique
-from commtest.decision import llr_statistic, message_llr
+from commtest.decision import llr_statistic, message_llr, trial_statistics
 from commtest.quantizer import QuantizeResult
 from commtest.revmarkov import ThresholdGrid, _best_cuts, _cell_sums
 
@@ -498,7 +498,16 @@ class TestLlrStatistic:
                         counts = [rng.integers(0, 4, trial_shape + (d,))
                                   * (rng.random(trial_shape + (d,)) < 0.6) for d in sizes]
                         want = ref_llr_statistic(counts, llr)
-                        assert array_signature(llr_statistic(counts, llr)) == \
+                        if trial_shape:
+                            got = trial_statistics(counts, llr)
+                            for t in np.ndindex(trial_shape):  # each trial is a row statistic
+                                row = llr_statistic([c[t] for c in counts],
+                                                    [lg[t] if lg.ndim > 1 else lg for lg in llr])
+                                assert np.float64(row).tobytes() == got[t].tobytes(), (size, t)
+                        else:
+                            got = llr_statistic(counts, llr)
+                            assert type(got) is float
+                        assert array_signature(np.asarray(got)) == \
                             array_signature(want), (size, trial_shape, kind, per_trial)
                         cases += 1
         assert cases == len(LLR_SIZES) * 18
@@ -511,27 +520,35 @@ class TestLlrStatistic:
             llr = [random_llr(rng, size, "normal")]
             want = array_signature(ref_llr_statistic([c], llr))
             for view in (np.asfortranarray(c), np.repeat(c, 2, axis=0)[::2]):
-                assert array_signature(llr_statistic([view], llr)) == want, size
+                assert array_signature(trial_statistics([view], llr)) == want, size
 
     def test_mismatched_llr_size_raises(self):
         with pytest.raises(ValueError):
-            llr_statistic([np.ones((4, 3), dtype=int)], [np.zeros(2)])
+            trial_statistics([np.ones((4, 3), dtype=int)], [np.zeros(2)])
+        with pytest.raises(ValueError):
+            llr_statistic([np.ones(3, dtype=int)], [np.zeros(2)])
 
 
 def checked_kernel(monkeypatch):
-    """Route the leaf's statistic through a check against the reference; a
-    run then gives the reference kernel's report exactly. Returns the list
-    of checked calls."""
-    kernel, calls = decision.llr_statistic, []
+    """Route the leaf's two statistics, the row one (a float) and the trial
+    one (an array), through a check against the reference; a run then gives
+    the reference kernel's report exactly. Returns the list of checked calls."""
+    calls = []
 
-    def checked(counts, llr):
-        counts, llr = list(counts), list(llr)
-        got = kernel(counts, llr)
-        assert array_signature(got) == array_signature(ref_llr_statistic(counts, llr))
-        calls.append(len(counts))
-        return got
+    def checked(kernel, kind):
+        def check(counts, llr):
+            counts, llr = list(counts), list(llr)
+            got = kernel(counts, llr)
+            assert type(got) is kind
+            assert array_signature(np.asarray(got)) == \
+                array_signature(ref_llr_statistic(counts, llr))
+            calls.append(len(counts))
+            return got
+        return check
 
-    monkeypatch.setattr(decision, "llr_statistic", checked)
+    monkeypatch.setattr(decision, "llr_statistic", checked(decision.llr_statistic, float))
+    monkeypatch.setattr(decision, "trial_statistics",
+                        checked(decision.trial_statistics, np.ndarray))
     return calls
 
 
@@ -604,7 +621,7 @@ def ref_simulate_error(rule, p, q, n, trials, seed, p_sampler=None, q_sampler=No
                   if n_g]
         counts = (rng.multinomial(n_g, ref_push(c.matrix, truth.probs), size=trials)
                   for c, n_g in groups)
-        return llr_statistic(counts, [ref_message_llr(c, p, q) for c, _ in groups])
+        return trial_statistics(counts, [ref_message_llr(c, p, q) for c, _ in groups])
 
     child_p, child_q = np.random.SeedSequence(seed).spawn(2)
     stats_p = branch(p_sampler if p_sampler is not None else p, np.random.default_rng(child_p))
@@ -1163,13 +1180,14 @@ class TestMaryMatchesPerPairLoops:
             drawn.append(draw(rng, n))
             return drawn[-1]
 
-        kernel = decision.llr_statistic
+        def deciding(kernel):
+            def decide(counts, llr):
+                events.append(("decide",))
+                return kernel(counts, llr)
+            return decide
 
-        def deciding(counts, llr):
-            events.append(("decide",))
-            return kernel(counts, llr)
-
-        monkeypatch.setattr(decision, "llr_statistic", deciding)
+        for name in ("llr_statistic", "trial_statistics"):  # knockout, round robin
+            monkeypatch.setattr(decision, name, deciding(getattr(decision, name)))
         n = game_sample_size(fam, 3, 0.05)
         tr = tournament_nonadaptive(fam, 3, recording, seed=4, constant=0.05)
         assert events == [("draw", n)] * len(tr.games) + [("decide",)]

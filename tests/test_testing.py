@@ -24,7 +24,7 @@ from commtest import (
     tournament_adaptive,
 )
 from commtest import decision
-from commtest.decision import llr_statistic, message_llr
+from commtest.decision import llr_statistic, message_llr, trial_statistics
 from commtest.testing import _group_sizes
 
 # +inf on message 0, -inf on message 1, finite on messages 2 and 3.
@@ -231,7 +231,7 @@ class TestLlrKernel:
     def test_trial_axis(self):
         llr = np.array([np.inf, -np.inf, -1.0])
         counts = np.array([[1, 0, 2], [0, 0, 2], [1, 1, 0], [0, 2, 0]])
-        assert llr_statistic([counts], [llr]).tolist() == [np.inf, -2.0, 0.0, -np.inf]
+        assert trial_statistics([counts], [llr]).tolist() == [np.inf, -2.0, 0.0, -np.inf]
 
 
 def test_every_referee_reads_its_tables_from_message_llr(monkeypatch):
