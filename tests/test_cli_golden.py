@@ -38,6 +38,9 @@ COMMANDS = {
     "mary-tournament-adaptive": ("mary", "tournament", *FAMILY, "--d", "3", "--truth", "2",
                                  "--trials", "3", "--adaptive", "--seed", "{seed}"),
     "mary-identical": ("mary", "identical", *FAMILY, "--d", "3", "--seed", "{seed}"),
+    "mary-identical-sketch": ("mary", "identical", *FAMILY, "--design", "sketch", "--d", "3",
+                              "--seed", "{seed}"),
+    "mary-identical-reduction": ("mary", "identical", *FAMILY, "--design", "reduction"),
     "quantize": ("quantize", "--p", P6, "--q", Q6, "--d", "3"),
     "quantize-oracle": ("quantize", "--p", P6, "--q", Q6, "--d", "3", "--oracle"),
     "verify-robust": ("verify", "robust", "--seed", "{seed}"),

@@ -163,6 +163,33 @@ class TestJlSketch:
         c2 = jl_sketch_channel(fam, 3, seed=5)
         assert np.array_equal(c1.matrix, c2.matrix)
 
+    def test_a_draw_that_is_not_a_sub_channel_is_skipped(self, monkeypatch):
+        fam = hadamard_instance(4, 0.4)
+        plain = jl_sketch_channel(fam, 3, seed=0)  # the first draw meets its floor
+        make_rng = np.random.default_rng
+
+        def sketch_with_first_block(first):
+            """The sketch when the generator's first Gaussian block is `first(rng, block)`."""
+            calls = []
+
+            class Rng:
+                def __init__(self, seed):
+                    self.rng = make_rng(seed)
+
+                def standard_normal(self, shape):
+                    block = self.rng.standard_normal(shape)
+                    calls.append(shape)
+                    return first(self.rng, block) if len(calls) == 1 else block
+
+            monkeypatch.setattr(np.random, "default_rng", Rng)
+            return jl_sketch_channel(fam, 3, seed=0), len(calls)
+
+        poisoned, draws = sketch_with_first_block(lambda rng, block: np.full_like(block, -1e3))
+        skipped, _ = sketch_with_first_block(lambda rng, block: rng.standard_normal(block.shape))
+        assert draws >= 2
+        assert np.array_equal(poisoned.matrix, skipped.matrix)
+        assert not np.array_equal(poisoned.matrix, plain.matrix)
+
 
 class TestIdenticalDesign:
     def test_identity_wins_when_alphabet_fits(self):
@@ -193,6 +220,26 @@ class TestIdenticalDesign:
             reduced = HypothesisFamily([apply_channel(red, d) for d in fam.dists])
             wins += sketch_score(reduced, red, s + 1) > direct
         assert wins >= 5
+
+    @pytest.mark.parametrize("make_family, out_size", [
+        (lambda: hadamard_instance(5, 0.4), 3),
+        (lambda: random_family(np.random.default_rng(2004), 3, 200), 4),
+    ], ids=["hadamard", "k=200"])
+    def test_falls_back_to_the_best_draws_when_no_draw_meets_its_floor(
+            self, monkeypatch, make_family, out_size):
+        fam = make_family()  # k > D: no identity candidate
+        monkeypatch.setattr(mary, "jl_distance_floor", lambda *args, **kwargs: 1e9)
+        with pytest.raises(StochasticFailureError) as direct:
+            jl_sketch_channel(fam, out_size, seed=4)
+        red = pairwise_indicator_reduction(fam)
+        reduced = HypothesisFamily([apply_channel(red, d) for d in fam.dists])
+        with pytest.raises(StochasticFailureError) as composed:
+            jl_sketch_channel(reduced, out_size, seed=5)
+        candidates = [direct.value.best, composed.value.best.compose(red)]
+        best = max(candidates, key=lambda ch: min_pairwise_tv_after(ch, fam))
+        chan, score = identical_channel_design(fam, out_size, seed=4)
+        assert np.array_equal(chan.matrix, best.matrix)
+        assert score == min_pairwise_tv_after(best, fam)
 
 
 class TestTournaments:
