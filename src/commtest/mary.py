@@ -186,15 +186,13 @@ def pairwise_indicator_reduction(family: HypothesisFamily) -> Channel:
     return Channel(out)
 
 
-def _jl_membership_ok(h: np.ndarray) -> bool:
-    return bool(np.all(h >= 0.0) and np.all(h.sum(axis=0) <= 1.0))
-
-
 def jl_distance_floor(
     family: HypothesisFamily, out_size: int, accept: float = DEFAULT_JL_ACCEPT
 ) -> float:
     """Acceptance threshold c * eps / (sqrt(k) M^(2/(D-1)) sqrt(D log(D k)))
     on the min pairwise output TV, with eps the min pairwise input TV."""
+    if out_size < 2:
+        raise ValidationError("out_size must be at least 2")
     d, k, m = out_size, family.k, family.m
     eps = family.min_pairwise_tv
     return accept * eps / (
@@ -212,44 +210,45 @@ def jl_sketch_channel(
     """Random sketch channel H = (J + G/Q2) / Q1 on D-1 rows (J all-ones,
     G standard Gaussian), completed with a slack row; redrawn until it is a
     sub-channel and separates the family by the `accept`-scaled floor."""
-    return _jl_sketch(family, out_size, seed, max_retries, accept)[0]
+    floor = jl_distance_floor(family, out_size, accept)
+    best, best_score = _jl_sketch(family, out_size, seed, floor, max_retries)
+    if not best_score >= floor:  # as in the draw loop, a NaN floor is never met
+        raise StochasticFailureError(
+            f"no sketch met the distance floor {floor:.3g} in {max_retries} draws",
+            best=best,
+            best_score=best_score,
+        )
+    return best
 
 
 def _jl_sketch(
     family: HypothesisFamily,
     out_size: int,
     seed: int,
+    floor: float,
     max_retries: int = DEFAULT_JL_RETRIES,
-    accept: float = DEFAULT_JL_ACCEPT,
-) -> tuple[Channel, float]:
-    """`jl_sketch_channel` and the min pairwise output TV it scored."""
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
-    d_prime = out_size - 1
-    k = family.k
+) -> tuple[Channel | None, float]:
+    """The first sketch draw whose min pairwise output TV reaches `floor`,
+    else the best draw, with that score; (None, -inf) if no draw is a
+    sub-channel."""
+    d_prime, k = out_size - 1, family.k
     q2 = JL_NOISE_SCALE * math.sqrt(math.log(k * d_prime))  # distinct hypotheses: k >= 2
     q1 = JL_COLUMN_SCALE * d_prime
-    floor = jl_distance_floor(family, out_size, accept)
     rng = np.random.default_rng(seed)
     best: Channel | None = None
     best_score = -math.inf
     for _ in range(max_retries):
         g = rng.standard_normal((d_prime, k))
         h = (1.0 + g / q2) / q1
-        if not _jl_membership_ok(h):
+        if not (np.all(h >= 0.0) and np.all(h.sum(axis=0) <= 1.0)):
             continue
-        full = np.vstack([h, 1.0 - h.sum(axis=0)])
-        channel = Channel(full)
+        channel = Channel(np.vstack([h, 1.0 - h.sum(axis=0)]))
         score = min_pairwise_tv_after(channel, family)
-        if score > best_score:
-            best, best_score = channel, score
         if score >= floor:
             return channel, score
-    raise StochasticFailureError(
-        f"no sketch met the distance floor {floor:.3g} in {max_retries} draws",
-        best=best,
-        best_score=best_score,
-    )
+        if score > best_score:
+            best, best_score = channel, score
+    return best, best_score
 
 
 def identical_channel_design(
@@ -257,31 +256,21 @@ def identical_channel_design(
 ) -> tuple[Channel, float]:
     """Best-of: direct JL sketch, pairwise reduction composed with a JL
     sketch, and (when the alphabet fits) the identity embedding. Scored by
-    realized min pairwise output TV."""
-    candidates: list[tuple[Channel, float]] = []
+    realized min pairwise output TV.
 
-    def try_sketch(fam: HypothesisFamily, pre: Channel | None, jl_seed: int) -> None:
-        try:
-            sketch, score = _jl_sketch(fam, out_size, jl_seed)
-        except StochasticFailureError as exc:
-            if exc.best is None:
-                return
-            sketch, score = exc.best, exc.best_score
-        if pre is not None:  # the score above is on `fam`, not on `family`
-            sketch = sketch.compose(pre)
-            score = min_pairwise_tv_after(sketch, family)
-        candidates.append((sketch, score))
-
-    try_sketch(family, None, seed)
+    A sketch keeps its best draw when none meets the floor. A draw fails to
+    be a sub-channel only when an entry of G lies below -Q2 <= -8.3 or a
+    column of G sums past 10 (D-1) Q2, under 1e-16 a draw: each sketch has one."""
+    candidates = [_jl_sketch(family, out_size, seed, jl_distance_floor(family, out_size))]
     reduction = pairwise_indicator_reduction(family)
     reduced = HypothesisFamily([_trusted(Distribution, probs=row)
                                 for row in _push(reduction.matrix, family._probs)])
-    try_sketch(reduced, reduction, seed + 1)
+    sketch, _ = _jl_sketch(reduced, out_size, seed + 1, jl_distance_floor(reduced, out_size))
+    composed = sketch.compose(reduction)  # scored on `family`, not on `reduced`
+    candidates.append((composed, min_pairwise_tv_after(composed, family)))
     if family.k <= out_size:
         ident = Channel.identity(family.k, out_size)
         candidates.append((ident, min_pairwise_tv_after(ident, family)))
-    if not candidates:
-        raise DegenerateInputError("no identical-channel candidate available")
     return max(candidates, key=lambda cs: cs[1])
 
 
@@ -302,7 +291,7 @@ class TournamentTranscript:
     games: tuple[GameRecord, ...]
     winner: int
     total_samples: int
-    ambiguous: bool  # non-adaptive only: no unique undefeated hypothesis
+    ambiguous: bool  # non-adaptive only: no undefeated hypothesis
 
     def to_json(self) -> dict:
         return {**asdict(self), "games": [asdict(g) for g in self.games]}
@@ -323,6 +312,8 @@ def game_sample_size(
 ) -> int:
     """m = ceil(C log(M^2/0.1) R / rho^2) with rho the min pairwise Hellinger
     distance and R = 1 + min(k, log2(1/rho^2)) / D."""
+    if not 0 < constant < math.inf:
+        raise ValidationError(f"constant must be positive and finite, got {constant!r}")
     rho_sq = family.min_pairwise_hellinger ** 2
     kprime = max(1.0, math.log2(1.0 / rho_sq)) if rho_sq < 1.0 else 1.0
     r = 1.0 + min(float(family.k), kprime) / out_size
@@ -336,12 +327,13 @@ def tournament_nonadaptive(
     seed: int = 0,
     constant: float = DEFAULT_GAME_CONSTANT,
 ) -> TournamentTranscript:
-    """Round robin over all M(M-1)/2 pairs with fresh samples per game;
-    the winner is the unique undefeated hypothesis (lowest-index undefeated,
-    flagged ambiguous, when there is none or several). `sampler` is called
-    once per game, in game order, and every game's samples are drawn before
-    any game is decided. Game channels stay on `family`: reuse one family
-    object to design each pair only once."""
+    """Round robin over all M(M-1)/2 pairs with fresh samples per game.
+    Every pair plays once, so at most one hypothesis is undefeated; the
+    winner has the fewest losses (lowest index on ties), flagged ambiguous
+    when it lost a game. `sampler` is called once per game, in game order,
+    and every game's samples are drawn before any game is decided. Game
+    channels stay on `family`: reuse one family object to design each pair
+    only once."""
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
     ii, jj = _pairs(family.m)
@@ -354,17 +346,12 @@ def tournament_nonadaptive(
     losses = np.bincount(np.where(first, jj, ii), minlength=family.m)
     games = tuple(map(GameRecord, ii.tolist(), jj.tolist(), [n_samples] * ii.size,
                       np.where(first, ii, jj).tolist()))
-    undefeated = np.flatnonzero(losses == 0)
-    if undefeated.size == 1:
-        final, ambiguous = int(undefeated[0]), False
-    else:
-        final = int(undefeated[0]) if undefeated.size else int(np.argmin(losses))
-        ambiguous = True
+    final = int(np.argmin(losses))
     return TournamentTranscript(
         games=games,
         winner=final,
         total_samples=n_samples * len(games),
-        ambiguous=ambiguous,
+        ambiguous=bool(losses[final]),
     )
 
 

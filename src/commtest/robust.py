@@ -154,8 +154,8 @@ def moderate_robustness_radius(
 ) -> float:
     """Contamination radius 0.01 * d_h^2(Tp, Tq) / slack below which the
     channel designed for the clean pair keeps working."""
-    if slack <= 0:
-        raise ValidationError("slack must be positive")
+    if not slack > 0:
+        raise ValidationError(f"slack must be positive, got {slack!r}")
     h2 = hellinger_sq(apply_channel(channel, p), apply_channel(channel, q))
     if h2 <= 0:
         raise DegenerateInputError("channel collapses p and q; no safe radius")

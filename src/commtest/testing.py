@@ -210,6 +210,8 @@ def empirical_sample_complexity(
     the answer can move with `n_max`. Deterministic given `seed`."""
     trials, n_max = _count("trials", trials), _count("n_max", n_max)
     seed = _count("seed", seed, 0, False)
+    if not budget >= 0:
+        raise ValidationError(f"budget must be at least 0, got {budget!r}")
 
     def accept(n: int) -> bool:
         run_seed = int(np.random.SeedSequence((seed, n)).generate_state(1)[0])

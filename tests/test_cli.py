@@ -127,8 +127,10 @@ class TestSimulate:
         (("--n", "1.5"), "error: --n takes a sample size or a comma list of sizes, got '1.5'\n"),
         (("--n", "5,"), "error: --n takes a sample size or a comma list of sizes, got '5,'\n"),
         (("--n", "abc"), "error: --n takes a sample size or a comma list of sizes, got 'abc'\n"),
+        (("--search", "--budget", "nan"), "error: budget must be at least 0, got nan\n"),
+        (("--search", "--budget", "-1"), "error: budget must be at least 0, got -1.0\n"),
     ], ids=["seed -1", "search seed -1", "n 0", "n 10**19", "trials 0", "n 1.5", "n 5,",
-            "n abc"])
+            "n abc", "budget nan", "budget -1"])
     def test_invalid_sizes_and_seed(self, capsys, flags, message):
         code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, *flags)
         assert (code, out, err) == (EXIT_INVALID, "", message)

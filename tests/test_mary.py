@@ -154,8 +154,9 @@ class TestJlSketch:
 
     def test_out_size_validation(self):
         fam = hadamard_instance(4, 0.4)
-        with pytest.raises(ValidationError):
-            jl_sketch_channel(fam, 1)
+        for call in (jl_sketch_channel, mary.jl_distance_floor, identical_channel_design):
+            with pytest.raises(ValidationError, match="out_size must be at least 2"):
+                call(fam, 1)
 
     def test_deterministic_given_seed(self):
         fam = hadamard_instance(4, 0.4)
@@ -249,6 +250,15 @@ class TestTournaments:
         r = 1.0 + min(float(fam.k), max(1.0, math.log2(1.0 / rho_sq))) / 2.0
         expected = math.ceil(4.0 * math.log(16 / 0.1) * r / rho_sq)
         assert game_sample_size(fam, 2) == expected
+
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("call", [game_sample_size, tournament_nonadaptive,
+                                      tournament_adaptive])
+    def test_game_constant_must_be_positive_and_finite(self, call, constant):
+        fam = hadamard_instance(4, 0.4)
+        args = (fam, 2) if call is game_sample_size else (fam, 2, counts_sampler(fam.dists[0]))
+        with pytest.raises(ValidationError, match="constant must be positive and finite"):
+            call(*args, constant=constant)
 
     def test_nonadaptive_structure_and_recovery(self):
         fam = hadamard_instance(4, 0.4)

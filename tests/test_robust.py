@@ -255,8 +255,9 @@ class TestModerateRadius:
     def test_bad_slack(self):
         p = Distribution([0.8, 0.2])
         q = Distribution([0.2, 0.8])
-        with pytest.raises(ValidationError):
-            moderate_robustness_radius(p, q, Channel.identity(2), slack=0.0)
+        for slack in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError, match="slack must be positive"):
+                moderate_robustness_radius(p, q, Channel.identity(2), slack=slack)
 
     def test_lfd_design_survives_moderate_contamination(self):
         # below the moderate radius, the channel designed for the clean pair

@@ -1,6 +1,6 @@
-"""Static checks over the package source: every imported name is read, and
-the decision kernel stays a leaf of the import graph that no other module
-reaches into."""
+"""Static checks over the package source: every imported name is read, the
+decision kernel stays a leaf of the import graph that no other module
+reaches into, and only the entry points catch a stochastic failure."""
 
 import ast
 from pathlib import Path
@@ -108,3 +108,29 @@ def test_private_reads_reads_every_spelling():
                      "import commtest.decision\nfrom .decision import _a, b\nimport numpy as np\n"
                      "decision._b\nd._c\ncommtest.decision._d\ndecision.e\nnp._f\n")
     assert private_reads(tree, "commtest.decision") == {"_a", "_b", "_c", "_d"}
+
+
+def caught_names(tree):
+    """The exception names the `except` clauses of `tree` catch, however they
+    are spelled: bare, read off a module, or in a tuple."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(t.attr if isinstance(t, ast.Attribute) else ast.unparse(t)
+                         for t in types)
+    return names
+
+
+def test_only_the_entry_points_catch_a_stochastic_failure():
+    """A library function returns what it found; the CLI and the verify
+    suites decide what a failed randomized construction means."""
+    catching = {path.stem for path in MODULES
+                if "StochasticFailureError" in caught_names(parse(path))}
+    assert catching <= {"cli", "verify"}
+
+
+def test_caught_names_reads_every_spelling():
+    tree = ast.parse("try:\n    pass\nexcept A:\n    pass\nexcept errors.B as exc:\n    pass\n"
+                     "except (C, mary.D):\n    pass\nexcept:\n    pass\n")
+    assert caught_names(tree) == {"A", "B", "C", "D"}

@@ -382,6 +382,8 @@ SEARCH_ARG_CASES = [
     ({"seed": True}, "seed must be an integer, got True"),
     ({"n_max": 64.0}, "n_max must be an integer, got 64.0"),
     ({"n_max": 0}, "n_max must be at least 1, got 0"),
+    ({"budget": float("nan")}, "budget must be at least 0, got nan"),
+    ({"budget": -1.0}, "budget must be at least 0, got -1.0"),
 ]
 
 
@@ -393,6 +395,11 @@ class TestSampleComplexity:
         with pytest.raises(ValidationError) as exc:
             empirical_sample_complexity(lambda n: identity_rule(2), p, q, **kwargs)
         assert str(exc.value) == message
+
+    def test_zero_budget_on_a_separable_pair_takes_one_sample(self):
+        p, q = Distribution([1.0, 0.0]), Distribution([0.0, 1.0])
+        assert empirical_sample_complexity(lambda n: identity_rule(2), p, q, trials=100,
+                                           budget=0.0) == 1
 
     def test_bernoulli_in_expected_range(self):
         p = Distribution([0.9, 0.1])
