@@ -15,9 +15,8 @@ import importlib
 _EXPORTS = {
     "core": (
         "Channel", "Distribution", "FDivergenceSpec", "ThresholdSet", "apply_channel",
-        "builtin_fdiv", "f_divergence", "geometric_threshold_set", "hellinger_affinity",
-        "hellinger_sq", "likelihood_ratios", "sym_chi_spec", "threshold_channel",
-        "total_variation",
+        "builtin_fdiv", "f_divergence", "hellinger_affinity", "hellinger_sq",
+        "likelihood_ratios", "sym_chi_spec", "threshold_channel", "total_variation",
     ),
     "errors": (
         "CommtestError", "DegenerateInputError", "DimensionError",
@@ -26,8 +25,7 @@ _EXPORTS = {
     ),
     "revmarkov": (
         "DiscreteRV", "ThresholdGrid", "brute_force_revmarkov", "guarantee",
-        "reverse_markov_best", "reverse_markov_geometric", "reverse_markov_top",
-        "revmarkov_objective", "tightness_instance",
+        "reverse_markov_best", "revmarkov_objective", "tightness_instance",
     ),
     "quantizer": (
         "QuantizeResult", "brute_force_threshold_channel", "design_fdiv_channel",
@@ -38,16 +36,15 @@ _EXPORTS = {
         "scheffe_channel", "simulate_error",
     ),
     "robust": (
-        "ContaminationSetup", "LfdPair", "design_robust_channel",
-        "example_nonrobust_instance", "example_phase_transition_instance", "huber_lfd",
-        "moderate_robustness_radius", "robust_decide",
+        "ContaminationSetup", "LfdPair", "design_robust_channel", "example_nonrobust_instance",
+        "example_phase_transition_instance", "huber_lfd", "robust_decide",
     ),
     "mary": (
         "BinaryChannelBoundReport", "GameRecord", "HypothesisFamily",
-        "TournamentTranscript", "chi_square_budget", "chi_square_inner", "counts_sampler",
-        "game_sample_size", "hadamard_instance", "identical_channel_design",
-        "jl_sketch_channel", "min_pairwise_tv_after", "pairwise_indicator_reduction",
-        "tournament_adaptive", "tournament_nonadaptive", "verify_identical_d2_bound",
+        "TournamentTranscript", "chi_square_budget", "counts_sampler", "game_sample_size",
+        "hadamard_instance", "identical_channel_design", "jl_sketch_channel",
+        "min_pairwise_tv_after", "pairwise_indicator_reduction", "tournament_adaptive",
+        "tournament_nonadaptive", "verify_identical_d2_bound",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

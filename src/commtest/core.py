@@ -22,6 +22,7 @@ ValidationError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -30,10 +31,10 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 # Input vectors are renormalized if they are within NORMALIZE_TOL of summing
-# to one, rejected otherwise; after construction sums hold to STRICT_TOL.
+# to one, rejected otherwise.
 NORMALIZE_TOL = 1e-9
-STRICT_TOL = 1e-12
 _SQRT_FLOAT_MAX = math.sqrt(float(np.finfo(float).max))
+_INT64_MAX = 2**63 - 1  # numpy's draws take n and trials as int64
 
 
 def _as_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
@@ -57,6 +58,22 @@ def _as_float(value, name: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be a number") from exc
+
+
+def _count(name: str, value, least: int = 1, bounded: bool = True) -> int:
+    """`value` as a Python int of at least `least`, and at most 2**63 - 1 if
+    `bounded`; a bool is not a count."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValidationError(f"{name} must be at least {least}, got {count}")
+    if bounded and count > _INT64_MAX:
+        raise ValidationError(f"{name} must be at most 2**63 - 1, got {count}")
+    return count
 
 
 def _freeze(obj, **values):
@@ -127,9 +144,6 @@ class Distribution(_Value):
     def k(self) -> int:
         return self.probs.size
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0)
-
     def to_json(self) -> dict:
         return {"probs": self.probs.tolist()}
 
@@ -161,9 +175,6 @@ class Channel(_Value):
     @property
     def in_size(self) -> int:
         return self.matrix.shape[1]
-
-    def is_deterministic(self, tol: float = STRICT_TOL) -> bool:
-        return bool(np.all(np.abs(self.matrix.max(axis=0) - 1.0) <= tol))
 
     def compose(self, inner: "Channel") -> "Channel":
         """Channel applying `inner` first, then this channel."""
@@ -247,15 +258,6 @@ class ThresholdSet(_Value):
     @classmethod
     def from_json(cls, obj: dict) -> "ThresholdSet":
         return cls(*_read_json(obj, "threshold", thresholds="array"))
-
-
-def geometric_threshold_set(x: float, out_size: int) -> ThresholdSet:
-    """Thresholds x, 2x, 4x, ..., 2^(D-2) x for a D-output channel."""
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
-    if not (x > 0 and math.isfinite(x)):
-        raise ValidationError("x must be a positive finite number")
-    return ThresholdSet(x * 2.0 ** np.arange(out_size - 1))
 
 
 def likelihood_ratios(p: Distribution, q: Distribution) -> np.ndarray:

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import decision
-from .core import (Channel, Distribution, _check_channel_input, _check_same_alphabet, _freeze,
-                   _push, _read_json, _trusted)
+from .core import (Channel, Distribution, _check_channel_input, _count, _freeze, _push,
+                   _read_json, _trusted)
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -156,16 +156,6 @@ def hadamard_instance(m: int, eps: float) -> HypothesisFamily:
     return HypothesisFamily(dists, base=base, hadamard_eps=eps)
 
 
-def chi_square_inner(base: Distribution, a: Distribution, b: Distribution) -> float:
-    """Centered inner product sum (a_i - u_i)(b_i - u_i) / u_i."""
-    _check_same_alphabet(base, a)
-    _check_same_alphabet(base, b)
-    u = base.probs
-    if np.any(u <= 0):
-        raise ValidationError("base distribution must have full support")
-    return float((((a.probs - u) * (b.probs - u)) / u).sum())
-
-
 # --------------------------------------------------------------------------
 # Identical-channel designs
 
@@ -193,6 +183,8 @@ def jl_distance_floor(
     on the min pairwise output TV, with eps the min pairwise input TV."""
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
+    if not 0 < accept < math.inf:
+        raise ValidationError(f"accept must be positive and finite, got {accept!r}")
     d, k, m = out_size, family.k, family.m
     eps = family.min_pairwise_tv
     return accept * eps / (
@@ -210,6 +202,7 @@ def jl_sketch_channel(
     """Random sketch channel H = (J + G/Q2) / Q1 on D-1 rows (J all-ones,
     G standard Gaussian), completed with a slack row; redrawn until it is a
     sub-channel and separates the family by the `accept`-scaled floor."""
+    max_retries = _count("max_retries", max_retries)
     floor = jl_distance_floor(family, out_size, accept)
     best, best_score = _jl_sketch(family, out_size, seed, floor, max_retries)
     if not best_score >= floor:  # as in the draw loop, a NaN floor is never met
@@ -312,6 +305,8 @@ def game_sample_size(
 ) -> int:
     """m = ceil(C log(M^2/0.1) R / rho^2) with rho the min pairwise Hellinger
     distance and R = 1 + min(k, log2(1/rho^2)) / D."""
+    if out_size < 2:
+        raise ValidationError("out_size must be at least 2")
     if not 0 < constant < math.inf:
         raise ValidationError(f"constant must be positive and finite, got {constant!r}")
     rho_sq = family.min_pairwise_hellinger ** 2

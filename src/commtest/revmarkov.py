@@ -11,6 +11,7 @@ where R = min(support size, 1 + log2(beta / E[Y])).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,11 +112,6 @@ def _pad_levels(levels: list[float], out_size: int) -> list[float]:
     return levels + [levels[-1]] * (out_size - 1 - len(levels))
 
 
-def _padded_grid(rv: DiscreteRV, levels: list[float], out_size: int) -> ThresholdGrid:
-    nus = tuple(_pad_levels(levels, out_size)) + (rv.beta,)
-    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
-
-
 def _require_positive_mean(rv: DiscreteRV) -> float:
     mean = rv.mean()
     if mean <= 0:
@@ -123,41 +119,25 @@ def _require_positive_mean(rv: DiscreteRV) -> float:
     return mean
 
 
-def reverse_markov_top(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
-    """Grid through the D-1 atoms with the largest value*mass products."""
-    _require_positive_mean(rv)
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+def _top_row(rv: DiscreteRV, out_size: int) -> list[float]:
+    """The grid through the D-1 atoms with the largest value*mass products,
+    ties broken toward larger values."""
     scores = rv.values * rv.masses
-    # ties broken toward larger values for determinism
     order = np.lexsort((rv.values, scores))[::-1]
     chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
-    return _padded_grid(rv, chosen, out_size)
+    return _pad_levels(chosen, out_size) + [rv.beta]
 
 
-def _first_best_doubling(rv: DiscreteRV, xs: np.ndarray, out_size: int):
-    """(F, grid) of the first grid min(beta, x * 2^j), j < D-1, then beta,
-    over the sorted xs that maximises F."""
-    levels = np.minimum(rv.beta, xs[:, None] * 2.0 ** np.arange(out_size - 1))
-    grids = np.hstack((levels, np.full((xs.size, 1), rv.beta)))
-    scores = _objectives(rv, grids)
-    win = int(np.argmax(scores))
-    return scores[win], grids[win]
-
-
-def reverse_markov_geometric(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
-    """Best doubling grid nu_j = min(beta, x * 2^(j-1)) over candidate x;
-    ties go to the smallest x."""
-    _require_positive_mean(rv)
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
-    # a positive mean implies an atom with positive value and positive mass
+def _doubling_rows(rv: DiscreteRV, out_size: int):
+    """The doubling grids min(beta, x * 2^j), j < D-1, then beta, over the
+    candidates x = v / 2^t (v a positive atom, t < D) in ascending order, in
+    blocks of at most 2^16 levels (one grid at least), which bound memory."""
     positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
     xs = _sorted_unique(positive[:, None] / 2.0 ** np.arange(out_size))
-    step = max(1, 2 ** 16 // out_size)  # chunks of at most 2^16 levels bound memory
-    achieved, grid = max((_first_best_doubling(rv, xs[i:i + step], out_size)
-                          for i in range(0, xs.size, step)), key=lambda best: best[0])
-    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
+    step = max(1, 2 ** 16 // out_size)
+    for i in range(0, xs.size, step):
+        levels = np.minimum(rv.beta, xs[i:i + step, None] * 2.0 ** np.arange(out_size - 1))
+        yield np.hstack((levels, np.full((len(levels), 1), rv.beta)))
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
@@ -170,13 +150,24 @@ def guarantee(rv: DiscreteRV, out_size: int) -> float:
 
 
 def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
-    """Better of the top-atom grid and the best doubling grid.
+    """Best of the top-atom grid and the doubling grids; ties go to the
+    top-atom grid, then to the smallest x.
 
     Always achieves at least `guarantee(rv, out_size)`.
     """
-    top = reverse_markov_top(rv, out_size)
-    geo = reverse_markov_geometric(rv, out_size)
-    return top if top.achieved >= geo.achieved else geo
+    _require_positive_mean(rv)
+    if out_size < 2:
+        raise ValidationError("out_size must be at least 2")
+    blocks = _doubling_rows(rv, out_size)
+    # a positive mean implies an atom with positive value and mass: a first block
+    first = np.vstack((_top_row(rv, out_size), next(blocks)))
+    achieved, grid = -math.inf, None
+    for grids in itertools.chain([first], blocks):
+        scores = _objectives(rv, grids)
+        win = int(np.argmax(scores))
+        if scores[win] > achieved:  # first of ties
+            achieved, grid = scores[win], grids[win]
+    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
 
 
 def _cell_sums(x: np.ndarray) -> np.ndarray:
@@ -224,7 +215,8 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     masses = np.concatenate(([0.0], rv.masses[positive]))
     t = min(out_size - 1, values.size - 1)
     cuts = _best_cuts(values[:, None] * _cell_sums(masses), t)
-    return _padded_grid(rv, [float(values[c]) for c in cuts], out_size)
+    nus = tuple(_pad_levels([float(values[c]) for c in cuts], out_size)) + (rv.beta,)
+    return ThresholdGrid(nus=nus, achieved=_objective(rv, np.array(nus)))
 
 
 def tightness_instance(rho: float) -> DiscreteRV:

@@ -22,8 +22,6 @@ from .core import (
     _as_float,
     _freeze,
     _trusted,
-    apply_channel,
-    hellinger_sq,
     likelihood_ratios,
     total_variation,
 )
@@ -31,9 +29,6 @@ from .errors import DegenerateInputError, InfeasibleContaminationError, Validati
 
 if TYPE_CHECKING:
     from .quantizer import QuantizeResult
-
-# Default slack constant in the moderate-contamination radius 0.01 * d_h^2 / C.
-DEFAULT_RADIUS_SLACK = 10.0
 
 
 @dataclass(frozen=True)
@@ -144,22 +139,6 @@ def robust_decide(
     from .testing import TestRule, lrt_decide
     rule = _trusted(TestRule, channels=(channel,))  # one channel: nothing to check
     return lrt_decide(lfd.p_lfd, lfd.q_lfd, rule, messages)
-
-
-def moderate_robustness_radius(
-    p: Distribution,
-    q: Distribution,
-    channel: Channel,
-    slack: float = DEFAULT_RADIUS_SLACK,
-) -> float:
-    """Contamination radius 0.01 * d_h^2(Tp, Tq) / slack below which the
-    channel designed for the clean pair keeps working."""
-    if not slack > 0:
-        raise ValidationError(f"slack must be positive, got {slack!r}")
-    h2 = hellinger_sq(apply_channel(channel, p), apply_channel(channel, q))
-    if h2 <= 0:
-        raise DegenerateInputError("channel collapses p and q; no safe radius")
-    return 0.01 * h2 / slack
 
 
 def example_nonrobust_instance(

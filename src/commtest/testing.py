@@ -9,19 +9,18 @@ the message vector under the two hypotheses. Ties go to P.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import decision
-from .core import Channel, Distribution, _check_channel_input, _check_same_alphabet, _freeze, _push
+from .core import (Channel, Distribution, _check_channel_input, _check_same_alphabet, _count,
+                   _freeze, _push)
 from .errors import DimensionError, NonConvergenceError, ValidationError
 
 DEFAULT_ERROR_BUDGET = 0.1
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_INT64_MAX = 2**63 - 1  # numpy's draws take n and trials as int64
 
 
 @dataclass(frozen=True)
@@ -40,17 +39,6 @@ class TestRule:
         if any(c.in_size != k for c in channels):
             raise DimensionError("all channels must share the input alphabet")
         _freeze(self, channels=channels)
-
-    @property
-    def identical(self) -> bool:
-        return len(self.channels) == 1
-
-    @property
-    def in_size(self) -> int:
-        return self.channels[0].in_size
-
-    def channel_for(self, user: int) -> Channel:
-        return self.channels[user % len(self.channels)]
 
 
 def lrt_decide(
@@ -168,22 +156,6 @@ def simulate_error(
         ci_halfwidth=_Z95 * math.sqrt(var),
         seed=seed,
     )
-
-
-def _count(name: str, value, least: int = 1, bounded: bool = True) -> int:
-    """`value` as a Python int of at least `least`, and at most 2**63 - 1 if
-    `bounded`; a bool is not a count."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise ValidationError(f"{name} must be at least {least}, got {count}")
-    if bounded and count > _INT64_MAX:
-        raise ValidationError(f"{name} must be at most 2**63 - 1, got {count}")
-    return count
 
 
 def scheffe_channel(p: Distribution, q: Distribution) -> Channel:

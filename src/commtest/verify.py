@@ -381,15 +381,14 @@ def mary_suite(seed: int = 0, tournament_trials: int = 200,
         worst = min(worst, float((lhs - mary._pair_tv(fam._probs) / fam.m ** 2).min()))
     results.append(CheckResult("reduction_guarantee", worst >= -1e-12, worst))
 
-    # Hadamard instance structure.
+    # Hadamard instance structure: centered chi-square inner products
+    # sum_x (P_a - u)(P_b - u) / u = eps^2 1{a=b}, and TV eps/2 to uniform.
     fam4 = mary.hadamard_instance(4, 0.4)
-    worst_o = 0.0
-    for i in range(fam4.m):
-        for j in range(fam4.m):
-            chi = mary.chi_square_inner(fam4.base, fam4.dists[i], fam4.dists[j])
-            target = 0.4 ** 2 if i == j else 0.0
-            worst_o = max(worst_o, abs(chi - target))
-        worst_o = max(worst_o, abs(total_variation(fam4.base, fam4.dists[i]) - 0.2))
+    u = fam4.base.probs
+    dev = fam4._probs - u
+    gram = (dev[:, None] * dev / u).sum(axis=-1)
+    worst_o = max(float(np.abs(gram - 0.4 ** 2 * np.eye(fam4.m)).max()),
+                  *(abs(total_variation(fam4.base, d) - 0.2) for d in fam4.dists))
     results.append(CheckResult("hadamard_orthogonality", worst_o <= 1e-10, worst_o))
     worst_tv = min(total_variation(a, b)
                    for idx, a in enumerate(fam4.dists) for b in fam4.dists[idx + 1:])

@@ -70,9 +70,10 @@ FACTS_FAULTS = {
 
 
 def best_grid_keeps_the_top_atoms(monkeypatch):
-    """`reverse_markov_best` returns the top-atom grid and never the doubling
+    """`reverse_markov_best` scores the top-atom grid alone, with no doubling
     grid: on flat laws over hundreds of atoms it falls below the floor."""
-    monkeypatch.setattr(revmarkov, "reverse_markov_best", revmarkov.reverse_markov_top)
+    monkeypatch.setattr(revmarkov, "_doubling_rows",
+                        lambda rv, out_size: iter([np.empty((0, out_size))]))
 
 
 def revmarkov_oracle_cuts_one_atom_low(monkeypatch):
@@ -83,9 +84,11 @@ def revmarkov_oracle_cuts_one_atom_low(monkeypatch):
 
 
 def best_grid_keeps_the_doubling_grid(monkeypatch):
-    """`reverse_markov_best` returns the doubling grid and never the top-atom
-    grid, which is exact when every atom gets a level."""
-    monkeypatch.setattr(revmarkov, "reverse_markov_best", revmarkov.reverse_markov_geometric)
+    """The top-atom grid puts every level but beta at 0 and scores 0, so
+    `reverse_markov_best` returns a doubling grid; the top-atom grid is
+    exact when every atom gets a level."""
+    monkeypatch.setattr(revmarkov, "_top_row",
+                        lambda rv, out_size: [0.0] * (out_size - 1) + [rv.beta])
 
 
 REVERSE_MARKOV_FAULTS = {
@@ -209,14 +212,16 @@ def reduction_compares_a_hypothesis_with_itself(monkeypatch):
     monkeypatch.setattr(mary, "pairwise_indicator_reduction", faulty)
 
 
-def chi_square_drops_the_base_weights(monkeypatch):
-    """The centered inner product is not divided by the base masses."""
+def hadamard_rows_carry_half_of_eps(monkeypatch):
+    """The Hadamard rows are perturbed by eps/2 while the family records eps:
+    the inner products read eps^2/4 on the diagonal, and TV to uniform eps/4."""
+    exact = mary.hadamard_instance
 
-    def faulty(base, a, b):
-        u = base.probs
-        return float(((a.probs - u) * (b.probs - u)).sum())
+    def faulty(m, eps):
+        fam = exact(m, eps / 2.0)
+        return mary.HypothesisFamily(fam.dists, base=fam.base, hadamard_eps=eps)
 
-    monkeypatch.setattr(mary, "chi_square_inner", faulty)
+    monkeypatch.setattr(mary, "hadamard_instance", faulty)
 
 
 def total_variation_drops_the_absolute_value(monkeypatch):
@@ -276,7 +281,7 @@ def game_llr_swaps_the_pair(monkeypatch):
 
 MARY_FAULTS = {
     "reduction_guarantee": reduction_compares_a_hypothesis_with_itself,
-    "hadamard_orthogonality": chi_square_drops_the_base_weights,
+    "hadamard_orthogonality": hadamard_rows_carry_half_of_eps,
     "hadamard_min_tv": total_variation_drops_the_absolute_value,
     "jl_success_rate": jl_floor_drops_the_acceptance_factor,
     "chi_square_budget": hadamard_family_records_one_percent_less_eps,

@@ -282,6 +282,15 @@ class TestMary:
         assert out == ""
         assert err.startswith("error: --trials must be at least 1")
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_tournament_needs_two_outputs(self, capsys, d):
+        # --d 0 divided by zero in the game size, and --d -1 made it negative
+        code, out, err = run(capsys, "mary", "tournament", "--m", "4", "--eps", "0.4",
+                             "--d", d)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: out_size must be at least 2\n"
+
     def test_family_file(self, capsys, tmp_path):
         fam = {"dists": [[0.9, 0.1], [0.1, 0.9]]}
         f = tmp_path / "family.json"
@@ -558,22 +567,20 @@ class TestUsage:
 # Every public name of the package, in the order of `commtest.__all__`.
 EXPORTS = [
     "Channel", "Distribution", "FDivergenceSpec", "ThresholdSet", "apply_channel",
-    "builtin_fdiv", "f_divergence", "geometric_threshold_set", "hellinger_affinity",
-    "hellinger_sq", "likelihood_ratios", "sym_chi_spec", "threshold_channel", "total_variation",
+    "builtin_fdiv", "f_divergence", "hellinger_affinity", "hellinger_sq", "likelihood_ratios",
+    "sym_chi_spec", "threshold_channel", "total_variation",
     "CommtestError", "DegenerateInputError", "DimensionError", "InfeasibleContaminationError",
     "NonConvergenceError", "StochasticFailureError", "ValidationError",
     "DiscreteRV", "ThresholdGrid", "brute_force_revmarkov", "guarantee", "reverse_markov_best",
-    "reverse_markov_geometric", "reverse_markov_top", "revmarkov_objective",
-    "tightness_instance",
+    "revmarkov_objective", "tightness_instance",
     "QuantizeResult", "brute_force_threshold_channel", "design_fdiv_channel",
     "design_hellinger_channel", "fdiv_ratio", "hell_tight_instance",
     "SimulationReport", "TestRule", "empirical_sample_complexity", "lrt_decide",
     "scheffe_channel", "simulate_error",
     "ContaminationSetup", "LfdPair", "design_robust_channel", "example_nonrobust_instance",
-    "example_phase_transition_instance", "huber_lfd", "moderate_robustness_radius",
-    "robust_decide",
+    "example_phase_transition_instance", "huber_lfd", "robust_decide",
     "BinaryChannelBoundReport", "GameRecord", "HypothesisFamily", "TournamentTranscript",
-    "chi_square_budget", "chi_square_inner", "counts_sampler", "game_sample_size",
+    "chi_square_budget", "counts_sampler", "game_sample_size",
     "hadamard_instance", "identical_channel_design", "jl_sketch_channel",
     "min_pairwise_tv_after", "pairwise_indicator_reduction", "tournament_adaptive",
     "tournament_nonadaptive", "verify_identical_d2_bound",
@@ -582,7 +589,7 @@ EXPORTS = [
 
 class TestPackageSurface:
     def test_all_lists_every_export(self):
-        assert len(EXPORTS) == 66
+        assert len(EXPORTS) == 61
         assert commtest.__all__ == EXPORTS
 
     @pytest.mark.parametrize("name", EXPORTS)

@@ -717,10 +717,10 @@ def ref_lrt_decide(p, q, rule, messages):
     bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
     if bad.size:
         raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
+    k = rule.channels[0].in_size
     for dist in (p, q):
-        if dist.k != rule.in_size:
-            raise DimensionError(
-                f"channel expects alphabet size {rule.in_size}, distribution has {dist.k}")
+        if dist.k != k:
+            raise DimensionError(f"channel expects alphabet size {k}, distribution has {dist.k}")
     g = len(rule.channels)
     counts = [np.bincount(msgs[i::g], minlength=c.out_size) for i, c in enumerate(rule.channels)]
     llr = [ref_message_llr(c, p, q) for c in rule.channels]

@@ -13,7 +13,6 @@ from commtest import (
     ValidationError,
     apply_channel,
     chi_square_budget,
-    chi_square_inner,
     counts_sampler,
     game_sample_size,
     hadamard_instance,
@@ -75,11 +74,11 @@ class TestHadamardInstance:
         assert fam.k == 8  # smallest power of two >= m + 1
         for i in range(fam.m):
             assert total_variation(fam.base, fam.dists[i]) == pytest.approx(0.2)
-            for j in range(fam.m):
-                expected = 0.4**2 if i == j else 0.0
-                assert chi_square_inner(
-                    fam.base, fam.dists[i], fam.dists[j]
-                ) == pytest.approx(expected, abs=1e-12)
+        # centered chi-square inner products sum_x (P_a - u)(P_b - u) / u
+        u = fam.base.probs
+        dev = np.array([d.probs for d in fam.dists]) - u
+        gram = (dev[:, None] * dev / u).sum(axis=-1)
+        assert gram == pytest.approx(0.4**2 * np.eye(fam.m), abs=1e-12)
 
     def test_rows_follow_sylvester_sign_rule(self):
         # Sylvester's H_k has entry (-1)^popcount(a & x); row a + 1 gives P_a.
@@ -98,22 +97,6 @@ class TestHadamardInstance:
         with pytest.raises(ValidationError):
             hadamard_instance(4, 1.0)
 
-    def test_chi_square_needs_full_support_base(self):
-        base = Distribution([1.0, 0.0])
-        d = Distribution([0.5, 0.5])
-        with pytest.raises(ValidationError):
-            chi_square_inner(base, d, d)
-
-    def test_chi_square_rejects_a_one_atom_hypothesis(self):
-        # numpy would broadcast the single atom against the base and return 0.0
-        fam = hadamard_instance(2, 0.4)
-        with pytest.raises(DimensionError):
-            chi_square_inner(fam.base, Distribution([1.0]), fam.dists[0])
-
-    def test_chi_square_rejects_a_hypothesis_on_another_alphabet(self):
-        fam = hadamard_instance(2, 0.4)
-        with pytest.raises(DimensionError):
-            chi_square_inner(fam.base, fam.dists[0], Distribution([0.5, 0.5]))
 
 
 class TestReduction:
@@ -157,6 +140,24 @@ class TestJlSketch:
         for call in (jl_sketch_channel, mary.jl_distance_floor, identical_channel_design):
             with pytest.raises(ValidationError, match="out_size must be at least 2"):
                 call(fam, 1)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_retries", 0, "must be at least 1, got 0"),
+        ("max_retries", -5, "must be at least 1, got -5"),
+        ("max_retries", 2.5, "must be an integer, got 2.5"),
+        ("max_retries", True, "must be an integer, got True"),
+        ("accept", float("nan"), "must be positive and finite, got nan"),
+        ("accept", -1.0, "must be positive and finite, got -1.0"),
+        ("accept", 0.0, "must be positive and finite, got 0.0"),
+        ("accept", float("inf"), "must be positive and finite, got inf"),
+    ], ids=["retries-0", "retries-neg", "retries-float", "retries-bool", "accept-nan",
+            "accept-neg", "accept-0", "accept-inf"])
+    def test_rejects_bad_retries_and_accept(self, name, value, message):
+        # 0 and -5 retries raised StochasticFailureError, 2.5 a TypeError; a NaN
+        # accept drew every sketch against a NaN floor, and -1 accepted any draw
+        fam = hadamard_instance(4, 0.4)
+        with pytest.raises(ValidationError, match=f"^{name} {message}$"):
+            jl_sketch_channel(fam, 3, **{name: value})
 
     def test_deterministic_given_seed(self):
         fam = hadamard_instance(4, 0.4)
@@ -250,6 +251,12 @@ class TestTournaments:
         r = 1.0 + min(float(fam.k), max(1.0, math.log2(1.0 / rho_sq))) / 2.0
         expected = math.ceil(4.0 * math.log(16 / 0.1) * r / rho_sq)
         assert game_sample_size(fam, 2) == expected
+
+    @pytest.mark.parametrize("out_size", [1, 0, -1])
+    def test_game_sample_size_needs_two_outputs(self, out_size):
+        # at 0 the formula divided by zero, and at -1 it gave a negative size
+        with pytest.raises(ValidationError, match="out_size must be at least 2"):
+            game_sample_size(hadamard_instance(4, 0.4), out_size)
 
     @pytest.mark.parametrize("constant", [-1.0, 0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("call", [game_sample_size, tournament_nonadaptive,

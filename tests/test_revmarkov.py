@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from commtest import revmarkov
 from commtest import (
     DegenerateInputError,
     DiscreteRV,
@@ -10,16 +11,24 @@ from commtest import (
     brute_force_revmarkov,
     guarantee,
     reverse_markov_best,
-    reverse_markov_geometric,
-    reverse_markov_top,
     revmarkov_objective,
     tightness_instance,
 )
 
 
+def loop_top(rv, out_size):
+    """(nus, achieved) of the grid through the D-1 atoms of largest
+    value * mass, ties to the larger value, the top level repeated."""
+    ranked = sorted(((float(v * m), float(v)) for v, m in zip(rv.values, rv.masses)),
+                    reverse=True)
+    levels = sorted(v for s, v in ranked[:out_size - 1] if s > 0)
+    nus = tuple(levels + [levels[-1]] * (out_size - 1 - len(levels))) + (rv.beta,)
+    return nus, revmarkov_objective(rv, nus)
+
+
 def loop_geometric(rv, out_size):
-    """(nus, achieved) of the candidate-by-candidate doubling-grid search:
-    the reference for reverse_markov_geometric, first strict best wins."""
+    """(nus, achieved) of the candidate-by-candidate doubling-grid search,
+    first strict best wins."""
     positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
     best = None
     for x in sorted({float(v) / 2.0 ** t for v in positive for t in range(out_size)}):
@@ -28,6 +37,13 @@ def loop_geometric(rv, out_size):
         if best is None or val > best[1]:
             best = (nus, val)
     return best
+
+
+def loop_best(rv, out_size):
+    """The reference for reverse_markov_best: the better of `loop_top` and
+    `loop_geometric`, ties to the top-atom grid."""
+    top, geo = loop_top(rv, out_size), loop_geometric(rv, out_size)
+    return top if top[1] >= geo[1] else geo
 
 
 def geometric_case(rng, kind):
@@ -129,10 +145,13 @@ class TestStrategies:
 
     def test_top_vs_geometric_both_feasible(self):
         rv = DiscreteRV([0.1, 0.3, 0.8], [0.3, 0.3, 0.4], 1.0)
-        top = reverse_markov_top(rv, 3)
-        geo = reverse_markov_geometric(rv, 3)
-        for grid in (top, geo):
-            assert revmarkov_objective(rv, grid.nus) == pytest.approx(grid.achieved)
+        top = revmarkov._top_row(rv, 3)
+        geo = next(revmarkov._doubling_rows(rv, 3))
+        assert revmarkov_objective(rv, top) == loop_top(rv, 3)[1]
+        for nus in geo:
+            revmarkov_objective(rv, nus)  # a valid grid
+        grid = reverse_markov_best(rv, 3)
+        assert revmarkov_objective(rv, grid.nus) == pytest.approx(grid.achieved)
 
     def test_degenerate_zero_mean(self):
         rv = DiscreteRV([0.0], [1.0], 1.0)
@@ -144,7 +163,7 @@ class TestStrategies:
     def test_out_size_validation(self):
         rv = DiscreteRV([0.2], [1.0], 1.0)
         with pytest.raises(ValidationError):
-            reverse_markov_top(rv, 1)
+            reverse_markov_best(rv, 1)
         with pytest.raises(ValidationError):
             brute_force_revmarkov(rv, 1)
 
@@ -162,29 +181,48 @@ class TestGeometricSearch:
         for i in range(2100):
             rv = geometric_case(rng, i % 5)
             d = 2 + (i // 5) % 7
-            grid = reverse_markov_geometric(rv, d)
-            assert (grid.nus, grid.achieved) == loop_geometric(rv, d)
+            grid = reverse_markov_best(rv, d)
+            assert (grid.nus, grid.achieved) == loop_best(rv, d)
 
     def test_matches_candidate_loop_on_long_grids(self):
         # numpy sums rows of 8 or more in another order than np.dot, and at
-        # D = 700 the 2100 candidates span 23 chunks
+        # D = 700 the 2100 candidates span 23 blocks
         rng = np.random.default_rng(1304)
         for i in range(60):
             rv = geometric_case(rng, i % 5)
             d = (9, 12, 17, 33)[i % 4]
-            grid = reverse_markov_geometric(rv, d)
-            assert (grid.nus, grid.achieved) == loop_geometric(rv, d)
+            grid = reverse_markov_best(rv, d)
+            assert (grid.nus, grid.achieved) == loop_best(rv, d)
         rv = DiscreteRV([0.1, 0.3, 0.7], [0.2, 0.5, 0.3], 1.0)
-        grid = reverse_markov_geometric(rv, 700)
-        assert (grid.nus, grid.achieved) == loop_geometric(rv, 700)
+        grid = reverse_markov_best(rv, 700)
+        assert (grid.nus, grid.achieved) == loop_best(rv, 700)
+        # 300 atoms below 0.01 push the best doubling grid, near x = 0.5, into
+        # the second of five blocks, and it beats the top-atom grid
+        values = np.concatenate((np.linspace(1e-4, 1e-2, 300), np.linspace(0.5, 0.99, 200)))
+        masses = np.concatenate((np.full(300, 0.01 / 300), np.full(200, 0.99 / 200)))
+        rv = DiscreteRV(values, masses, 1.0)
+        grid = reverse_markov_best(rv, 23)
+        assert (grid.nus, grid.achieved) == loop_best(rv, 23) == loop_geometric(rv, 23)
+        assert grid.achieved > loop_top(rv, 23)[1]
 
     def test_tie_goes_to_smaller_x(self):
-        # with D = 2, x = 0.25 and x = 0.5 both score exactly 0.25
-        rv = DiscreteRV([0.25, 0.5], [0.5, 0.5], 1.0)
-        grid = reverse_markov_geometric(rv, 2)
+        # with D = 2, x = 0.25 and x = 0.5 both score exactly 0.25, and the
+        # top-atom grid, through 0.75, scores 0.1875
+        rv = DiscreteRV([0.25, 0.5, 0.75], [0.5, 0.25, 0.25], 1.0)
+        grid = reverse_markov_best(rv, 2)
         assert grid.nus == (0.25, 1.0)
         assert grid.achieved == 0.25
         assert revmarkov_objective(rv, (0.5, 1.0)) == 0.25
+        assert loop_top(rv, 2) == ((0.75, 1.0), 0.1875)
+
+    def test_tie_goes_to_the_top_atom_grid(self):
+        # with D = 2, the top-atom grid through 0.5 and the doubling grid
+        # through x = 0.25 both score exactly 0.25
+        rv = DiscreteRV([0.25, 0.5], [0.5, 0.5], 1.0)
+        grid = reverse_markov_best(rv, 2)
+        assert grid.nus == (0.5, 1.0)
+        assert grid.achieved == 0.25
+        assert revmarkov_objective(rv, (0.25, 1.0)) == 0.25
 
 
 class TestTightnessInstance:

@@ -21,7 +21,6 @@ from commtest import (
     hellinger_sq,
     huber_lfd,
     likelihood_ratios,
-    moderate_robustness_radius,
     robust_decide,
     scheffe_channel,
     total_variation,
@@ -235,39 +234,15 @@ class TestRobustDesign:
 
 
 class TestModerateRadius:
-    def test_positive_and_scales_with_slack(self):
-        p = Distribution([0.8, 0.2])
-        q = Distribution([0.2, 0.8])
-        chan = Channel.identity(2)
-        r10 = moderate_robustness_radius(p, q, chan, slack=10.0)
-        r20 = moderate_robustness_radius(p, q, chan, slack=20.0)
-        assert r10 > 0
-        assert r10 == pytest.approx(2 * r20)
-        assert r10 == pytest.approx(0.001 * hellinger_sq(p, q))
-
-    def test_collapsing_channel_raises(self):
-        p = Distribution([0.8, 0.2])
-        q = Distribution([0.2, 0.8])
-        collapse = Channel(np.full((2, 2), 0.5))
-        with pytest.raises(DegenerateInputError):
-            moderate_robustness_radius(p, q, collapse)
-
-    def test_bad_slack(self):
-        p = Distribution([0.8, 0.2])
-        q = Distribution([0.2, 0.8])
-        for slack in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValidationError, match="slack must be positive"):
-                moderate_robustness_radius(p, q, Channel.identity(2), slack=slack)
-
     def test_lfd_design_survives_moderate_contamination(self):
-        # below the moderate radius, the channel designed for the clean pair
-        # still separates the contaminated pair
+        # below the moderate radius 0.01 d_h^2(Tp, Tq) / 10, the channel
+        # designed for the clean pair still separates the contaminated pair
         p = Distribution([0.8, 0.2])
         q = Distribution([0.2, 0.8])
         from commtest import design_hellinger_channel
 
         chan = design_hellinger_channel(p, q, 2).channel
-        radius = moderate_robustness_radius(p, q, chan)
+        radius = 0.01 * hellinger_sq(apply_channel(chan, p), apply_channel(chan, q)) / 10.0
         lfd = huber_lfd(ContaminationSetup(p, q, radius))
         h2_cont = hellinger_sq(
             apply_channel(chan, lfd.p_lfd), apply_channel(chan, lfd.q_lfd)

@@ -44,10 +44,7 @@ class TestRuleBasics:
     def test_round_robin(self):
         a, b = Channel.identity(2), Channel(np.full((2, 2), 0.5))
         rule = TestRule([a, b])
-        assert not rule.identical
-        assert rule.channel_for(0) is a
-        assert rule.channel_for(1) is b
-        assert rule.channel_for(2) is a
+        assert [rule.channels[u % len(rule.channels)] for u in range(3)] == [a, b, a]
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValidationError):
@@ -106,7 +103,7 @@ class TestLrtDecide:
             p, q = (CONFLICT_P, CONFLICT_Q) if trial % 2 else (
                 Distribution(rng.dirichlet(np.ones(4))), Distribution(rng.dirichlet(np.ones(4))))
             n = int(rng.integers(1, 12))
-            msgs = np.array([rng.integers(rule.channel_for(u).out_size) for u in range(n)])
+            msgs = np.array([rng.integers(chans[u % 2].out_size) for u in range(n)])
             shuffled = msgs.copy()
             for g in range(2):
                 shuffled[g::2] = rng.permutation(msgs[g::2])
@@ -119,11 +116,11 @@ class TestLrtDecide:
         for _ in range(100):
             p = Distribution(rng.dirichlet(np.ones(5)))
             q = Distribution(rng.dirichlet(np.ones(5)))
-            msgs = [int(rng.integers(rule.channel_for(u).out_size)) for u in range(50)]
+            msgs = [int(rng.integers(chans[u % 3].out_size)) for u in range(50)]  # round robin
             terms = []
             for u, y in enumerate(msgs):
-                tp = apply_channel(rule.channel_for(u), p).probs
-                tq = apply_channel(rule.channel_for(u), q).probs
+                tp = apply_channel(chans[u % 3], p).probs
+                tq = apply_channel(chans[u % 3], q).probs
                 terms.append(np.log(tp[y] / tq[y]))
             stat = sum(terms)
             if abs(stat) > 1e-9 * sum(abs(t) for t in terms):
