@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from commtest import revmarkov
 from commtest import (
     DegenerateInputError,
     DiscreteRV,
@@ -11,6 +10,7 @@ from commtest import (
     brute_force_revmarkov,
     guarantee,
     reverse_markov_best,
+    revmarkov,
     revmarkov_objective,
     tightness_instance,
 )
