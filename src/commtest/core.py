@@ -278,10 +278,11 @@ def threshold_channel(p: Distribution, q: Distribution, gamma: ThresholdSet) -> 
 
 
 def _ratio_labels(ratios: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """The 0/1 matrix of `threshold_channel`, given the likelihood ratios of
-    (p, q) and the sorted thresholds; an infinite ratio lands past them all."""
-    labels = np.searchsorted(levels, ratios, side="right")
-    return (np.arange(levels.size + 1)[:, None] == labels).astype(float)
+    """The 0/1 matrix of `threshold_channel` (or a stack of them), given the
+    likelihood ratios of (p, q) and the sorted thresholds (or a stack): a label
+    counts the thresholds at or below the ratio, searchsorted side="right"."""
+    labels = (levels[..., None, :] <= ratios[:, None]).sum(axis=-1)
+    return (np.arange(levels.shape[-1] + 1)[:, None] == labels[..., None, :]).astype(float)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -432,12 +433,26 @@ def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
     return 0.0
 
 
+def _fdiv_terms(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> list[float]:
+    """The summands of I_f over two probability arrays of one length, on Python
+    floats; one that raises there or leaves the float range is taken again on
+    numpy scalars, which read inf or nan and warn as numpy does."""
+    terms = []
+    for pi, qi in zip(pa.tolist(), qa.tolist()):
+        try:
+            term = _fdiv_term(spec, pi, qi)
+        except ArithmeticError:
+            term = math.nan
+        terms.append(term if math.isfinite(term) else
+                     _fdiv_term(spec, np.float64(pi), np.float64(qi)))
+    return terms
+
+
 def _fdiv_sum(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> float:
-    """I_f over two probability arrays of one length."""
-    total = 0.0
-    for pi, qi in zip(pa, qa):
-        total += _fdiv_term(spec, pi, qi)
-    return float(total)
+    """I_f over two probability arrays of one length, the terms added in order
+    by numpy, which warns where the sum leaves the float range. (From a numpy
+    start, sum() adds plainly; from 0.0 it may compensate, and move last bits.)"""
+    return float(sum(_fdiv_terms(spec, pa, qa), np.float64(0.0)))
 
 
 def f_divergence(spec: FDivergenceSpec, p: Distribution, q: Distribution) -> float:

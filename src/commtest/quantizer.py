@@ -27,7 +27,7 @@ from .core import (
     ThresholdSet,
     _check_channel_input,
     _fdiv_sum,
-    _fdiv_term,
+    _fdiv_terms,
     _push,
     _ratio_labels,
     _sorted_unique,
@@ -39,11 +39,11 @@ from .core import (
 )
 from .errors import DegenerateInputError, ValidationError
 from .revmarkov import (
-    DiscreteRV,
     _best_cuts,
+    _best_grids,
     _cell_sums,
     _pad_levels,
-    reverse_markov_best,
+    _require_positive_mean,
     tightness_instance,
 )
 
@@ -82,7 +82,7 @@ def fdiv_ratio(
     divergence vanishes but the input one does not."""
     num = f_divergence(spec, p, q)
     _check_channel_input(channel, p.k)
-    return _ratio_of(num, _fdiv_sum(spec, *_push(channel.matrix, np.stack([p.probs, q.probs]))))
+    return _ratio_of(num, _fdiv_sum(spec, *_push(channel.matrix, np.array((p.probs, q.probs)))))
 
 
 def _ratio_of(num: float, den: float) -> float:
@@ -105,41 +105,44 @@ def _min_ratio(p: Distribution, q: Distribution) -> float:
     return min(1.0, (np.minimum(pa, qa)[both] / np.maximum(pa, qa)[both]).min())
 
 
-def _threshold_score(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq: np.ndarray,
-                     levels: list[float], out_size: int):
-    """(preservation ratio, channel matrix, thresholds) through `levels` padded to
-    D - 1 of them, given i_f = I_f(p, q) and the likelihood ratios and stack pq of (p, q)."""
-    levels = np.array(_pad_levels(levels, out_size))
-    labels = _ratio_labels(ratios, levels)
-    return _ratio_of(i_f, _fdiv_sum(spec, *_push(labels, pq))), labels, levels
+def _score_thresholds(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq: np.ndarray,
+                      candidates: list[list[float]], out_size: int):
+    """(preservation ratios, channel matrices, thresholds) of `candidates`, lists
+    of levels each padded to D-1 of them, given i_f = I_f(p, q) and the likelihood
+    ratios and stack pq of (p, q). The candidates are labelled and pushed as one
+    stack of channels; each gets the floats it gets alone."""
+    levels = np.array([_pad_levels(c, out_size) for c in candidates])
+    channels = _ratio_labels(ratios, levels)
+    images = _push(channels[:, None], pq)
+    return [_ratio_of(i_f, _fdiv_sum(spec, *image)) for image in images], channels, levels
 
 
-def _near_one_grid(
-    spec: FDivergenceSpec, ratios: np.ndarray, qa: np.ndarray, out_size: int
-) -> list[float] | None:
-    """Reverse-Markov thresholds for the bucket of ratios p/q in (1, 1+kappa),
-    given the ratios of (p, q) and the probabilities of q."""
-    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (qa > 0)
-    if not mask.any():
-        return None
-    deltas = ratios[mask] - 1.0
-    weights = qa[mask]
-    y_vals, inv = np.unique(deltas ** spec.alpha, return_inverse=True)
-    y_mass = np.bincount(inv, weights)
-    rest = max(0.0, 1.0 - y_mass.sum())
+def _near_one_grids(spec: FDivergenceSpec, ratios: np.ndarray, weights: np.ndarray,
+                    out_size: int) -> list[list[float] | None]:
+    """Reverse-Markov thresholds for each row's bucket of `ratios` in (1, 1+kappa),
+    weighted by that row of `weights`, or None where it is empty: the laws of
+    Y = (ratio - 1)^alpha, missing mass at 0, share one value axis and one pass."""
+    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (weights > 0)
+    live = mask.any(axis=1).tolist()
+    if not any(live):
+        return [None] * len(live)
+    y = (ratios[mask] - 1.0) ** spec.alpha
+    values = _sorted_unique(np.concatenate(([0.0], y)))
+    masses = np.bincount(np.nonzero(mask)[0] * values.size + np.searchsorted(values, y),
+                         weights[mask], minlength=len(mask) * values.size)
+    masses = masses.reshape(len(mask), -1)[live]
     beta = spec.kappa ** spec.alpha
-    if rest > 0:
-        if y_vals[0] == 0.0:
-            y_mass[0] += rest
-        else:
-            y_vals = np.concatenate(([0.0], y_vals))
-            y_mass = np.concatenate(([rest], y_mass))
-    if y_vals[-1] >= beta:  # delta ** alpha can round up; DiscreteRV's other checks hold
-        raise ValidationError("values must lie in [0, beta)")
-    rv = _trusted(DiscreteRV, values=y_vals, masses=y_mass / y_mass.sum(), beta=beta)
-    grid = reverse_markov_best(rv, out_size)
-    # map grid levels on the X^alpha axis back to ratio thresholds 1 + nu
-    return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
+    for row in masses:
+        row[0] += max(0.0, 1.0 - row[row > 0].sum())  # value 0 is first on the axis
+        atoms = row > 0
+        if values[atoms][-1] >= beta:  # delta ** alpha can round up
+            raise ValidationError("values must lie in [0, beta)")
+        row[atoms] = row[atoms] / row[atoms].sum()
+        _require_positive_mean(values @ row)
+    grids = iter(_best_grids(values, masses, beta, out_size))
+    # map grid levels on the Y axis back to ratio thresholds 1 + nu^(1/alpha)
+    return [[1.0 + nu ** (1.0 / spec.alpha) for nu in next(grids)[1][:-1].tolist()] if on else None
+            for on in live]
 
 
 def _ratio_cuts(ratios: np.ndarray, support: np.ndarray) -> list[float]:
@@ -177,22 +180,24 @@ def design_fdiv_channel(
         ([1.0 / (1.0 + spec.kappa)], "large-ratio"),
     ]
     pa, qa = p.probs, q.probs
+    pq = np.array((pa, qa))
     ratios = likelihood_ratios(p, q)
     support = (pa > 0) | (qa > 0)
-    fwd = _near_one_grid(spec, ratios, qa, out_size)
+    # the ratios p/q weighted by q, and q/p weighted by p
+    both = np.array((ratios, likelihood_ratios(q, p)))
+    fwd, swp = _near_one_grids(spec, both, pq[::-1], out_size)
     if fwd is not None:
         candidates.append((fwd, "small-ratio"))
-    swp = _near_one_grid(spec, likelihood_ratios(q, p), pa, out_size)
     if swp is not None:
         candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
     sep = _ratio_cuts(ratios, support)
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
-    pq = np.stack([pa, qa])
-    scored = [_threshold_score(spec, i_f, ratios, pq, levels, out_size) + (case,)
-              for levels, case in candidates]
-    ratio, labels, levels, case = min(scored, key=lambda item: item[0])  # first of ties
+    scores, channels, levels = _score_thresholds(spec, i_f, ratios, pq,
+                                                 [levels for levels, _ in candidates], out_size)
+    win = min(range(len(scores)), key=scores.__getitem__)  # first of ties
+    ratio, labels, levels, case = scores[win], channels[win].copy(), levels[win], candidates[win][1]
 
     k_support = int(np.count_nonzero(support))
     if math.isinf(i_f):
@@ -248,12 +253,11 @@ def brute_force_threshold_channel(
     q_cells = _cell_sums(classes @ q.probs)
     n = len(cuts) + 1
     score = np.zeros((n, n + 1))
-    for a in range(n):
-        for b in range(a + 1, n + 1):
-            score[a, b] = _fdiv_term(spec, p_cells[a, b], q_cells[a, b])
+    cells = (p_cells > 0) | (q_cells > 0)  # the cells a < b; 0 elsewhere, and f's term of 0, 0
+    score[cells] = _fdiv_terms(spec, p_cells[cells], q_cells[cells])
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
-    ratio, labels, levels = _threshold_score(spec, i_f, ratios, np.stack([p.probs, q.probs]),
-                                             [cuts[c - 1] for c in chosen], out_size)
+    (ratio,), (labels,), (levels,) = _score_thresholds(
+        spec, i_f, ratios, np.array((p.probs, q.probs)), [[cuts[c - 1] for c in chosen]], out_size)
     return QuantizeResult(_trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels),
                           ratio, math.inf, "oracle", math.nan)
 

@@ -11,7 +11,6 @@ where R = min(support size, 1 + log2(beta / E[Y])).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,14 +93,19 @@ def revmarkov_objective(rv: DiscreteRV, nus) -> float:
 
 def _objective(rv: DiscreteRV, nus: np.ndarray) -> float:
     """`revmarkov_objective` on a valid grid."""
-    return float(_objectives(rv, nus[None, :])[0])
+    return float(_objectives(rv.values, rv.masses[None, :], np.zeros(1, int), nus[None, :])[0])
 
 
-def _objectives(rv: DiscreteRV, grids: np.ndarray) -> np.ndarray:
-    """F(nu) of each row of an n x D array of valid grids, each one dot
-    product of its first D-1 levels with its cell masses."""
-    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))  # mass below each atom
-    cells = np.diff(cum[np.searchsorted(rv.values, grids, side="left")], axis=1)
+def _objectives(values: np.ndarray, masses: np.ndarray, owners: np.ndarray,
+                grids: np.ndarray) -> np.ndarray:
+    """F(nu) of each row of an n x D array of valid grids under its law
+    masses[owner], a law on the sorted `values` (a zero mass leaves a running
+    sum as it is), as one dot product of its first D-1 levels with its cells."""
+    cum = np.zeros((len(masses), values.size + 1))  # mass below each value
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    at = np.searchsorted(values, grids, side="left") + (owners * cum.shape[1])[:, None]
+    below = cum.ravel()[at]
+    cells = below[:, 1:] - below[:, :-1]
     return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
 
 
@@ -112,37 +116,43 @@ def _pad_levels(levels: list[float], out_size: int) -> list[float]:
     return levels + [levels[-1]] * (out_size - 1 - len(levels))
 
 
-def _require_positive_mean(rv: DiscreteRV) -> float:
-    mean = rv.mean()
+def _require_positive_mean(mean: float) -> float:
     if mean <= 0:
         raise DegenerateInputError("E[Y] = 0: no grid has positive objective")
     return mean
 
 
-def _top_row(rv: DiscreteRV, out_size: int) -> list[float]:
-    """The grid through the D-1 atoms with the largest value*mass products,
-    ties broken toward larger values."""
-    scores = rv.values * rv.masses
-    order = np.lexsort((rv.values, scores))[::-1]
-    chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
-    return _pad_levels(chosen, out_size) + [rv.beta]
+def _top_rows(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> np.ndarray:
+    """For each row of masses, a law on the sorted `values`, the grid through the
+    D-1 atoms of largest value*mass, ties broken toward larger values."""
+    scores = values * masses
+    # a stable sort keeps ties in ascending value order: the top D-1, descending
+    top = values[np.argsort(scores, axis=1, kind="stable")[:, :-out_size:-1]]
+    return np.array([_pad_levels(row[:positive], out_size) + [beta]
+                     for row, positive in zip(top.tolist(), (scores > 0).sum(axis=1).tolist())])
 
 
-def _doubling_rows(rv: DiscreteRV, out_size: int):
-    """The doubling grids min(beta, x * 2^j), j < D-1, then beta, over the
-    candidates x = v / 2^t (v a positive atom, t < D) in ascending order, in
-    blocks of at most 2^16 levels (one grid at least), which bound memory."""
-    positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
-    xs = _sorted_unique(positive[:, None] / 2.0 ** np.arange(out_size))
-    step = max(1, 2 ** 16 // out_size)
-    for i in range(0, xs.size, step):
-        levels = np.minimum(rv.beta, xs[i:i + step, None] * 2.0 ** np.arange(out_size - 1))
-        yield np.hstack((levels, np.full((len(levels), 1), rv.beta)))
+def _doubling_xs(values: np.ndarray, masses: np.ndarray, out_size: int):
+    """The doubling-grid candidates x = v / 2^t (v a positive atom, t < D) of each
+    row of masses, ascending, all rows' in one array, and their rows."""
+    shifts = -np.arange(out_size)
+    xs = [_sorted_unique(np.ldexp(values[(values > 0) & (row > 0), None], shifts))
+          for row in masses]
+    return np.concatenate(xs), np.repeat(np.arange(len(xs)), [x.size for x in xs])
+
+
+def _doubling_grids(xs: np.ndarray, beta: float, out_size: int) -> np.ndarray:
+    """The doubling grids min(beta, x * 2^j), j < D-1, then beta, of the
+    candidates x. ldexp keeps 2^j finite past 2^1023 (x * inf could read NaN)."""
+    grids = np.full((xs.size, out_size), beta)
+    with np.errstate(over="ignore"):
+        np.minimum(beta, np.ldexp(xs[:, None], np.arange(out_size - 1)), out=grids[:, :-1])
+    return grids
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
     """The certified floor (1/13) E[Y] min(1, D/R), R = min(k, k')."""
-    mean = _require_positive_mean(rv)
+    mean = _require_positive_mean(rv.mean())
     k = rv.support_size()
     kprime = max(1.0, 1.0 + math.log2(rv.beta / mean))
     r = min(float(k), kprime)
@@ -155,26 +165,41 @@ def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
 
     Always achieves at least `guarantee(rv, out_size)`.
     """
-    _require_positive_mean(rv)
+    _require_positive_mean(rv.mean())
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
-    blocks = _doubling_rows(rv, out_size)
-    # a positive mean implies an atom with positive value and mass: a first block
-    first = np.vstack((_top_row(rv, out_size), next(blocks)))
-    achieved, grid = -math.inf, None
-    for grids in itertools.chain([first], blocks):
-        scores = _objectives(rv, grids)
-        win = int(np.argmax(scores))
-        if scores[win] > achieved:  # first of ties
-            achieved, grid = scores[win], grids[win]
-    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
+    achieved, grid = _best_grids(rv.values, rv.masses[None, :], rv.beta, out_size)[0]
+    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=achieved)
+
+
+def _best_grids(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> list:
+    """(F(nu), nu) as `reverse_markov_best` picks it for each row of masses, a law of
+    positive mean on the sorted `values` below beta: all rows' grids in one stack,
+    in blocks of at most 2^16 levels (one grid at least), which bound memory."""
+    m = len(masses)
+    tops = _top_rows(values, masses, beta, out_size)
+    xs, owners = _doubling_xs(values, masses, out_size)
+    owners = np.concatenate((np.arange(m), owners))  # the top-atom grids first: they win ties
+    best = [(-math.inf, None)] * m
+    step = max(1, 2 ** 16 // out_size)
+    for i in range(0, owners.size, step):
+        grids = np.vstack((tops[i:i + step], _doubling_grids(
+            xs[max(i - m, 0):max(i + step - m, 0)], beta, out_size)))
+        rows = owners[i:i + step]
+        scores = _objectives(values, masses, rows, grids)
+        for row in range(m):
+            win = int(np.argmax(np.where(rows == row, scores, -np.inf)))  # first of ties
+            if rows[win] == row and scores[win] > best[row][0]:
+                best[row] = (float(scores[win]), grids[win])
+    return best
 
 
 def _cell_sums(x: np.ndarray) -> np.ndarray:
     """n x (n+1) table of x[a:b].sum() for a < b (0 else), each summed up from
     x[a], so that a small cell keeps its relative accuracy."""
     n = x.size
-    return np.hstack([np.zeros((n, 1)), np.cumsum(np.triu(np.broadcast_to(x, (n, n))), 1)])
+    upper = np.arange(n)[:, None] <= np.arange(n)  # row a keeps x[a:]
+    return np.hstack([np.zeros((n, 1)), np.cumsum(np.where(upper, x, 0.0), 1)])
 
 
 def _best_cuts(score: np.ndarray, t: int) -> list[int]:
@@ -184,12 +209,12 @@ def _best_cuts(score: np.ndarray, t: int) -> list[int]:
     hold +inf but not -inf or NaN. Exact ties go to the first cuts."""
     n = score.shape[0]
     value = score[:, n].copy()  # value[a]: best score of items a.. with the cuts left
+    upper = np.arange(n)[:, None] <= np.arange(n)  # c > a, for the next cut c = column + 1
     pointers = []
     for m in range(n - 1, n - 1 - t, -1):  # starts a < m, next cuts c in 1..m
         total = np.full((m, m), -np.inf)
         # add only where c > a: a masked +inf + -inf would be NaN
-        np.add(score[:m, 1:m + 1], value[1:m + 1], out=total,
-               where=np.triu(np.ones((m, m), dtype=bool)))
+        np.add(score[:m, 1:m + 1], value[1:m + 1], out=total, where=upper[:m, :m])
         pointers.append(total.argmax(axis=1) + 1)
         value[:m] = total.max(axis=1)
     cuts = [0]
@@ -206,7 +231,7 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     contiguous cells, each scoring its lowest value times its mass, and the
     mass below the first level scores 0.
     """
-    _require_positive_mean(rv)
+    _require_positive_mean(rv.mean())
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
     positive = rv.values > 0

@@ -20,6 +20,7 @@ that every public constructor and entry point still rejects bad input.
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -42,6 +43,7 @@ from commtest import (
     brute_force_threshold_channel,
     builtin_fdiv,
     chi_square_budget,
+    core,
     counts_sampler,
     decision,
     design_fdiv_channel,
@@ -1318,3 +1320,149 @@ BAD_INPUTS = [
 def test_public_boundary_rejects(make, error):
     with pytest.raises(error):
         make()
+
+
+# --------------------------------------------------------------------------
+# I_f summed on Python floats against the numpy-scalar loop
+
+
+def numpy_scalar_sum(spec, pa, qa):
+    total = 0.0
+    for pi, qi in zip(pa, qa):
+        total += _fdiv_term(spec, pi, qi)
+    return float(total)
+
+
+def with_warnings(fn, *args):
+    """(float bytes of fn(*args), the warnings it emits, each in full)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = np.float64(fn(*args)).tobytes()
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+TINY = 5e-324
+# (spec, p, q): terms near or past where Python floats raise or leave the float range
+SUMMAND_CASES = [
+    ("sym_chi_1.5", [TINY, 1.0], [0.5, 0.5]),      # subnormal quotient: x^-0.5 near 1e161
+    ("sym_chi_2", [TINY, 1.0], [0.5, 0.5]),        # 1 / quotient overflows: inf
+    ("sym_chi_2", [1e-310, 0.5], [0.5, 0.5]),
+    ("sym_kl", [0.5, 0.5], [1e-200, 1.0]),         # past q sqrt(float max)
+    ("sym_kl", [0.5, 0.5], [TINY, 1.0]),           # the quotient itself is inf
+    ("sym_chi_1.5", [0.5, 0.5], [1e-200, 1.0]),
+    ("sym_chi_2", [0.5, 0.5], [1e-200, 1.0]),      # (p/q)^2 overflows: p f(q/p) instead
+    ("sym_chi_2", [0.5, 0.5], [TINY, 1.0]),
+    ("hellinger", [TINY, 1.0], [0.5, 0.5]),
+    ("hellinger", [0.5, 0.5], [TINY, 1.0]),
+    ("tv", [TINY, 0.5], [0.5, TINY]),
+    ("tv", [0.5, 0.5], [TINY, 1.0]),
+    ("sym_kl", [TINY, 0.5], [0.0, 0.5]),           # a / 0 reads a * slope_at_inf = inf
+    ("sym_chi_2", [1.0, 1.0], [1e-308, 1e-308]),   # finite terms, their sum overflows
+    ("triangular", [1.0, 1.0], [TINY, 1e-300]),
+]
+
+
+class TestSummandOnPythonFloats:
+    @pytest.mark.parametrize("name, pa, qa", SUMMAND_CASES)
+    def test_matches_numpy_scalar_loop(self, name, pa, qa):
+        spec, pa, qa = builtin_fdiv(name), np.array(pa), np.array(qa)
+        want = with_warnings(numpy_scalar_sum, spec, pa, qa)
+        assert with_warnings(core._fdiv_sum, spec, pa, qa) == want
+
+    def test_random_laws(self):
+        rng = np.random.default_rng(27)
+        for i in range(N_INSTANCES):
+            p, q, _ = random_instance(rng, i)
+            for name in SPECS:
+                spec = builtin_fdiv(name)
+                assert with_warnings(core._fdiv_sum, spec, p.probs, q.probs) == \
+                    with_warnings(numpy_scalar_sum, spec, p.probs, q.probs), (i, name)
+
+
+# --------------------------------------------------------------------------
+# The stacked candidate scorer against one candidate at a time
+
+DESIGN_SHAPES = (
+    (2, 2, "plain"), (4, 3, "zeros"), (5, 2, "plain"), (6, 4, "ties"),
+    (12, 3, "plain"), (13, 3, "zeros"), (8, 2, "plain"), (12, 2, "ties"),
+    (14, 8, "zeros"), (16, 3, "plain"), (18, 4, "ties"), (20, 4, "plain"),
+    (24, 4, "zeros"), (40, 4, "plain"), (64, 8, "ties"),
+)
+
+
+def shape_pair(rng, k, kind):
+    """A (p, q) pair of the benchmark's design workload: plain Dirichlet
+    draws, zero masses, or quarter-scaled copies of atoms (tied ratios)."""
+    if kind == "ties":
+        base = k - k // 3
+        p, q = rng.dirichlet(np.ones(base)), rng.dirichlet(np.ones(base))
+        p, q = np.concatenate([p, p[: k - base] / 4.0]), np.concatenate([q, q[: k - base] / 4.0])
+    else:
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        if kind == "zeros":
+            q[0], p[1] = 0.0, 0.0
+            if k >= 6:
+                p[2] = q[2] = 0.0
+    return Distribution(p / p.sum()), Distribution(q / q.sum())
+
+
+def stacked_instances():
+    rng = np.random.default_rng(2027)
+    for i in range(N_INSTANCES // 2):
+        yield random_instance(rng, i)
+    for _ in range(4):
+        for k, d, kind in DESIGN_SHAPES:
+            yield *shape_pair(rng, k, kind), d
+    yield *shape_pair(rng, 64, "plain"), 40
+
+
+def candidate_levels(rng, spec, p, q, out_size):
+    """Threshold lists of every kind the designer scores, with repeats."""
+    cuts = ref_ratio_cuts(p, q)
+    ratios = likelihood_ratios(p, q)
+    finite = ratios[np.isfinite(ratios) & (ratios > 0)]
+    drawn = sorted(rng.choice(finite, min(out_size - 1, finite.size)).tolist())
+    lists = [[1.0 + spec.kappa], [1.0 / (1.0 + spec.kappa)], drawn, [1.0 + spec.kappa],
+             cuts[: out_size - 1]]
+    return [levels for levels in lists if levels]
+
+
+class TestStackedScorer:
+    def test_each_candidate_matches_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        scored = 0
+        for p, q, d in stacked_instances():
+            for name in ("hellinger", "sym_kl", "sym_chi_1.5"):
+                spec = builtin_fdiv(name)
+                i_f = ref_fdiv(spec, p, q)
+                if i_f <= quantizer._DIVERGENCE_FLOOR:
+                    continue
+                ratios = likelihood_ratios(p, q)
+                lists = candidate_levels(rng, spec, p, q, d)
+                scores, channels, levels = quantizer._score_thresholds(
+                    spec, i_f, ratios, np.array((p.probs, q.probs)), lists, d)
+                assert len(scores) == len(channels) == len(levels) == len(lists)
+                for c, score, channel, row in zip(lists, scores, channels, levels):
+                    gamma = ref_pad_thresholds(c, d)
+                    want = ref_threshold_channel(ratios, gamma)
+                    assert row.tobytes() == gamma.values.tobytes()
+                    assert channel.tobytes() == want.matrix.tobytes()
+                    assert signature(score) == signature(ref_ratio(spec, i_f, p, q, want))
+                    scored += 1
+        assert scored > 2000
+
+    def test_winner_is_the_first_of_exact_ties(self):
+        """Both splits at 1 +/- kappa and the lossless cut give one channel:
+        the first candidate, the split at 1 + kappa, wins."""
+        p, q = Distribution([0.9, 0.1]), Distribution([0.1, 0.9])
+        for name in SPECS:
+            spec = builtin_fdiv(name)
+            ratios = likelihood_ratios(p, q)
+            lists = [[1.0 + spec.kappa], [1.0 / (1.0 + spec.kappa)], [9.0]]
+            scores, channels, _ = quantizer._score_thresholds(
+                spec, ref_fdiv(spec, p, q), ratios, np.array((p.probs, q.probs)), lists, 2)
+            assert scores[0] == scores[1] == scores[2]
+            assert channels[0].tobytes() == channels[2].tobytes()
+            res = design_fdiv_channel(spec, p, q, 2)
+            assert res.case_taken == "large-ratio"
+            assert res.gamma.values.tolist() == [1.0 + spec.kappa]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,8 +146,9 @@ class TestStrategies:
 
     def test_top_vs_geometric_both_feasible(self):
         rv = DiscreteRV([0.1, 0.3, 0.8], [0.3, 0.3, 0.4], 1.0)
-        top = revmarkov._top_row(rv, 3)
-        geo = next(revmarkov._doubling_rows(rv, 3))
+        top = revmarkov._top_rows(rv.values, rv.masses[None, :], rv.beta, 3)[0]
+        geo = revmarkov._doubling_grids(revmarkov._doubling_xs(rv.values, rv.masses[None, :], 3)[0],
+                                        rv.beta, 3)
         assert revmarkov_objective(rv, top) == loop_top(rv, 3)[1]
         for nus in geo:
             revmarkov_objective(rv, nus)  # a valid grid
@@ -204,6 +206,17 @@ class TestGeometricSearch:
         grid = reverse_markov_best(rv, 23)
         assert (grid.nus, grid.achieved) == loop_best(rv, 23) == loop_geometric(rv, 23)
         assert grid.achieved > loop_top(rv, 23)[1]
+
+    @pytest.mark.parametrize("d", [1024, 1025, 1026, 1100, 2000])
+    def test_grids_past_2_to_the_1023(self, d):
+        # 2.0 ** j is inf from j = 1024: a candidate v / inf read 0 and its
+        # levels 0 * inf = NaN, and a NaN block hid the top-atom grid (0.345)
+        rv = DiscreteRV([0.1, 0.3, 0.7], [0.2, 0.5, 0.3], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = reverse_markov_best(rv, d)
+        assert grid.achieved == pytest.approx(0.38, abs=1e-12)
+        assert revmarkov_objective(rv, grid.nus) == grid.achieved
 
     def test_tie_goes_to_smaller_x(self):
         # with D = 2, x = 0.25 and x = 0.5 both score exactly 0.25, and the

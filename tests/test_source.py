@@ -164,3 +164,13 @@ def test_caught_names_reads_every_spelling():
     tree = ast.parse("try:\n    pass\nexcept A:\n    pass\nexcept errors.B as exc:\n    pass\n"
                      "except (C, mary.D):\n    pass\nexcept:\n    pass\n")
     assert caught_names(tree) == {"A", "B", "C", "D"}
+
+
+def test_only_core_reads_the_fdiv_term():
+    """`core._fdiv_terms` takes each I_f summand on Python floats; a per-term
+    loop elsewhere would run `_fdiv_term` on numpy scalars, several times slower."""
+    readers = {path.name for path in MODULES for node in ast.walk(parse(path))
+               if "_fdiv_term" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))
+               and not isinstance(node, ast.FunctionDef)}
+    assert readers <= {"core.py"}
