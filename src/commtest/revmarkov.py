@@ -125,28 +125,34 @@ def _require_positive_mean(mean: float) -> float:
 def _top_rows(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> np.ndarray:
     """For each row of masses, a law on the sorted `values`, the grid through the
     D-1 atoms of largest value*mass, ties broken toward larger values."""
-    scores = values * masses
-    # a stable sort keeps ties in ascending value order: the top D-1, descending
-    top = values[np.argsort(scores, axis=1, kind="stable")[:, :-out_size:-1]]
-    return np.array([_pad_levels(row[:positive], out_size) + [beta]
-                     for row, positive in zip(top.tolist(), (scores > 0).sum(axis=1).tolist())])
+    rows = []
+    for row in masses:
+        scores = values * row
+        top = np.lexsort((values, scores))[:-out_size:-1]
+        chosen = [v for v, score in zip(values[top].tolist(), scores[top].tolist()) if score > 0]
+        rows.append(_pad_levels(chosen, out_size) + [beta])
+    return np.array(rows)
 
 
 def _doubling_xs(values: np.ndarray, masses: np.ndarray, out_size: int):
     """The doubling-grid candidates x = v / 2^t (v a positive atom, t < D) of each
     row of masses, ascending, all rows' in one array, and their rows."""
-    shifts = -np.arange(out_size)
-    xs = [_sorted_unique(np.ldexp(values[(values > 0) & (row > 0), None], shifts))
-          for row in masses]
+    shifts, positive = -np.arange(out_size), values > 0
+    xs = [_sorted_unique(np.ldexp(values[positive & (row > 0), None], shifts)) for row in masses]
     return np.concatenate(xs), np.repeat(np.arange(len(xs)), [x.size for x in xs])
 
 
 def _doubling_grids(xs: np.ndarray, beta: float, out_size: int) -> np.ndarray:
     """The doubling grids min(beta, x * 2^j), j < D-1, then beta, of the
-    candidates x. ldexp keeps 2^j finite past 2^1023 (x * inf could read NaN)."""
+    candidates x. Multiplying by 2^j is exact while 2^j is finite; from
+    j = 1024 it is inf, and x * inf could read NaN, so ldexp forms those."""
     grids = np.full((xs.size, out_size), beta)
-    with np.errstate(over="ignore"):
-        np.minimum(beta, np.ldexp(xs[:, None], np.arange(out_size - 1)), out=grids[:, :-1])
+    levels, shifts = grids[:, :-1], np.arange(out_size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(xs[:, None], np.ldexp(1.0, shifts), out=levels)
+        if out_size > 1025:
+            levels[:, 1024:] = np.ldexp(xs[:, None], shifts[1024:])
+    np.minimum(beta, levels, out=levels)
     return grids
 
 

@@ -218,6 +218,20 @@ class TestGeometricSearch:
         assert grid.achieved == pytest.approx(0.38, abs=1e-12)
         assert revmarkov_objective(rv, grid.nus) == grid.achieved
 
+    @pytest.mark.parametrize("d", [2, 3, 1024, 1025, 1026, 2100, 2200])
+    def test_doubling_levels_are_ldexp(self, d):
+        # levels are multiplied by 2^j while it is finite, and taken by ldexp
+        # from j = 1024, with zero, subnormal and large candidates and betas
+        xs = np.concatenate(([0.0, 5e-324, 1e-310], np.linspace(1e-3, 3.0, 20)))
+        for beta in (1.0, 1e300, 1.7e308):
+            want = np.full((xs.size, d), beta)
+            with np.errstate(over="ignore"):
+                want[:, :-1] = np.minimum(beta, np.ldexp(xs[:, None], np.arange(d - 1)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = revmarkov._doubling_grids(xs, beta, d)
+            assert got.tobytes() == want.tobytes(), beta
+
     def test_tie_goes_to_smaller_x(self):
         # with D = 2, x = 0.25 and x = 0.5 both score exactly 0.25, and the
         # top-atom grid, through 0.75, scores 0.1875
