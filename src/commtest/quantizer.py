@@ -39,11 +39,11 @@ from .core import (
 )
 from .errors import DegenerateInputError, ValidationError
 from .revmarkov import (
+    DiscreteRV,
     _best_cuts,
-    _best_grids,
     _cell_sums,
     _pad_levels,
-    _require_positive_mean,
+    reverse_markov_best,
     tightness_instance,
 )
 
@@ -82,7 +82,7 @@ def fdiv_ratio(
     divergence vanishes but the input one does not."""
     num = f_divergence(spec, p, q)
     _check_channel_input(channel, p.k)
-    return _ratio_of(num, _fdiv_sum(spec, *_push(channel.matrix, np.array((p.probs, q.probs)))))
+    return _ratio_of(num, _fdiv_sum(spec, *_push(channel.matrix, np.stack([p.probs, q.probs]))))
 
 
 def _ratio_of(num: float, den: float) -> float:
@@ -117,32 +117,32 @@ def _score_thresholds(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq:
     return [_ratio_of(i_f, _fdiv_sum(spec, *image)) for image in images], channels, levels
 
 
-def _near_one_grids(spec: FDivergenceSpec, ratios: np.ndarray, weights: np.ndarray,
-                    out_size: int) -> list[list[float] | None]:
-    """Reverse-Markov thresholds for each row's bucket of `ratios` in (1, 1+kappa),
-    weighted by that row of `weights`, or None where it is empty: the laws of
-    Y = (ratio - 1)^alpha, missing mass at 0, share one value axis and one pass."""
-    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (weights > 0)
-    live = mask.any(axis=1).tolist()
-    if not any(live):
-        return [None] * len(live)
-    y = (ratios[mask] - 1.0) ** spec.alpha
-    values = _sorted_unique(np.concatenate(([0.0], y)))
-    masses = np.bincount(np.nonzero(mask)[0] * values.size + np.searchsorted(values, y),
-                         weights[mask], minlength=len(mask) * values.size)
-    masses = masses.reshape(len(mask), -1)[live]
+def _near_one_grid(
+    spec: FDivergenceSpec, ratios: np.ndarray, qa: np.ndarray, out_size: int
+) -> list[float] | None:
+    """Reverse-Markov thresholds for the bucket of ratios p/q in (1, 1+kappa),
+    given the ratios of (p, q) and the probabilities of q."""
+    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (qa > 0)
+    if not mask.any():
+        return None
+    deltas = ratios[mask] - 1.0
+    weights = qa[mask]
+    y_vals, inv = np.unique(deltas ** spec.alpha, return_inverse=True)
+    y_mass = np.bincount(inv, weights)
+    rest = max(0.0, 1.0 - y_mass.sum())
     beta = spec.kappa ** spec.alpha
-    for row in masses:
-        row[0] += max(0.0, 1.0 - row[row > 0].sum())  # value 0 is first on the axis
-        atoms = row > 0
-        if values[atoms][-1] >= beta:  # delta ** alpha can round up
-            raise ValidationError("values must lie in [0, beta)")
-        row[atoms] = row[atoms] / row[atoms].sum()
-        _require_positive_mean(values @ row)
-    grids = iter(_best_grids(values, masses, beta, out_size))
-    # map grid levels on the Y axis back to ratio thresholds 1 + nu^(1/alpha)
-    return [[1.0 + nu ** (1.0 / spec.alpha) for nu in next(grids)[1][:-1].tolist()] if on else None
-            for on in live]
+    if rest > 0:
+        if y_vals[0] == 0.0:
+            y_mass[0] += rest
+        else:
+            y_vals = np.concatenate(([0.0], y_vals))
+            y_mass = np.concatenate(([rest], y_mass))
+    if y_vals[-1] >= beta:  # delta ** alpha can round up; DiscreteRV's other checks hold
+        raise ValidationError("values must lie in [0, beta)")
+    rv = _trusted(DiscreteRV, values=y_vals, masses=y_mass / y_mass.sum(), beta=beta)
+    grid = reverse_markov_best(rv, out_size)
+    # map grid levels on the X^alpha axis back to ratio thresholds 1 + nu
+    return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
 
 
 def _ratio_cuts(ratios: np.ndarray, support: np.ndarray) -> list[float]:
@@ -180,20 +180,19 @@ def design_fdiv_channel(
         ([1.0 / (1.0 + spec.kappa)], "large-ratio"),
     ]
     pa, qa = p.probs, q.probs
-    pq = np.array((pa, qa))
     ratios = likelihood_ratios(p, q)
     support = (pa > 0) | (qa > 0)
-    # the ratios p/q weighted by q, and q/p weighted by p
-    both = np.array((ratios, likelihood_ratios(q, p)))
-    fwd, swp = _near_one_grids(spec, both, pq[::-1], out_size)
+    fwd = _near_one_grid(spec, ratios, qa, out_size)
     if fwd is not None:
         candidates.append((fwd, "small-ratio"))
+    swp = _near_one_grid(spec, likelihood_ratios(q, p), pa, out_size)
     if swp is not None:
         candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
     sep = _ratio_cuts(ratios, support)
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
+    pq = np.stack([pa, qa])
     scores, channels, levels = _score_thresholds(spec, i_f, ratios, pq,
                                                  [levels for levels, _ in candidates], out_size)
     win = min(range(len(scores)), key=scores.__getitem__)  # first of ties
@@ -257,7 +256,7 @@ def brute_force_threshold_channel(
     score[cells] = _fdiv_terms(spec, p_cells[cells], q_cells[cells])
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
     (ratio,), (labels,), (levels,) = _score_thresholds(
-        spec, i_f, ratios, np.array((p.probs, q.probs)), [[cuts[c - 1] for c in chosen]], out_size)
+        spec, i_f, ratios, np.stack([p.probs, q.probs]), [[cuts[c - 1] for c in chosen]], out_size)
     return QuantizeResult(_trusted(Channel, matrix=labels), _trusted(ThresholdSet, values=levels),
                           ratio, math.inf, "oracle", math.nan)
 

@@ -11,6 +11,7 @@ where R = min(support size, 1 + log2(beta / E[Y])).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,19 +94,14 @@ def revmarkov_objective(rv: DiscreteRV, nus) -> float:
 
 def _objective(rv: DiscreteRV, nus: np.ndarray) -> float:
     """`revmarkov_objective` on a valid grid."""
-    return float(_objectives(rv.values, rv.masses[None, :], np.zeros(1, int), nus[None, :])[0])
+    return float(_objectives(rv, nus[None, :])[0])
 
 
-def _objectives(values: np.ndarray, masses: np.ndarray, owners: np.ndarray,
-                grids: np.ndarray) -> np.ndarray:
-    """F(nu) of each row of an n x D array of valid grids under its law
-    masses[owner], a law on the sorted `values` (a zero mass leaves a running
-    sum as it is), as one dot product of its first D-1 levels with its cells."""
-    cum = np.zeros((len(masses), values.size + 1))  # mass below each value
-    np.cumsum(masses, axis=1, out=cum[:, 1:])
-    at = np.searchsorted(values, grids, side="left") + (owners * cum.shape[1])[:, None]
-    below = cum.ravel()[at]
-    cells = below[:, 1:] - below[:, :-1]
+def _objectives(rv: DiscreteRV, grids: np.ndarray) -> np.ndarray:
+    """F(nu) of each row of an n x D array of valid grids, each one dot
+    product of its first D-1 levels with its cell masses."""
+    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))  # mass below each atom
+    cells = np.diff(cum[np.searchsorted(rv.values, grids, side="left")], axis=1)
     return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
 
 
@@ -116,49 +112,40 @@ def _pad_levels(levels: list[float], out_size: int) -> list[float]:
     return levels + [levels[-1]] * (out_size - 1 - len(levels))
 
 
-def _require_positive_mean(mean: float) -> float:
+def _require_positive_mean(rv: DiscreteRV) -> float:
+    mean = rv.mean()
     if mean <= 0:
         raise DegenerateInputError("E[Y] = 0: no grid has positive objective")
     return mean
 
 
-def _top_rows(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> np.ndarray:
-    """For each row of masses, a law on the sorted `values`, the grid through the
-    D-1 atoms of largest value*mass, ties broken toward larger values."""
-    rows = []
-    for row in masses:
-        scores = values * row
-        top = np.lexsort((values, scores))[:-out_size:-1]
-        chosen = [v for v, score in zip(values[top].tolist(), scores[top].tolist()) if score > 0]
-        rows.append(_pad_levels(chosen, out_size) + [beta])
-    return np.array(rows)
+def _top_row(rv: DiscreteRV, out_size: int) -> list[float]:
+    """The grid through the D-1 atoms with the largest value*mass products,
+    ties broken toward larger values."""
+    scores = rv.values * rv.masses
+    order = np.lexsort((rv.values, scores))[::-1]
+    chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
+    return _pad_levels(chosen, out_size) + [rv.beta]
 
 
-def _doubling_xs(values: np.ndarray, masses: np.ndarray, out_size: int):
-    """The doubling-grid candidates x = v / 2^t (v a positive atom, t < D) of each
-    row of masses, ascending, all rows' in one array, and their rows."""
-    shifts, positive = -np.arange(out_size), values > 0
-    xs = [_sorted_unique(np.ldexp(values[positive & (row > 0), None], shifts)) for row in masses]
-    return np.concatenate(xs), np.repeat(np.arange(len(xs)), [x.size for x in xs])
-
-
-def _doubling_grids(xs: np.ndarray, beta: float, out_size: int) -> np.ndarray:
-    """The doubling grids min(beta, x * 2^j), j < D-1, then beta, of the
-    candidates x. Multiplying by 2^j is exact while 2^j is finite; from
-    j = 1024 it is inf, and x * inf could read NaN, so ldexp forms those."""
-    grids = np.full((xs.size, out_size), beta)
-    levels, shifts = grids[:, :-1], np.arange(out_size - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(xs[:, None], np.ldexp(1.0, shifts), out=levels)
-        if out_size > 1025:
-            levels[:, 1024:] = np.ldexp(xs[:, None], shifts[1024:])
-    np.minimum(beta, levels, out=levels)
-    return grids
+def _doubling_rows(rv: DiscreteRV, out_size: int):
+    """The doubling grids min(beta, x * 2^j), j < D-1, then beta, over the
+    candidates x = v / 2^t (v a positive atom, t < D) in ascending order, in
+    blocks of at most 2^16 levels (one grid at least), which bound memory.
+    ldexp forms v / 2^t and x * 2^j exactly, also from j = 1024, where 2.0 ** j
+    is inf; a level past the float range reads inf, then beta."""
+    positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
+    xs = _sorted_unique(np.ldexp(positive[:, None], -np.arange(out_size)))
+    step = max(1, 2 ** 16 // out_size)
+    for i in range(0, xs.size, step):
+        with np.errstate(over="ignore"):
+            levels = np.minimum(rv.beta, np.ldexp(xs[i:i + step, None], np.arange(out_size - 1)))
+        yield np.hstack((levels, np.full((len(levels), 1), rv.beta)))
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
     """The certified floor (1/13) E[Y] min(1, D/R), R = min(k, k')."""
-    mean = _require_positive_mean(rv.mean())
+    mean = _require_positive_mean(rv)
     k = rv.support_size()
     kprime = max(1.0, 1.0 + math.log2(rv.beta / mean))
     r = min(float(k), kprime)
@@ -171,33 +158,19 @@ def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
 
     Always achieves at least `guarantee(rv, out_size)`.
     """
-    _require_positive_mean(rv.mean())
+    _require_positive_mean(rv)
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
-    achieved, grid = _best_grids(rv.values, rv.masses[None, :], rv.beta, out_size)[0]
-    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=achieved)
-
-
-def _best_grids(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> list:
-    """(F(nu), nu) as `reverse_markov_best` picks it for each row of masses, a law of
-    positive mean on the sorted `values` below beta: all rows' grids in one stack,
-    in blocks of at most 2^16 levels (one grid at least), which bound memory."""
-    m = len(masses)
-    tops = _top_rows(values, masses, beta, out_size)
-    xs, owners = _doubling_xs(values, masses, out_size)
-    owners = np.concatenate((np.arange(m), owners))  # the top-atom grids first: they win ties
-    best = [(-math.inf, None)] * m
-    step = max(1, 2 ** 16 // out_size)
-    for i in range(0, owners.size, step):
-        grids = np.vstack((tops[i:i + step], _doubling_grids(
-            xs[max(i - m, 0):max(i + step - m, 0)], beta, out_size)))
-        rows = owners[i:i + step]
-        scores = _objectives(values, masses, rows, grids)
-        for row in range(m):
-            win = int(np.argmax(np.where(rows == row, scores, -np.inf)))  # first of ties
-            if rows[win] == row and scores[win] > best[row][0]:
-                best[row] = (float(scores[win]), grids[win])
-    return best
+    blocks = _doubling_rows(rv, out_size)
+    # a positive mean implies an atom with positive value and mass: a first block
+    first = np.vstack((_top_row(rv, out_size), next(blocks)))
+    achieved, grid = -math.inf, None
+    for grids in itertools.chain([first], blocks):
+        scores = _objectives(rv, grids)
+        win = int(np.argmax(scores))
+        if scores[win] > achieved:  # first of ties
+            achieved, grid = scores[win], grids[win]
+    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
 
 
 def _cell_sums(x: np.ndarray) -> np.ndarray:
@@ -237,7 +210,7 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     contiguous cells, each scoring its lowest value times its mass, and the
     mass below the first level scores 0.
     """
-    _require_positive_mean(rv.mean())
+    _require_positive_mean(rv)
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
     positive = rv.values > 0

@@ -72,8 +72,8 @@ FACTS_FAULTS = {
 def best_grid_keeps_the_top_atoms(monkeypatch):
     """`reverse_markov_best` scores the top-atom grid alone, with no doubling
     grid: on flat laws over hundreds of atoms it falls below the floor."""
-    monkeypatch.setattr(revmarkov, "_doubling_xs",
-                        lambda values, masses, out_size: (np.empty(0), np.empty(0, int)))
+    monkeypatch.setattr(revmarkov, "_doubling_rows",
+                        lambda rv, out_size: iter([np.empty((0, out_size))]))
 
 
 def revmarkov_oracle_cuts_one_atom_low(monkeypatch):
@@ -87,8 +87,8 @@ def best_grid_keeps_the_doubling_grid(monkeypatch):
     """The top-atom grid puts every level but beta at 0 and scores 0, so
     `reverse_markov_best` returns a doubling grid; the top-atom grid is
     exact when every atom gets a level."""
-    monkeypatch.setattr(revmarkov, "_top_rows", lambda values, masses, beta, out_size:
-                        np.array([[0.0] * (out_size - 1) + [beta]] * len(masses)))
+    monkeypatch.setattr(revmarkov, "_top_row",
+                        lambda rv, out_size: [0.0] * (out_size - 1) + [rv.beta])
 
 
 REVERSE_MARKOV_FAULTS = {
@@ -307,9 +307,9 @@ def objective_cells_exclude_their_level(monkeypatch):
     """Each grid cell counts the atoms above its level, not at or above it
     (searchsorted side="right"): the top atom's mass drops out."""
 
-    def faulty(values, masses, owners, grids):
-        cum = np.hstack((np.zeros((len(masses), 1)), np.cumsum(masses, axis=1)))
-        cells = np.diff(cum[owners[:, None], np.searchsorted(values, grids, side="right")], axis=1)
+    def faulty(rv, grids):
+        cum = np.concatenate(([0.0], np.cumsum(rv.masses)))
+        cells = np.diff(cum[np.searchsorted(rv.values, grids, side="right")], axis=1)
         return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
 
     monkeypatch.setattr(revmarkov, "_objectives", faulty)

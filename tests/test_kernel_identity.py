@@ -92,13 +92,18 @@ def ref_apply(channel, dist):
     return Distribution(out / out.sum())
 
 
+def ref_fdiv_sum(spec, pa, qa):
+    """I_f over two arrays, each term taken on numpy scalars."""
+    total = 0.0
+    for pi, qi in zip(pa, qa):
+        total += _fdiv_term(spec, pi, qi)
+    return float(total)
+
+
 def ref_fdiv(spec, p, q):
     if p.k != q.k:
         raise DimensionError("alphabet mismatch")
-    total = 0.0
-    for pi, qi in zip(p.probs, q.probs):
-        total += _fdiv_term(spec, pi, qi)
-    return float(total)
+    return ref_fdiv_sum(spec, p.probs, q.probs)
 
 
 def ref_ratio(spec, num, p, q, channel):
@@ -1326,13 +1331,6 @@ def test_public_boundary_rejects(make, error):
 # I_f summed on Python floats against the numpy-scalar loop
 
 
-def numpy_scalar_sum(spec, pa, qa):
-    total = 0.0
-    for pi, qi in zip(pa, qa):
-        total += _fdiv_term(spec, pi, qi)
-    return float(total)
-
-
 def with_warnings(fn, *args):
     """(float bytes of fn(*args), the warnings it emits, each in full)."""
     with warnings.catch_warnings(record=True) as caught:
@@ -1366,7 +1364,7 @@ class TestSummandOnPythonFloats:
     @pytest.mark.parametrize("name, pa, qa", SUMMAND_CASES)
     def test_matches_numpy_scalar_loop(self, name, pa, qa):
         spec, pa, qa = builtin_fdiv(name), np.array(pa), np.array(qa)
-        want = with_warnings(numpy_scalar_sum, spec, pa, qa)
+        want = with_warnings(ref_fdiv_sum, spec, pa, qa)
         assert with_warnings(core._fdiv_sum, spec, pa, qa) == want
 
     def test_random_laws(self):
@@ -1376,7 +1374,7 @@ class TestSummandOnPythonFloats:
             for name in SPECS:
                 spec = builtin_fdiv(name)
                 assert with_warnings(core._fdiv_sum, spec, p.probs, q.probs) == \
-                    with_warnings(numpy_scalar_sum, spec, p.probs, q.probs), (i, name)
+                    with_warnings(ref_fdiv_sum, spec, p.probs, q.probs), (i, name)
 
 
 # --------------------------------------------------------------------------

@@ -146,9 +146,8 @@ class TestStrategies:
 
     def test_top_vs_geometric_both_feasible(self):
         rv = DiscreteRV([0.1, 0.3, 0.8], [0.3, 0.3, 0.4], 1.0)
-        top = revmarkov._top_rows(rv.values, rv.masses[None, :], rv.beta, 3)[0]
-        geo = revmarkov._doubling_grids(revmarkov._doubling_xs(rv.values, rv.masses[None, :], 3)[0],
-                                        rv.beta, 3)
+        top = revmarkov._top_row(rv, 3)
+        geo = next(revmarkov._doubling_rows(rv, 3))
         assert revmarkov_objective(rv, top) == loop_top(rv, 3)[1]
         for nus in geo:
             revmarkov_objective(rv, nus)  # a valid grid
@@ -218,18 +217,18 @@ class TestGeometricSearch:
         assert grid.achieved == pytest.approx(0.38, abs=1e-12)
         assert revmarkov_objective(rv, grid.nus) == grid.achieved
 
-    @pytest.mark.parametrize("d", [2, 3, 1024, 1025, 1026, 2100, 2200])
-    def test_doubling_levels_are_ldexp(self, d):
-        # levels are multiplied by 2^j while it is finite, and taken by ldexp
-        # from j = 1024, with zero, subnormal and large candidates and betas
-        xs = np.concatenate(([0.0, 5e-324, 1e-310], np.linspace(1e-3, 3.0, 20)))
-        for beta in (1.0, 1e300, 1.7e308):
-            want = np.full((xs.size, d), beta)
+    @pytest.mark.parametrize("d", [2, 3, 40, 1024])
+    def test_doubling_grids_keep_the_power_of_two_floats(self, d):
+        # where 2.0 ** arange(D) is finite, ldexp gives the floats of
+        # v / 2^t and x * 2^j, with zero, subnormal and large atoms and betas
+        for values, beta in (([0.0, 5e-324, 1e-310, 0.3, 0.7], 1.0),
+                             ([1e-300, 0.5, 1e300], 1.7e308)):
+            rv = DiscreteRV(values, [0.2] * 5 if len(values) == 5 else [0.2, 0.3, 0.5], beta)
+            xs = np.unique(np.array([v for v in values if v > 0])[:, None] / 2.0 ** np.arange(d))
             with np.errstate(over="ignore"):
-                want[:, :-1] = np.minimum(beta, np.ldexp(xs[:, None], np.arange(d - 1)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = revmarkov._doubling_grids(xs, beta, d)
+                levels = np.minimum(beta, xs[:, None] * 2.0 ** np.arange(d - 1))
+            want = np.hstack((levels, np.full((xs.size, 1), beta)))
+            got = np.vstack(list(revmarkov._doubling_rows(rv, d)))
             assert got.tobytes() == want.tobytes(), beta
 
     def test_tie_goes_to_smaller_x(self):
