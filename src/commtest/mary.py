@@ -41,9 +41,10 @@ Sampler = Callable[["np.random.Generator", int], np.ndarray]
 @dataclass(frozen=True)
 class HypothesisFamily:
     """M candidate distributions on a shared alphabet, with cached pairwise
-    separation statistics and (outside eq, hash, repr and JSON) their
-    stacked M x k probabilities and the channel and LLR table of every
-    tournament game played on it."""
+    separation statistics and (outside eq, hash, repr and JSON) their stacked
+    M x k probabilities and, built on first use, the channel and LLR table of
+    each tournament game, the round robin's stacks of them per out_size, and
+    the pairwise reduction with the family it maps this one to."""
 
     dists: tuple[Distribution, ...]
     base: Distribution | None = None
@@ -53,6 +54,7 @@ class HypothesisFamily:
     max_pairwise_hellinger: float = field(init=False)
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
     _games: dict = field(init=False, repr=False, compare=False)
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, dists: Sequence[Distribution], base=None, hadamard_eps=None):
         dists = tuple(dists)
@@ -74,7 +76,7 @@ class HypothesisFamily:
             raise DegenerateInputError("family contains duplicate hypotheses")
         _freeze(self, dists=dists, base=base, hadamard_eps=hadamard_eps,
                 min_pairwise_hellinger=float(h.min()), max_pairwise_hellinger=float(h.max()),
-                min_pairwise_tv=float(tv.min()), _probs=probs, _games={})
+                min_pairwise_tv=float(tv.min()), _probs=probs, _games={}, _derived={})
 
     @property
     def m(self) -> int:
@@ -105,6 +107,19 @@ class HypothesisFamily:
             llr = decision.message_llr(channel, self.dists[i], self.dists[j])
             self._games[key] = (channel, llr)
         return self._games[key]
+
+    def _round_robin(self, out_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The channel matrices and LLR tables of the games i < j, in `_pairs`
+        order, each stacked into one read-only array on first use."""
+        key = ("round robin", out_size)
+        if key not in self._derived:
+            ii, jj = _pairs(self.m)
+            tables = [self._game(i, j, out_size) for i, j in zip(ii.tolist(), jj.tolist())]
+            channels = np.array([channel.matrix for channel, _ in tables])
+            llr = np.array([table for _, table in tables])
+            channels.flags.writeable = llr.flags.writeable = False
+            self._derived[key] = channels, llr
+        return self._derived[key]
 
     @classmethod
     def from_json(cls, obj: dict) -> "HypothesisFamily":
@@ -202,7 +217,7 @@ def jl_sketch_channel(
     """Random sketch channel H = (J + G/Q2) / Q1 on D-1 rows (J all-ones,
     G standard Gaussian), completed with a slack row; redrawn until it is a
     sub-channel and separates the family by the `accept`-scaled floor."""
-    max_retries = _count("max_retries", max_retries)
+    seed, max_retries = _count("seed", seed, 0, False), _count("max_retries", max_retries)
     floor = jl_distance_floor(family, out_size, accept)
     best, best_score = _jl_sketch(family, out_size, seed, floor, max_retries)
     if not best_score >= floor:  # as in the draw loop, a NaN floor is never met
@@ -223,25 +238,27 @@ def _jl_sketch(
 ) -> tuple[Channel | None, float]:
     """The first sketch draw whose min pairwise output TV reaches `floor`,
     else the best draw, with that score; (None, -inf) if no draw is a
-    sub-channel."""
+    sub-channel. Draws are scored as matrices; only that draw becomes a `Channel`."""
     d_prime, k = out_size - 1, family.k
     q2 = JL_NOISE_SCALE * math.sqrt(math.log(k * d_prime))  # distinct hypotheses: k >= 2
     q1 = JL_COLUMN_SCALE * d_prime
     rng = np.random.default_rng(seed)
-    best: Channel | None = None
+    best: np.ndarray | None = None
     best_score = -math.inf
     for _ in range(max_retries):
         g = rng.standard_normal((d_prime, k))
         h = (1.0 + g / q2) / q1
-        if not (np.all(h >= 0.0) and np.all(h.sum(axis=0) <= 1.0)):
+        sums = h.sum(axis=0)
+        if not (np.all(h >= 0.0) and np.all(sums <= 1.0)):
             continue
-        channel = Channel(np.vstack([h, 1.0 - h.sum(axis=0)]))
-        score = min_pairwise_tv_after(channel, family)
+        matrix = np.vstack([h, 1.0 - sums])
+        matrix /= matrix.sum(axis=0)  # as `Channel` divides by its column sums
+        score = float(_pair_tv(_push(matrix, family._probs)).min())
         if score >= floor:
-            return channel, score
+            return _trusted(Channel, matrix=matrix), score
         if score > best_score:
-            best, best_score = channel, score
-    return best, best_score
+            best, best_score = matrix, score
+    return (None if best is None else _trusted(Channel, matrix=best)), best_score
 
 
 def identical_channel_design(
@@ -254,10 +271,13 @@ def identical_channel_design(
     A sketch keeps its best draw when none meets the floor. A draw fails to
     be a sub-channel only when an entry of G lies below -Q2 <= -8.3 or a
     column of G sums past 10 (D-1) Q2, under 1e-16 a draw: each sketch has one."""
+    seed = _count("seed", seed, 0, False)
     candidates = [_jl_sketch(family, out_size, seed, jl_distance_floor(family, out_size))]
-    reduction = pairwise_indicator_reduction(family)
-    reduced = HypothesisFamily([_trusted(Distribution, probs=row)
-                                for row in _push(reduction.matrix, family._probs)])
+    if "reduction" not in family._derived:  # it depends on the family alone
+        reduction = pairwise_indicator_reduction(family)
+        family._derived["reduction"] = reduction, HypothesisFamily(
+            [_trusted(Distribution, probs=row) for row in _push(reduction.matrix, family._probs)])
+    reduction, reduced = family._derived["reduction"]
     sketch, _ = _jl_sketch(reduced, out_size, seed + 1, jl_distance_floor(reduced, out_size))
     composed = sketch.compose(reduction)  # scored on `family`, not on `reduced`
     candidates.append((composed, min_pairwise_tv_after(composed, family)))
@@ -329,14 +349,12 @@ def tournament_nonadaptive(
     and every game's samples are drawn before any game is decided. Game
     channels stay on `family`: reuse one family object to design each pair
     only once."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0, False))
     n_samples = game_sample_size(family, out_size, constant)
     ii, jj = _pairs(family.m)
     drawn = np.array([sampler(rng, n_samples) for _ in range(ii.size)])
-    tables = [family._game(i, j, out_size) for i, j in zip(ii.tolist(), jj.tolist())]
-    channels = np.array([channel.matrix for channel, _ in tables])
+    channels, llr = family._round_robin(out_size)
     counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
-    llr = np.array([table for _, table in tables])
     first = decision.trial_statistics([counts], [llr]) >= 0  # ties go to ii
     losses = np.bincount(np.where(first, jj, ii), minlength=family.m)
     games = tuple(map(GameRecord, ii.tolist(), jj.tolist(), [n_samples] * ii.size,
@@ -359,7 +377,7 @@ def tournament_adaptive(
 ) -> TournamentTranscript:
     """Knockout: the current champion plays each next hypothesis once,
     M - 1 games total. Game channels stay on `family`, as in the round robin."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0, False))
     n_samples = game_sample_size(family, out_size, constant)
     games = []
     champion = 0
@@ -412,8 +430,8 @@ def verify_identical_d2_bound(
     stochastic channels drawn from `seed`; 0.0 with no samples, the score
     of a constant channel, which collapses every pair.
     """
-    if channel_samples < 0:
-        raise ValidationError("channel_samples must be non-negative")
+    channel_samples = _count("channel_samples", channel_samples, 0)
+    seed = _count("seed", seed, 0, False)
     m, top = family.m, family.max_pairwise_hellinger
     upper = 2.0 * math.sin(math.asin(top / 2.0) / (m - 1))
     lower = 0.0

@@ -8,7 +8,8 @@ candidate, a `DiscreteRV` and a checked grid per objective, one `np.dot` per
 objective), the LLR statistic as one numpy row sum per channel group, the
 M-ary family statistics, output separations and round robin as one Python
 step per pair, per hypothesis and per game, the knockout deciding each game
-with that row sum, the push through a channel one law at a time, the
+with that row sum, the JL sketch building and scoring one validated
+`Channel` per draw, the push through a channel one law at a time, the
 simulator pushing its laws and building its LLR tables once per branch,
 and the referee scanning every user's range and building one validated LLR
 table per channel. The kernels must give the same floats, the same
@@ -55,6 +56,7 @@ from commtest import (
     hadamard_instance,
     hellinger_sq,
     huber_lfd,
+    identical_channel_design,
     likelihood_ratios,
     lrt_decide,
     mary,
@@ -1205,6 +1207,123 @@ class TestMaryMatchesPerPairLoops:
         events.clear()
         tr = tournament_adaptive(fam, 3, recording, seed=4, constant=0.05)
         assert events == [("draw", n), ("decide",)] * len(tr.games)
+
+
+# --------------------------------------------------------------------------
+# The JL sketch: one validated Channel per draw
+
+
+def ref_jl_sketch(family, out_size, seed, floor, max_retries):
+    """The sketch loop building a `Channel` and scoring it with
+    `min_pairwise_tv_after` for every draw that is a sub-channel."""
+    d_prime, k = out_size - 1, family.k
+    q2 = mary.JL_NOISE_SCALE * math.sqrt(math.log(k * d_prime))
+    q1 = mary.JL_COLUMN_SCALE * d_prime
+    rng = np.random.default_rng(seed)
+    best, best_score = None, -math.inf
+    for _ in range(max_retries):
+        g = rng.standard_normal((d_prime, k))
+        h = (1.0 + g / q2) / q1
+        if not (np.all(h >= 0.0) and np.all(h.sum(axis=0) <= 1.0)):
+            continue
+        channel = Channel(np.vstack([h, 1.0 - h.sum(axis=0)]))
+        score = min_pairwise_tv_after(channel, family)
+        if score >= floor:
+            return channel, score
+        if score > best_score:
+            best, best_score = channel, score
+    return best, best_score
+
+
+def ref_jl_sketch_channel(family, out_size, seed, max_retries, accept):
+    floor = mary.jl_distance_floor(family, out_size, accept)
+    best, best_score = ref_jl_sketch(family, out_size, seed, floor, max_retries)
+    if not best_score >= floor:
+        raise StochasticFailureError(
+            f"no sketch met the distance floor {floor:.3g} in {max_retries} draws",
+            best=best, best_score=best_score)
+    return best
+
+
+def ref_identical_channel_design(family, out_size, seed):
+    """Both sketches from the reference loop, the reduction and the
+    reduced family built afresh."""
+    floor = mary.jl_distance_floor
+    candidates = [ref_jl_sketch(family, out_size, seed, floor(family, out_size),
+                                mary.DEFAULT_JL_RETRIES)]
+    reduction = ref_pairwise_indicator_reduction(family)
+    reduced = HypothesisFamily([apply_channel(reduction, d) for d in family.dists])
+    sketch, _ = ref_jl_sketch(reduced, out_size, seed + 1, floor(reduced, out_size),
+                              mary.DEFAULT_JL_RETRIES)
+    composed = sketch.compose(reduction)
+    candidates.append((composed, ref_min_pairwise_tv_after(composed, family)))
+    if family.k <= out_size:
+        ident = Channel.identity(family.k, out_size)
+        candidates.append((ident, ref_min_pairwise_tv_after(ident, family)))
+    return max(candidates, key=lambda cs: cs[1])
+
+
+def sketch_outcome(fn, *args):
+    """The channel's bytes, or the failure's message, best draw and score."""
+    try:
+        channel = fn(*args)
+    except StochasticFailureError as exc:
+        return ("failed", str(exc), signature(exc.best) if exc.best is not None else None,
+                signature(exc.best_score))
+    return signature(channel)
+
+
+def sketch_families():
+    """Hadamard families M 2..15 and random families with zero masses, k up to 32."""
+    families = [hadamard_instance(m, eps) for m, eps in
+                ((2, 0.5), (3, 0.4), (4, 0.4), (7, 0.35), (8, 0.45), (15, 0.2))]
+    rng = np.random.default_rng(2206)
+    while len(families) < 12:
+        dists = random_family_dists(rng, len(families) + 1)
+        if outcome(ref_family_stats, dists)[0] != "raised":
+            families.append(HypothesisFamily(dists))
+    return families
+
+
+# (accept, max_retries): the defaults, an unreachable floor, a rarely met
+# one, and the single draw `verify mary` scores
+SKETCH_SETTINGS = ((mary.DEFAULT_JL_ACCEPT, mary.DEFAULT_JL_RETRIES), (1e6, 5), (0.5, 3),
+                   (mary.DEFAULT_JL_ACCEPT, 1))
+
+
+class TestSketchMatchesChannelLoop:
+    def test_sketch_channel(self):
+        kinds = set()
+        for n, fam in enumerate(sketch_families()):
+            for d in range(2, 7):
+                for seed in range(8):
+                    for accept, retries in SKETCH_SETTINGS:
+                        got = sketch_outcome(mary.jl_sketch_channel, fam, d, seed, retries, accept)
+                        want = sketch_outcome(ref_jl_sketch_channel, fam, d, seed, retries, accept)
+                        assert got == want, (n, d, seed, accept, retries)
+                        kinds.add(got[0])
+        assert kinds == {"channel", "failed"}
+
+    @pytest.mark.parametrize("floor", [0.0, math.inf, -math.inf, math.nan, "first score"])
+    def test_floors_at_the_edges(self, floor):
+        """A zero floor, and a floor equal to the first draw's score, take
+        the first draw; no draw meets an infinite or a NaN floor, and any
+        draw meets -inf."""
+        for fam in sketch_families()[::2]:
+            for d in (2, 4):
+                at = ref_jl_sketch(fam, d, 7, math.inf, 1)[1] if floor == "first score" else floor
+                got = mary._jl_sketch(fam, d, 7, at, 6)
+                assert signature(got) == signature(ref_jl_sketch(fam, d, 7, at, 6))
+                if floor == "first score":
+                    assert got[1] == at
+
+    def test_identical_channel_design(self):
+        for n, fam in enumerate(sketch_families()):
+            for d in range(2, 7):
+                for seed in range(4):
+                    got = identical_channel_design(fam, d, seed)
+                    assert signature(got) == \
+                        signature(ref_identical_channel_design(fam, d, seed)), (n, d, seed)
 
 
 # --------------------------------------------------------------------------

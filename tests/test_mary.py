@@ -290,6 +290,47 @@ class TestTournaments:
         assert t1.to_json() == t2.to_json()
 
 
+SEEDED_CALLS = {
+    "sketch": lambda fam, **kw: jl_sketch_channel(fam, 3, **kw),
+    "identical": lambda fam, **kw: identical_channel_design(fam, 3, **kw),
+    "round-robin": lambda fam, **kw: tournament_nonadaptive(
+        fam, 2, counts_sampler(fam.dists[0]), **kw),
+    "knockout": lambda fam, **kw: tournament_adaptive(
+        fam, 2, counts_sampler(fam.dists[0]), **kw),
+    "squeeze": lambda fam, **kw: verify_identical_d2_bound(fam, **kw),
+}
+
+
+BAD_COUNTS = pytest.mark.parametrize("value, message", [
+    (-1, "must be at least 0, got -1"),
+    (2.5, "must be an integer, got 2.5"),
+    (True, "must be an integer, got True"),
+], ids=["neg", "float", "bool"])
+
+
+class TestSeedsAndSampleCounts:
+    # -1 raised numpy's "expected non-negative integer", naming no argument;
+    # 2.5 a TypeError; True was taken as seed 1
+    @BAD_COUNTS
+    @pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS.keys())
+    def test_rejects_bad_seeds(self, call, value, message):
+        with pytest.raises(ValidationError, match=f"^seed {message}$"):
+            call(hadamard_instance(4, 0.4), seed=value)
+
+    @BAD_COUNTS
+    def test_rejects_bad_channel_samples(self, value, message):
+        with pytest.raises(ValidationError, match=f"^channel_samples {message}$"):
+            verify_identical_d2_bound(hadamard_instance(4, 0.4), channel_samples=value)
+
+    def test_numpy_integers_and_large_seeds_are_taken(self):
+        fam = hadamard_instance(4, 0.4)
+        for call in SEEDED_CALLS.values():
+            assert call(fam, seed=np.int64(3)) == call(fam, seed=3)
+            call(fam, seed=2**70)
+        rep = verify_identical_d2_bound(fam, channel_samples=np.int32(5), seed=1)
+        assert rep == verify_identical_d2_bound(fam, channel_samples=5, seed=1)
+
+
 def tournament_plan():
     """(M, eps, D, adaptive, truth, seed) for 24 tournaments on three
     families; a high truth moves the adaptive champion off index 0."""
@@ -341,16 +382,54 @@ class TestGameTable:
         assert np.array_equal(forward.matrix, backward.matrix)
         assert np.array_equal(reversed_llr, -llr)
 
+    def test_round_robin_stack_is_built_once_per_out_size(self, monkeypatch):
+        lookups = []
+        real = HypothesisFamily._game
+
+        def counting(fam, i, j, out_size):
+            lookups.append((id(fam), i, j, out_size))
+            return real(fam, i, j, out_size)
+
+        monkeypatch.setattr(HypothesisFamily, "_game", counting)
+        fam, other = hadamard_instance(7, 0.35), hadamard_instance(4, 0.4)
+        for seed in range(3):
+            for fam_, d in ((fam, 2), (fam, 3), (other, 2)):
+                play(fam_, d, False, 1, seed)
+        pairs = fam.m * (fam.m - 1) // 2
+        assert len(lookups) == len(set(lookups)) == 2 * pairs + other.m * (other.m - 1) // 2
+        stack = fam._round_robin(3)
+        assert stack[0] is fam._round_robin(3)[0] and stack[1] is fam._round_robin(3)[1]
+        assert stack[0].shape == (pairs, 3, fam.k) and stack[1].shape == (pairs, 3)
+        assert not (stack[0].flags.writeable or stack[1].flags.writeable)
+
+    def test_reduction_is_built_once_per_family(self, monkeypatch):
+        built = []
+        real = mary.pairwise_indicator_reduction
+
+        def counting(fam):
+            built.append(fam)
+            return real(fam)
+
+        monkeypatch.setattr(mary, "pairwise_indicator_reduction", counting)
+        fam = hadamard_instance(8, 0.4)
+        designs = [identical_channel_design(fam, d, seed=s) for d in (2, 3) for s in range(4)]
+        assert built == [fam]
+        fresh = [identical_channel_design(hadamard_instance(8, 0.4), d, seed=s)
+                 for d in (2, 3) for s in range(4)]
+        assert [(c.matrix.tobytes(), v) for c, v in designs] == \
+            [(c.matrix.tobytes(), v) for c, v in fresh]
+
     def test_warm_table_is_invisible(self):
         fam = hadamard_instance(7, 0.35)
         cold = hadamard_instance(7, 0.35)
         before = (hash(fam), repr(fam), fam.to_json())
         play(fam, 3, False, 2, 5)
         play(fam, 2, True, 6, 5)
-        assert fam._games
+        identical_channel_design(fam, 3, seed=1)
+        assert fam._games and fam._derived
         assert fam == cold and hash(fam) == hash(cold)
         assert (hash(fam), repr(fam), fam.to_json()) == before
-        assert "_games" not in repr(fam)
+        assert "_games" not in repr(fam) and "_derived" not in repr(fam)
 
 
 class TestVerifiers:
