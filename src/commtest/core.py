@@ -215,9 +215,9 @@ def _push(matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
     clipped at 0 and divided by its sum twice: without the second division
     last bits, and designer choices, would move. Each row gets the floats it
     gets alone; a 2-D product over the stacked rows would not give them."""
-    out = np.clip(matrix @ probs[..., None], 0.0, None)[..., 0]
-    out = out / out.sum(axis=-1, keepdims=True)
-    return out / out.sum(axis=-1, keepdims=True)
+    out = np.maximum(matrix @ probs[..., None], 0.0)[..., 0]
+    out = out / np.add.reduce(out, axis=-1, keepdims=True)
+    return out / np.add.reduce(out, axis=-1, keepdims=True)
 
 
 def _check_channel_input(channel: Channel, k: int) -> None:
@@ -287,7 +287,8 @@ def _ratio_labels(ratios: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """np.unique(a) for NaN-free a: same sort, same bytes, no numpy.ma import."""
-    s = np.sort(a, axis=None)
+    s = a.flatten()
+    s.sort()
     return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
@@ -437,10 +438,15 @@ def _fdiv_terms(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> list[f
     """The summands of I_f over two probability arrays of one length, on Python
     floats; one that raises there or leaves the float range is taken again on
     numpy scalars, which read inf or nan and warn as numpy does."""
+    f, at_zero, limit = spec.f, spec.at_zero, _SQRT_FLOAT_MAX
     terms = []
     for pi, qi in zip(pa.tolist(), qa.tolist()):
         try:
-            term = _fdiv_term(spec, pi, qi)
+            if qi > 0 and 0 <= pi <= qi * limit:  # `_fdiv_term`'s first branch, inlined
+                x = pi / qi  # 0 or more, or nan from inf / inf, as `spec.evaluate` reads it
+                term = qi * (float(f(x)) if x else at_zero)
+            else:
+                term = _fdiv_term(spec, pi, qi)
         except ArithmeticError:
             term = math.nan
         terms.append(term if math.isfinite(term) else

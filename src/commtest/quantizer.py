@@ -39,11 +39,10 @@ from .core import (
 )
 from .errors import DegenerateInputError, ValidationError
 from .revmarkov import (
-    DiscreteRV,
     _best_cuts,
+    _best_levels,
     _cell_sums,
     _pad_levels,
-    reverse_markov_best,
     tightness_instance,
 )
 
@@ -96,13 +95,10 @@ def _ratio_of(num: float, den: float) -> float:
     return num / den
 
 
-def _min_ratio(p: Distribution, q: Distribution) -> float:
-    """nu = min over the joint support of min(p_i/q_i, q_i/p_i)."""
-    pa, qa = p.probs, q.probs
-    if np.any((pa > 0) != (qa > 0)):
-        return 0.0
-    both = pa > 0  # the quotient below 1 cannot overflow
-    return min(1.0, (np.minimum(pa, qa)[both] / np.maximum(pa, qa)[both]).min())
+def _min_ratio(ratios: np.ndarray, swapped: np.ndarray, support: np.ndarray) -> float:
+    """nu = min over the joint support of min(p_i/q_i, q_i/p_i) = min(p_i, q_i) /
+    max(p_i, q_i), from the ratios of (p, q) and of (q, p): no quotient overflows."""
+    return min(1.0, np.minimum(ratios, swapped)[support].min())
 
 
 def _score_thresholds(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq: np.ndarray,
@@ -122,13 +118,12 @@ def _near_one_grid(
 ) -> list[float] | None:
     """Reverse-Markov thresholds for the bucket of ratios p/q in (1, 1+kappa),
     given the ratios of (p, q) and the probabilities of q."""
-    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (qa > 0)
-    if not mask.any():
+    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa)  # a finite ratio: q > 0
+    ys = (ratios[mask] - 1.0) ** spec.alpha
+    if not ys.size:
         return None
-    deltas = ratios[mask] - 1.0
-    weights = qa[mask]
-    y_vals, inv = np.unique(deltas ** spec.alpha, return_inverse=True)
-    y_mass = np.bincount(inv, weights)
+    y_vals = _sorted_unique(ys)
+    y_mass = np.bincount(y_vals.searchsorted(ys), qa[mask])  # each class summed in input order
     rest = max(0.0, 1.0 - y_mass.sum())
     beta = spec.kappa ** spec.alpha
     if rest > 0:
@@ -139,10 +134,9 @@ def _near_one_grid(
             y_mass = np.concatenate(([rest], y_mass))
     if y_vals[-1] >= beta:  # delta ** alpha can round up; DiscreteRV's other checks hold
         raise ValidationError("values must lie in [0, beta)")
-    rv = _trusted(DiscreteRV, values=y_vals, masses=y_mass / y_mass.sum(), beta=beta)
-    grid = reverse_markov_best(rv, out_size)
+    nus, _ = _best_levels(y_vals, y_mass / y_mass.sum(), beta, out_size)
     # map grid levels on the X^alpha axis back to ratio thresholds 1 + nu
-    return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
+    return [1.0 + nu ** (1.0 / spec.alpha) for nu in nus[:-1]]
 
 
 def _ratio_cuts(ratios: np.ndarray, support: np.ndarray) -> list[float]:
@@ -153,8 +147,8 @@ def _ratio_cuts(ratios: np.ndarray, support: np.ndarray) -> list[float]:
     lies past the float maximum: a class there shares the top cell with the
     infinite class."""
     finite = _sorted_unique(ratios[support & np.isfinite(ratios)])
-    cuts = [float(v) for v in finite[1:]]
-    if np.any(np.isinf(ratios[support])):
+    cuts = finite[1:].tolist()
+    if np.isinf(ratios[support]).any():
         top = float(finite[-1])
         if top < sys.float_info.max:
             past = 2.0 * top + 1.0
@@ -180,19 +174,19 @@ def design_fdiv_channel(
         ([1.0 / (1.0 + spec.kappa)], "large-ratio"),
     ]
     pa, qa = p.probs, q.probs
-    ratios = likelihood_ratios(p, q)
+    ratios, swapped = likelihood_ratios(p, q), likelihood_ratios(q, p)
     support = (pa > 0) | (qa > 0)
     fwd = _near_one_grid(spec, ratios, qa, out_size)
     if fwd is not None:
         candidates.append((fwd, "small-ratio"))
-    swp = _near_one_grid(spec, likelihood_ratios(q, p), pa, out_size)
+    swp = _near_one_grid(spec, swapped, pa, out_size)
     if swp is not None:
         candidates.append((sorted(1.0 / t for t in swp), "small-ratio"))
     sep = _ratio_cuts(ratios, support)
     if 0 < len(sep) < out_size:  # every ratio class in its own cell: lossless
         candidates.append((sep, "small-ratio"))
 
-    pq = np.stack([pa, qa])
+    pq = np.array((pa, qa))
     scores, channels, levels = _score_thresholds(spec, i_f, ratios, pq,
                                                  [levels for levels, _ in candidates], out_size)
     win = min(range(len(scores)), key=scores.__getitem__)  # first of ties
@@ -206,7 +200,7 @@ def design_fdiv_channel(
     r_value = min(float(k_support), kprime)
 
     with np.errstate(over="ignore"):  # f(nu) may pass the float range: inf
-        f_nu = spec.evaluate(_min_ratio(p, q))
+        f_nu = spec.evaluate(_min_ratio(ratios, swapped, support))
     f_edge = spec.evaluate(1.0 / (1.0 + spec.kappa))
     main = MAIN_TERM_COEFF * f_nu / f_edge if math.isfinite(f_nu) else math.inf
     bound = main + BLOWUP_COEFF * (spec.c2 / spec.c1) * max(1.0, r_value / out_size)

@@ -11,7 +11,6 @@ where R = min(support size, 1 + log2(beta / E[Y])).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,14 +93,15 @@ def revmarkov_objective(rv: DiscreteRV, nus) -> float:
 
 def _objective(rv: DiscreteRV, nus: np.ndarray) -> float:
     """`revmarkov_objective` on a valid grid."""
-    return float(_objectives(rv, nus[None, :])[0])
+    cum = np.concatenate(([0.0], np.add.accumulate(rv.masses)))
+    return float(_objectives(rv.values, cum, nus[None, :])[0])
 
 
-def _objectives(rv: DiscreteRV, grids: np.ndarray) -> np.ndarray:
-    """F(nu) of each row of an n x D array of valid grids, each one dot
-    product of its first D-1 levels with its cell masses."""
-    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))  # mass below each atom
-    cells = np.diff(cum[np.searchsorted(rv.values, grids, side="left")], axis=1)
+def _objectives(values: np.ndarray, cum: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """F(nu) of each row of an n x D array of valid grids on the atoms `values`, with cum =
+    [0, m_0, m_0 + m_1, ...]: one dot product of its first D-1 levels with its cell masses."""
+    below = cum[values.searchsorted(grids, side="left")]
+    cells = below[:, 1:] - below[:, :-1]
     return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
 
 
@@ -112,40 +112,44 @@ def _pad_levels(levels: list[float], out_size: int) -> list[float]:
     return levels + [levels[-1]] * (out_size - 1 - len(levels))
 
 
-def _require_positive_mean(rv: DiscreteRV) -> float:
-    mean = rv.mean()
+def _require_positive_mean(values: np.ndarray, masses: np.ndarray) -> float:
+    mean = float(values @ masses)
     if mean <= 0:
         raise DegenerateInputError("E[Y] = 0: no grid has positive objective")
     return mean
 
 
-def _top_row(rv: DiscreteRV, out_size: int) -> list[float]:
+def _top_row(values: list, masses: list, beta: float, out_size: int) -> list[float]:
     """The grid through the D-1 atoms with the largest value*mass products,
-    ties broken toward larger values."""
-    scores = rv.values * rv.masses
-    order = np.lexsort((rv.values, scores))[::-1]
-    chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
-    return _pad_levels(chosen, out_size) + [rv.beta]
+    ties broken toward larger values, given the atoms as lists of floats."""
+    ranked = sorted(zip([v * m for v, m in zip(values, masses)], values), reverse=True)
+    chosen = [v for score, v in ranked[: out_size - 1] if score > 0]
+    return _pad_levels(chosen, out_size) + [beta]
 
 
-def _doubling_rows(rv: DiscreteRV, out_size: int):
-    """The doubling grids min(beta, x * 2^j), j < D-1, then beta, over the
-    candidates x = v / 2^t (v a positive atom, t < D) in ascending order, in
-    blocks of at most 2^16 levels (one grid at least), which bound memory.
-    ldexp forms v / 2^t and x * 2^j exactly, also from j = 1024, where 2.0 ** j
-    is inf; a level past the float range reads inf, then beta."""
-    positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
+def _doubling_rows(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int,
+                   top: list[float]):
+    """The grid `top`, then the doubling grids min(beta, x * 2^j), j < D-1, then beta, over
+    the candidates x = v / 2^t (v a positive atom, t < D) in ascending order, in blocks of
+    at most 2^16 levels (`top` and a doubling grid at least), each filled in place. ldexp
+    forms v / 2^t and x * 2^j exactly, also from j = 1024, where 2.0 ** j is inf; a level
+    past the float range reads inf, then beta."""
+    positive = values[(values > 0) & (masses > 0)]
     xs = _sorted_unique(np.ldexp(positive[:, None], -np.arange(out_size)))
     step = max(1, 2 ** 16 // out_size)
     for i in range(0, xs.size, step):
+        lead = int(i == 0)  # the first block starts with `top`
+        block = np.empty((lead + xs[i:i + step].size, out_size))
+        block[:lead], block[lead:, -1] = top, beta
         with np.errstate(over="ignore"):
-            levels = np.minimum(rv.beta, np.ldexp(xs[i:i + step, None], np.arange(out_size - 1)))
-        yield np.hstack((levels, np.full((len(levels), 1), rv.beta)))
+            levels = np.ldexp(xs[i:i + step, None], np.arange(out_size - 1))
+        np.minimum(levels, beta, out=block[lead:, :-1])
+        yield block
 
 
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
     """The certified floor (1/13) E[Y] min(1, D/R), R = min(k, k')."""
-    mean = _require_positive_mean(rv)
+    mean = _require_positive_mean(rv.values, rv.masses)
     k = rv.support_size()
     kprime = max(1.0, 1.0 + math.log2(rv.beta / mean))
     r = min(float(k), kprime)
@@ -158,19 +162,24 @@ def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
 
     Always achieves at least `guarantee(rv, out_size)`.
     """
-    _require_positive_mean(rv)
+    return ThresholdGrid(*_best_levels(rv.values, rv.masses, rv.beta, out_size))
+
+
+def _best_levels(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> tuple:
+    """`reverse_markov_best` on the atoms (values, masses): the best grid and its objective."""
+    _require_positive_mean(values, masses)
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
-    blocks = _doubling_rows(rv, out_size)
+    cum = np.concatenate(([0.0], np.add.accumulate(masses)))  # np.cumsum, without its wrapper
+    top = _top_row(values.tolist(), masses.tolist(), beta, out_size)
     # a positive mean implies an atom with positive value and mass: a first block
-    first = np.vstack((_top_row(rv, out_size), next(blocks)))
     achieved, grid = -math.inf, None
-    for grids in itertools.chain([first], blocks):
-        scores = _objectives(rv, grids)
-        win = int(np.argmax(scores))
+    for grids in _doubling_rows(values, masses, beta, out_size, top):
+        scores = _objectives(values, cum, grids)
+        win = int(scores.argmax())
         if scores[win] > achieved:  # first of ties
             achieved, grid = scores[win], grids[win]
-    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
+    return tuple(grid.tolist()), float(achieved)
 
 
 def _cell_sums(x: np.ndarray) -> np.ndarray:
@@ -210,7 +219,7 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     contiguous cells, each scoring its lowest value times its mass, and the
     mass below the first level scores 0.
     """
-    _require_positive_mean(rv)
+    _require_positive_mean(rv.values, rv.masses)
     if out_size < 2:
         raise ValidationError("out_size must be at least 2")
     positive = rv.values > 0

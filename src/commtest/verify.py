@@ -17,6 +17,7 @@ from . import mary, quantizer, revmarkov, robust, testing
 from .core import (
     Channel,
     Distribution,
+    _count,
     _fdiv_sum,
     _freeze,
     _push,
@@ -457,4 +458,4 @@ SUITE_NAMES = tuple(SUITES)
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SUITES[name](seed=seed)
+    return SUITES[name](seed=_count("seed", seed, 0, False))

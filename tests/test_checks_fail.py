@@ -73,7 +73,7 @@ def best_grid_keeps_the_top_atoms(monkeypatch):
     """`reverse_markov_best` scores the top-atom grid alone, with no doubling
     grid: on flat laws over hundreds of atoms it falls below the floor."""
     monkeypatch.setattr(revmarkov, "_doubling_rows",
-                        lambda rv, out_size: iter([np.empty((0, out_size))]))
+                        lambda values, masses, beta, out_size, top: iter([np.array([top])]))
 
 
 def revmarkov_oracle_cuts_one_atom_low(monkeypatch):
@@ -88,7 +88,7 @@ def best_grid_keeps_the_doubling_grid(monkeypatch):
     `reverse_markov_best` returns a doubling grid; the top-atom grid is
     exact when every atom gets a level."""
     monkeypatch.setattr(revmarkov, "_top_row",
-                        lambda rv, out_size: [0.0] * (out_size - 1) + [rv.beta])
+                        lambda values, masses, beta, out_size: [0.0] * (out_size - 1) + [beta])
 
 
 REVERSE_MARKOV_FAULTS = {
@@ -307,9 +307,8 @@ def objective_cells_exclude_their_level(monkeypatch):
     """Each grid cell counts the atoms above its level, not at or above it
     (searchsorted side="right"): the top atom's mass drops out."""
 
-    def faulty(rv, grids):
-        cum = np.concatenate(([0.0], np.cumsum(rv.masses)))
-        cells = np.diff(cum[np.searchsorted(rv.values, grids, side="right")], axis=1)
+    def faulty(values, cum, grids):
+        cells = np.diff(cum[np.searchsorted(values, grids, side="right")], axis=1)
         return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
 
     monkeypatch.setattr(revmarkov, "_objectives", faulty)

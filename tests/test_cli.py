@@ -408,6 +408,13 @@ class TestVerifyCommand:
             main(["verify", "nonsense"])
         assert exc.value.code == EXIT_INVALID
 
+    @pytest.mark.parametrize("suite", ["facts", "reverse-markov", "quantizer", "robust",
+                                       "mary", "tightness"])
+    def test_negative_seed_rejected(self, capsys, suite):
+        """Every suite checks its seed before it draws, also one that draws nothing."""
+        code, out, err = run(capsys, "verify", suite, "--seed", "-1")
+        assert (code, out, err) == (EXIT_INVALID, "", "error: seed must be at least 0, got -1\n")
+
 
 def test_json_safe_encodes_non_finite_floats_at_any_depth():
     inf, nan = float("inf"), float("nan")

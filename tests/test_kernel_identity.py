@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -35,6 +36,7 @@ from commtest import (
     DimensionError,
     DiscreteRV,
     Distribution,
+    FDivergenceSpec,
     HypothesisFamily,
     StochasticFailureError,
     TestRule,
@@ -1583,3 +1585,259 @@ class TestStackedScorer:
             res = design_fdiv_channel(spec, p, q, 2)
             assert res.case_taken == "large-ratio"
             assert res.gamma.values.tolist() == [1.0 + spec.kappa]
+
+
+# --------------------------------------------------------------------------
+# The near-one grid, its reverse-Markov kernel and nu against the code they
+# replace: classes by np.unique, a DiscreteRV and a ThresholdGrid per grid,
+# the top-atom grid from numpy scalars, the doubling blocks stacked by
+# hstack/vstack, and nu from the two laws
+
+
+def stacked_objectives(rv, grids):
+    cum = np.concatenate(([0.0], np.cumsum(rv.masses)))
+    cells = np.diff(cum[np.searchsorted(rv.values, grids, side="left")], axis=1)
+    return (grids[:, None, :-1] @ cells[:, :, None])[:, 0, 0]
+
+
+def stacked_top_row(rv, out_size):
+    scores = rv.values * rv.masses
+    order = np.lexsort((rv.values, scores))[::-1]
+    chosen = [float(rv.values[i]) for i in order[: out_size - 1] if scores[i] > 0]
+    levels = sorted(chosen)
+    return levels + [levels[-1]] * (out_size - 1 - len(levels)) + [rv.beta]
+
+
+def stacked_doubling_rows(rv, out_size):
+    positive = rv.values[(rv.values > 0) & (rv.masses > 0)]
+    xs = np.unique(np.ldexp(positive[:, None], -np.arange(out_size)))
+    step = max(1, 2 ** 16 // out_size)
+    for i in range(0, xs.size, step):
+        with np.errstate(over="ignore"):
+            levels = np.minimum(rv.beta, np.ldexp(xs[i:i + step, None], np.arange(out_size - 1)))
+        yield np.hstack((levels, np.full((len(levels), 1), rv.beta)))
+
+
+def stacked_best(rv, out_size):
+    if rv.mean() <= 0:
+        raise DegenerateInputError("E[Y] = 0: no grid has positive objective")
+    if out_size < 2:
+        raise ValidationError("out_size must be at least 2")
+    blocks = stacked_doubling_rows(rv, out_size)
+    first = np.vstack((stacked_top_row(rv, out_size), next(blocks)))
+    achieved, grid = -math.inf, None
+    for grids in [first, *blocks]:
+        scores = stacked_objectives(rv, grids)
+        win = int(np.argmax(scores))
+        if scores[win] > achieved:
+            achieved, grid = scores[win], grids[win]
+    return ThresholdGrid(nus=tuple(grid.tolist()), achieved=float(achieved))
+
+
+def unique_near_one_grid(spec, ratios, qa, out_size):
+    mask = (ratios > 1.0) & (ratios < 1.0 + spec.kappa) & (qa > 0)
+    if not mask.any():
+        return None
+    y_vals, inv = np.unique((ratios[mask] - 1.0) ** spec.alpha, return_inverse=True)
+    y_mass = np.bincount(inv, qa[mask])
+    rest = max(0.0, 1.0 - y_mass.sum())
+    beta = spec.kappa ** spec.alpha
+    if rest > 0:
+        if y_vals[0] == 0.0:
+            y_mass[0] += rest
+        else:
+            y_vals = np.concatenate(([0.0], y_vals))
+            y_mass = np.concatenate(([rest], y_mass))
+    if y_vals[-1] >= beta:
+        raise ValidationError("values must lie in [0, beta)")
+    rv = core._trusted(DiscreteRV, values=y_vals, masses=y_mass / y_mass.sum(), beta=beta)
+    grid = stacked_best(rv, out_size)
+    return [1.0 + nu ** (1.0 / spec.alpha) for nu in grid.nus[:-1]]
+
+
+def two_law_min_ratio(p, q):
+    pa, qa = p.probs, q.probs
+    if np.any((pa > 0) != (qa > 0)):
+        return 0.0
+    both = pa > 0
+    return min(1.0, (np.minimum(pa, qa)[both] / np.maximum(pa, qa)[both]).min())
+
+
+def grid_outcome(fn, *args):
+    """The thresholds fn(*args) returns, each with its type, None, or its error."""
+    try:
+        levels = fn(*args)
+    except (ValidationError, DegenerateInputError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return None if levels is None else tuple(signature(v) for v in levels)
+
+
+def near_one_pairs():
+    """(p, q, D): the seeded instances, the design shapes, D 40 and past 1024."""
+    rng = np.random.default_rng(29)
+    for i in range(N_INSTANCES):
+        yield random_instance(rng, i)
+    for k, d, kind in DESIGN_SHAPES:
+        yield *shape_pair(rng, k, kind), d
+    for d in (40, 1024, 1025, 2000):
+        yield *shape_pair(rng, 6, "ties"), d
+
+
+class TestNearOneKernel:
+    def test_grids_match_the_unique_path(self):
+        specs = [builtin_fdiv(name) for name in SPECS]
+        checked = Counter()
+        for i, (p, q, d) in enumerate(near_one_pairs()):
+            both = (likelihood_ratios(p, q), q.probs), (likelihood_ratios(q, p), p.probs)
+            for spec in specs if d < 1024 else specs[:2]:
+                for ratios, qa in both:
+                    want = grid_outcome(unique_near_one_grid, spec, ratios, qa, d)
+                    assert grid_outcome(quantizer._near_one_grid, spec, ratios, qa, d) == want, \
+                        (i, spec.name)
+                    checked[want is None] += 1
+        assert checked[False] > 2500 and checked[True] > 100
+
+    @pytest.mark.parametrize("ratios, qa, spec", [
+        # every delta ** alpha underflows to 0: E[Y] = 0
+        ([1.0 + 2 ** -40, 1.5 ** -1, 3.0], [0.5, 0.3, 0.2],
+         replace(builtin_fdiv("hellinger"), alpha=40.0)),
+        # delta ** alpha rounds up to beta = 1
+        ([np.nextafter(2.0, 0.0), 1.5, 0.5], [0.3, 0.3, 0.4],
+         replace(builtin_fdiv("hellinger"), alpha=0.1)),
+        # all of q's mass in the bucket: no atom at 0, and one at 0 from underflow
+        ([1.5, 1.25], [0.5, 0.5], builtin_fdiv("hellinger")),
+        ([1.0 + 2 ** -40, 1.5], [0.5, 0.5], replace(builtin_fdiv("hellinger"), alpha=40.0)),
+        # tied classes with zero and subnormal masses of q
+        ([1.5, 1.5, 1.25, 1.5, 1.25, 0.0], [0.1, 5e-324, 0.2, 0.0, 1e-310, 0.4],
+         builtin_fdiv("sym_chi_1.5")),
+        # ratios at the bucket's open ends 1 and 1 + kappa, and infinite ones
+        ([2.0, 1.0, 1.5, math.inf, 0.5], [0.2, 0.2, 0.2, 0.0, 0.4], builtin_fdiv("hellinger")),
+    ], ids=["all underflow", "rounds to beta", "no rest", "rest on underflow", "ties", "ends"])
+    def test_edges(self, ratios, qa, spec):
+        ratios, qa = np.array(ratios), np.array(qa)
+        for d in range(2, 10):
+            want = grid_outcome(unique_near_one_grid, spec, ratios, qa, d)
+            assert grid_outcome(quantizer._near_one_grid, spec, ratios, qa, d) == want, d
+
+    def test_edge_errors(self):
+        spec = replace(builtin_fdiv("hellinger"), alpha=40.0)
+        ratios, qa = np.array([1.0 + 2 ** -40, 3.0]), np.array([0.5, 0.5])
+        assert grid_outcome(quantizer._near_one_grid, spec, ratios, qa, 3) == \
+            ("raised", "DegenerateInputError", "E[Y] = 0: no grid has positive objective")
+        spec = replace(builtin_fdiv("hellinger"), alpha=0.1)
+        ratios, qa = np.array([np.nextafter(2.0, 0.0), 0.5]), np.array([0.5, 0.5])
+        assert grid_outcome(quantizer._near_one_grid, spec, ratios, qa, 3) == \
+            ("raised", "ValidationError", "values must lie in [0, beta)")
+
+    def test_reverse_markov_best_matches_the_stacked_path(self):
+        rng = np.random.default_rng(1029)
+        sizes = [*range(2, 10)] * 30 + [40] * 20 + [1024, 1025, 2000] * 2
+        for i, d in enumerate(sizes):
+            rv = random_rv(rng, d)
+            assert outcome(reverse_markov_best, rv, d) == outcome(stacked_best, rv, d), (i, d)
+        for values, masses, beta in (([0.0, 5e-324, 1e-310, 0.3], [0.1, 0.2, 0.3, 0.4], 1.0),
+                                     ([1e-300, 0.5, 1e300], [0.2, 0.3, 0.5], 1.7e308),
+                                     ([0.0, 0.5], [1.0, 0.0], 1.0),
+                                     ([0.25, 0.5, 0.75], [0.5, 0.25, 0.25], 1.0)):
+            rv = DiscreteRV(values, masses, beta)
+            for d in (1, 2, 3, 9, 1025):
+                assert outcome(reverse_markov_best, rv, d) == outcome(stacked_best, rv, d), d
+
+    def test_min_ratio_matches_the_two_law_quotient(self):
+        compared = 0
+        for i, (p, q, _) in enumerate(near_one_pairs()):
+            support = (p.probs > 0) | (q.probs > 0)
+            for a, b in ((p, q), (q, p)):
+                got = quantizer._min_ratio(likelihood_ratios(a, b), likelihood_ratios(b, a),
+                                           support)
+                want = two_law_min_ratio(a, b)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), i
+                assert type(got) is type(want) or got == want == 0.0, i
+                for name in SPECS:  # the bound reads f(nu) alone
+                    spec = builtin_fdiv(name)
+                    with np.errstate(over="ignore"):
+                        assert signature(spec.evaluate(got)) == \
+                            signature(spec.evaluate(want)), (i, name)
+                compared += 1
+        assert compared == 2 * (N_INSTANCES + len(DESIGN_SHAPES) + 4)
+
+
+# --------------------------------------------------------------------------
+# The summand loop with f, f(0) and the sqrt-float-max limit hoisted out
+
+
+def looped_fdiv_terms(spec, pa, qa):
+    terms = []
+    for pi, qi in zip(pa.tolist(), qa.tolist()):
+        try:
+            term = _fdiv_term(spec, pi, qi)
+        except ArithmeticError:
+            term = math.nan
+        terms.append(term if math.isfinite(term) else
+                     _fdiv_term(spec, np.float64(pi), np.float64(qi)))
+    return terms
+
+
+def terms_outcome(fn, spec, pa, qa):
+    """(each term's type and bytes, the warnings in full), or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            terms = [(type(t).__name__, np.float64(t).tobytes()) for t in fn(spec, pa, qa)]
+        except (ArithmeticError, ValidationError) as exc:
+            terms = ("raised", type(exc).__name__, str(exc))
+    return terms, [(w.category, str(w.message)) for w in caught]
+
+
+def user_spec(name, f, at_zero=1.0, slope_at_inf=1.0):
+    return FDivergenceSpec(name=name, f=f, kappa=1.0, c1=0.5, c2=1.0, alpha=2.0,
+                           at_zero=at_zero, slope_at_inf=slope_at_inf)
+
+
+USER_SPECS = [
+    user_spec("numpy float", lambda x: (np.float64(x) - 1.0) ** 2),
+    user_spec("int", lambda x: int(x > 1.0) * 3, at_zero=2, slope_at_inf=3),
+    user_spec("overflow", lambda x: math.exp(x) - math.e),
+    user_spec("zero division", lambda x: (x - 1.0) ** 2 / (x - 1.0), at_zero=-1.0),
+    user_spec("numpy at zero", lambda x: abs(x - 1.0), at_zero=np.float64(1.0),
+              slope_at_inf=np.float64(1.0)),
+]
+SUMMAND_EDGES = [
+    ([-0.0, 1.0], [0.5, 0.5]),
+    ([0.5, 0.5], [-0.0, 1.0]),
+    ([-0.0, 1.0], [-0.0, 1.0]),
+    ([1.0, 1.0], [1.0, 1.0]),                    # x = 1 exactly
+    ([800.0, 1e-3], [1.0, 1.0]),                 # exp(800) raises on floats and on numpy
+    ([1e300, 1.0], [1e-10, 1.0]),                # numpy squares overflow
+    ([TINY, 1.0], [2.0, 1.0]),                   # the quotient underflows to 0
+    ([math.inf, 1.0], [math.inf, 1.0]),          # inf / inf
+    ([math.inf, 1.0], [1.0, 1.0]),
+    ([math.nan, 1.0], [1.0, 1.0]),
+    ([-0.5, 1.5], [0.5, 0.5]),                   # a negative quotient: f is not defined
+] + [(pa, qa) for _, pa, qa in SUMMAND_CASES]
+
+
+class TestHoistedSummand:
+    def test_builtin_and_user_specs_on_edges(self):
+        specs = [builtin_fdiv(name) for name in SPECS] + USER_SPECS
+        raised = warned = 0
+        for spec in specs:
+            for pa, qa in SUMMAND_EDGES:
+                pa, qa = np.array(pa), np.array(qa)
+                want = terms_outcome(looped_fdiv_terms, spec, pa, qa)
+                assert terms_outcome(core._fdiv_terms, spec, pa, qa) == want, (spec.name, pa, qa)
+                raised += want[0][0] == "raised"
+                warned += bool(want[1])
+        assert raised >= 10 and warned >= 10
+
+    def test_random_laws_with_signed_zeros(self):
+        rng = np.random.default_rng(2929)
+        specs = [builtin_fdiv(name) for name in SPECS] + USER_SPECS
+        for i in range(N_INSTANCES):
+            p, q, _ = random_instance(rng, i)
+            pa, qa = p.probs.copy(), q.probs.copy()
+            pa[pa == 0.0], qa[qa == 0.0] = -0.0, -0.0
+            for spec in specs:
+                for a, b in ((pa, qa), (qa, pa)):
+                    assert terms_outcome(core._fdiv_terms, spec, a, b) == \
+                        terms_outcome(looped_fdiv_terms, spec, a, b), (i, spec.name)

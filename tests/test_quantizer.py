@@ -28,6 +28,11 @@ def ratio_cuts(p, q):
     return quantizer._ratio_cuts(likelihood_ratios(p, q), (p.probs > 0) | (q.probs > 0))
 
 
+def min_ratio(p, q):
+    return quantizer._min_ratio(likelihood_ratios(p, q), likelihood_ratios(q, p),
+                                (p.probs > 0) | (q.probs > 0))
+
+
 def random_pair(rng, k, zero_prob=0.0):
     def draw():
         a = rng.dirichlet(np.ones(k))
@@ -233,17 +238,17 @@ class TestExtremeRatios:
             warnings.simplefilter("error")
             p = Distribution([0.5, 0.5, 0.0])
             q = Distribution([1e-309, 0.5, 0.5 - 1e-309])
-            assert quantizer._min_ratio(p, q) == 0.0
+            assert min_ratio(p, q) == 0.0
             p, q = Distribution([0.5, 0.5]), Distribution([1e-309, 1.0 - 1e-309])
-            assert quantizer._min_ratio(p, q) == 1e-309 / 0.5
-            assert quantizer._min_ratio(q, p) == 1e-309 / 0.5
+            assert min_ratio(p, q) == 1e-309 / 0.5
+            assert min_ratio(q, p) == 1e-309 / 0.5
 
     def test_min_ratio_equals_smaller_quotient(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             p, q = random_pair(rng, 6)
             expected = min(1.0, *(min(a / b, b / a) for a, b in zip(p.probs, q.probs)))
-            assert quantizer._min_ratio(p, q) == expected
+            assert min_ratio(p, q) == expected
 
 
 class TestHellTightInstance:

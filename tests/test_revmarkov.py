@@ -146,8 +146,8 @@ class TestStrategies:
 
     def test_top_vs_geometric_both_feasible(self):
         rv = DiscreteRV([0.1, 0.3, 0.8], [0.3, 0.3, 0.4], 1.0)
-        top = revmarkov._top_row(rv, 3)
-        geo = next(revmarkov._doubling_rows(rv, 3))
+        top = revmarkov._top_row(rv.values.tolist(), rv.masses.tolist(), rv.beta, 3)
+        geo = next(revmarkov._doubling_rows(rv.values, rv.masses, rv.beta, 3, top))[1:]
         assert revmarkov_objective(rv, top) == loop_top(rv, 3)[1]
         for nus in geo:
             revmarkov_objective(rv, nus)  # a valid grid
@@ -228,7 +228,10 @@ class TestGeometricSearch:
             with np.errstate(over="ignore"):
                 levels = np.minimum(beta, xs[:, None] * 2.0 ** np.arange(d - 1))
             want = np.hstack((levels, np.full((xs.size, 1), beta)))
-            got = np.vstack(list(revmarkov._doubling_rows(rv, d)))
+            top = [0.0] * (d - 1) + [beta]  # the first block's first row
+            blocks = list(revmarkov._doubling_rows(rv.values, rv.masses, beta, d, top))
+            assert blocks[0][0].tolist() == top
+            got = np.vstack(blocks)[1:]
             assert got.tobytes() == want.tobytes(), beta
 
     def test_tie_goes_to_smaller_x(self):

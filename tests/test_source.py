@@ -174,3 +174,32 @@ def test_only_core_reads_the_fdiv_term():
                                    getattr(node, "name", None))
                and not isinstance(node, ast.FunctionDef)}
     assert readers <= {"core.py"}
+
+
+def unique_calls(tree):
+    """The lines that call numpy's `unique`, read off numpy or imported from it."""
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                for alias in node.names if alias.name == "unique"}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ((isinstance(node.func, ast.Attribute) and node.func.attr == "unique"
+                  and ast.unparse(node.func.value) in numpy_names)
+                 or (isinstance(node.func, ast.Name) and node.func.id in imported))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_np_unique(path):
+    """`np.unique` costs tens of microseconds a call on small arrays, most of
+    the designer's near-one grid; `core._sorted_unique`, with searchsorted and
+    bincount for the classes, gives the same bytes."""
+    assert unique_calls(parse(path)) == []
+
+
+def test_unique_calls_reads_every_spelling():
+    tree = ast.parse("import numpy as np\nimport numpy\nfrom numpy import unique as u\n"
+                     "np.unique(a)\nnumpy.unique(a, return_inverse=True)\nu(a)\n"
+                     "other.unique(a)\n_sorted_unique(a)\n")
+    assert unique_calls(tree) == [4, 5, 6]
