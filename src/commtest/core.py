@@ -202,7 +202,8 @@ class Channel(_Value):
     @classmethod
     def identity(cls, k: int, out_size: int | None = None) -> "Channel":
         """Identity embedding of [k]; extra output symbols (if any) stay unused."""
-        d = k if out_size is None else out_size
+        k = _count("k", k, 2)
+        d = k if out_size is None else _count("out_size", out_size, 2)
         if d < k:
             raise ValidationError("identity channel needs out_size >= k")
         m = np.zeros((d, k))

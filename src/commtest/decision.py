@@ -1,10 +1,15 @@
 """The decision kernel shared by the simulator, the referee, the robust
 referee and the tournaments: per-message log-likelihood ratios (LLRs) and
-the LRT statistic on message counts. A leaf: it imports only `core`.
+the LRT decision on message counts. A leaf: it imports only `core`.
 
-Callers pick the statistic for their shape: `llr_statistic` on one count
-vector per channel group (the referees, a knockout game), `trial_statistics`
-on stacks of trials (the simulator, the round robin).
+The statistic is defined here, once: within each channel group the products
+count * LLR are added left to right in message order, an unsent message
+adding 0 even where its LLR is infinite, and the group subtotals are added
+in group order. The first hypothesis (P, or player i of game (i, j)) wins
+unless the total is below 0, so ties and +inf + -inf (NaN) go to it.
+Callers pick the shape: `prefers_first` on one count vector per group (the
+referees, a knockout game), `trials_prefer_first` on stacks of trials (the
+simulator, the round robin); every trial decides as `prefers_first` would.
 
 `message_llr` memoizes its tables by the identity of (channel, p, q): a
 referee asked about many message vectors under one rule and pair builds
@@ -13,7 +18,6 @@ keeps the latest `_MEMO_CAP` triples and drops the oldest first."""
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterable
 
@@ -54,58 +58,35 @@ def message_llr(channel: Channel, p: Distribution, q: Distribution) -> np.ndarra
     return table
 
 
-def llr_statistic(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> float:
-    """The referee's statistic on one count vector per channel group: the sum
-    over groups g of counts[g] . llr[g]. An unsent message adds 0 even where
-    its LLR is infinite; a total of +inf + (-inf) is NaN and counts as 0, a
-    tie, which goes to P like every tie.
-
-    In Python floats, each group summed in the order of numpy's row sum of
-    np.where(c > 0, c * lg, 0.0): a row of `trial_statistics`, bit for bit."""
+def prefers_first(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> bool:
+    """The LRT decision on one count vector per channel group: True for the
+    first hypothesis. Summed on Python floats, skipping unsent messages."""
     total = 0.0
     for c, lg in zip(counts, llr):
-        terms = [ci * li if ci > 0 else 0.0
-                 for ci, li in zip(c.tolist(), lg.tolist(), strict=True)]
-        total += _numpy_sum_order(terms or [0.0])
-    return 0.0 if math.isnan(total) else total
+        group = 0.0
+        for ci, li in zip(c.tolist(), lg.tolist(), strict=True):
+            if ci > 0:
+                group += ci * li
+        total += group
+    return not total < 0
 
 
-def trial_statistics(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
-    """`llr_statistic` of every trial, as an array: the leading axes of
+def trials_prefer_first(counts: Iterable[np.ndarray], llr: Iterable[np.ndarray]) -> np.ndarray:
+    """`prefers_first` of every trial, as a bool array: the leading axes of
     counts[g] index trials, and llr[g] is one table for all trials (the
-    simulator) or one per trial, with those axes too (a round robin's games)."""
+    simulator) or one per trial, with those axes too (a round robin's games).
+    The same sums, column by column: an unsent message adds 0.0 where the
+    group's table holds an infinite LLR, and c * LLR = +-0.0 elsewhere,
+    which leaves every decision as it is."""
     total = 0.0
     with np.errstate(invalid="ignore"):  # 0 * inf, and +inf + -inf
         for c, lg in zip(counts, llr):
-            if lg.ndim > 1:  # numpy's row sums
-                total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
-            else:  # the same floats, a shared table added column by column
-                # c = 0 against a negative finite LLR gives -0.0 here, not
-                # +0.0: that can flip only the sign of a zero sum, and adding
-                # it to total, which starts at +0.0, makes every zero +0.0
-                terms = [col * v if math.isfinite(v) else np.where(col > 0, v, 0.0)
-                         for col, v in zip(np.moveaxis(c, -1, 0), lg, strict=True)]
-                total = total + _numpy_sum_order(terms)
-    return np.where(np.isnan(total), 0.0, total)
-
-
-def _numpy_sum_order(terms: list) -> np.ndarray | float:
-    """terms[0] + ... + terms[-1], elementwise for arrays (adding into them
-    in place), in the order of numpy's pairwise `sum` along a contiguous
-    axis (Higham 1993): fewer than 8 terms left to right, up to 128 in 8
-    strided accumulators, longer runs split in two at a multiple of 8 below
-    the middle."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum_order(terms[:half]) + _numpy_sum_order(terms[half:])
-    if n < 8:
-        acc, tail = terms[0], terms[1:]
-    else:
-        r, tail = terms[:8], terms[n - n % 8:]
-        for i in range(8, n - n % 8):
-            r[i % 8] += terms[i]
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in tail:
-        acc += t
-    return acc
+            if c.shape[-1] != lg.shape[-1]:
+                raise ValueError(f"{c.shape[-1]} message counts for {lg.shape[-1]} LLRs")
+            guard = not np.isfinite(lg).all()
+            group = 0.0  # an array from the first column on, then added into in place
+            for j in range(c.shape[-1]):
+                term = c[..., j] * lg[..., j]
+                group += np.where(c[..., j] > 0, term, 0.0) if guard else term
+            total = total + group
+    return ~np.less(total, 0)

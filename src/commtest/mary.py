@@ -53,7 +53,6 @@ class HypothesisFamily:
     min_pairwise_tv: float = field(init=False)
     max_pairwise_hellinger: float = field(init=False)
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
-    _games: dict = field(init=False, repr=False, compare=False)
     _derived: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, dists: Sequence[Distribution], base=None, hadamard_eps=None):
@@ -76,7 +75,7 @@ class HypothesisFamily:
             raise DegenerateInputError("family contains duplicate hypotheses")
         _freeze(self, dists=dists, base=base, hadamard_eps=hadamard_eps,
                 min_pairwise_hellinger=float(h.min()), max_pairwise_hellinger=float(h.max()),
-                min_pairwise_tv=float(tv.min()), _probs=probs, _games={}, _derived={})
+                min_pairwise_tv=float(tv.min()), _probs=probs, _derived={})
 
     @property
     def m(self) -> int:
@@ -95,18 +94,16 @@ class HypothesisFamily:
         return obj
 
     def _game(self, i: int, j: int, out_size: int) -> tuple[Channel, np.ndarray]:
-        """Channel designed from min(i, j) to max(i, j) and LLR table
+        """Channel designed from hypothesis i to j, for i < j, and LLR table
         log(T p_i / T p_j), built on first use; inputs are read-only, so
-        entries never go stale. Tournaments play i < j: one design per pair."""
-        key = (i, j, out_size)
-        if key not in self._games:
+        entries never go stale."""
+        key = ("game", i, j, out_size)
+        if key not in self._derived:
             from .quantizer import design_hellinger_channel
-            channel = design_hellinger_channel(
-                self.dists[min(i, j)], self.dists[max(i, j)], out_size
-            ).channel
-            llr = decision.message_llr(channel, self.dists[i], self.dists[j])
-            self._games[key] = (channel, llr)
-        return self._games[key]
+            p, q = self.dists[i], self.dists[j]
+            channel = design_hellinger_channel(p, q, out_size).channel
+            self._derived[key] = channel, decision.message_llr(channel, p, q)
+        return self._derived[key]
 
     def _round_robin(self, out_size: int) -> tuple[np.ndarray, np.ndarray]:
         """The channel matrices and LLR tables of the games i < j, in `_pairs`
@@ -120,6 +117,16 @@ class HypothesisFamily:
             channels.flags.writeable = llr.flags.writeable = False
             self._derived[key] = channels, llr
         return self._derived[key]
+
+    def _reduction(self) -> tuple[Channel, "HypothesisFamily"]:
+        """The pairwise indicator reduction and the family of this one's
+        images under it, built on first use: they depend on the family alone."""
+        if "reduction" not in self._derived:
+            reduction = pairwise_indicator_reduction(self)
+            images = _push(reduction.matrix, self._probs)
+            self._derived["reduction"] = reduction, HypothesisFamily(
+                [_trusted(Distribution, probs=row) for row in images])
+        return self._derived["reduction"]
 
     @classmethod
     def from_json(cls, obj: dict) -> "HypothesisFamily":
@@ -158,8 +165,7 @@ def hadamard_instance(m: int, eps: float) -> HypothesisFamily:
     Every P_a is at TV distance eps/2 from uniform and the centered
     chi-square inner products satisfy chi_P(P_a, P_b) = eps^2 * 1{a=b}.
     """
-    if m < 2:
-        raise ValidationError("need at least two hypotheses")
+    m = _count("m", m, 2)
     if not (0 < eps < 1):
         raise ValidationError("eps must be in (0, 1)")
     h = np.ones((1, 1))
@@ -196,8 +202,7 @@ def jl_distance_floor(
 ) -> float:
     """Acceptance threshold c * eps / (sqrt(k) M^(2/(D-1)) sqrt(D log(D k)))
     on the min pairwise output TV, with eps the min pairwise input TV."""
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+    out_size = _count("out_size", out_size, 2)
     if not 0 < accept < math.inf:
         raise ValidationError(f"accept must be positive and finite, got {accept!r}")
     d, k, m = out_size, family.k, family.m
@@ -273,11 +278,7 @@ def identical_channel_design(
     column of G sums past 10 (D-1) Q2, under 1e-16 a draw: each sketch has one."""
     seed = _count("seed", seed, 0, False)
     candidates = [_jl_sketch(family, out_size, seed, jl_distance_floor(family, out_size))]
-    if "reduction" not in family._derived:  # it depends on the family alone
-        reduction = pairwise_indicator_reduction(family)
-        family._derived["reduction"] = reduction, HypothesisFamily(
-            [_trusted(Distribution, probs=row) for row in _push(reduction.matrix, family._probs)])
-    reduction, reduced = family._derived["reduction"]
+    reduction, reduced = family._reduction()
     sketch, _ = _jl_sketch(reduced, out_size, seed + 1, jl_distance_floor(reduced, out_size))
     composed = sketch.compose(reduction)  # scored on `family`, not on `reduced`
     candidates.append((composed, min_pairwise_tv_after(composed, family)))
@@ -325,8 +326,7 @@ def game_sample_size(
 ) -> int:
     """m = ceil(C log(M^2/0.1) R / rho^2) with rho the min pairwise Hellinger
     distance and R = 1 + min(k, log2(1/rho^2)) / D."""
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+    out_size = _count("out_size", out_size, 2)
     if not 0 < constant < math.inf:
         raise ValidationError(f"constant must be positive and finite, got {constant!r}")
     rho_sq = family.min_pairwise_hellinger ** 2
@@ -355,7 +355,7 @@ def tournament_nonadaptive(
     drawn = np.array([sampler(rng, n_samples) for _ in range(ii.size)])
     channels, llr = family._round_robin(out_size)
     counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
-    first = decision.trial_statistics([counts], [llr]) >= 0  # ties go to ii
+    first = decision.trials_prefer_first([counts], [llr])  # ties go to ii
     losses = np.bincount(np.where(first, jj, ii), minlength=family.m)
     games = tuple(map(GameRecord, ii.tolist(), jj.tolist(), [n_samples] * ii.size,
                       np.where(first, ii, jj).tolist()))
@@ -384,7 +384,7 @@ def tournament_adaptive(
     for j in range(1, family.m):
         channel, llr = family._game(champion, j, out_size)
         counts = channel.matrix @ sampler(rng, n_samples)
-        winner = champion if decision.llr_statistic([counts], [llr]) >= 0 else j
+        winner = champion if decision.prefers_first([counts], [llr]) else j
         games.append(GameRecord(i=champion, j=j, samples=n_samples, winner=winner))
         champion = winner
     return TournamentTranscript(

@@ -26,6 +26,7 @@ from .core import (
     FDivergenceSpec,
     ThresholdSet,
     _check_channel_input,
+    _count,
     _fdiv_sum,
     _fdiv_terms,
     _push,
@@ -43,6 +44,7 @@ from .revmarkov import (
     _best_levels,
     _cell_sums,
     _pad_levels,
+    _require_positive_mean,
     tightness_instance,
 )
 
@@ -134,7 +136,9 @@ def _near_one_grid(
             y_mass = np.concatenate(([rest], y_mass))
     if y_vals[-1] >= beta:  # delta ** alpha can round up; DiscreteRV's other checks hold
         raise ValidationError("values must lie in [0, beta)")
-    nus, _ = _best_levels(y_vals, y_mass / y_mass.sum(), beta, out_size)
+    y_mass /= y_mass.sum()
+    _require_positive_mean(y_vals, y_mass)
+    nus, _ = _best_levels(y_vals, y_mass, beta, out_size)
     # map grid levels on the X^alpha axis back to ratio thresholds 1 + nu
     return [1.0 + nu ** (1.0 / spec.alpha) for nu in nus[:-1]]
 
@@ -160,8 +164,7 @@ def design_fdiv_channel(
     spec: FDivergenceSpec, p: Distribution, q: Distribution, out_size: int
 ) -> QuantizeResult:
     """Design a D-output threshold channel approximately preserving I_f(p,q)."""
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+    out_size = _count("out_size", out_size, 2)
     # with these, every candidate below is a valid ThresholdSet by construction
     if not (0 < spec.kappa < math.inf and 0 < spec.alpha < math.inf):
         raise ValidationError("spec.kappa and spec.alpha must be positive and finite")
@@ -232,8 +235,7 @@ def brute_force_threshold_channel(
     last) into min(D, classes) contiguous cells, and I_f(Tp, Tq) adds up
     over the cells (Kurkoski & Yagi 2014).
     """
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+    out_size = _count("out_size", out_size, 2)
     i_f = f_divergence(spec, p, q)
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .core import (Distribution, _Value, _as_float, _as_float_array, _freeze, _read_json,
-                   _sorted_unique)
+from .core import (Distribution, _Value, _as_float, _as_float_array, _count, _freeze,
+                   _read_json, _sorted_unique)
 
 GUARANTEE_FACTOR = 1.0 / 13.0
 
@@ -150,6 +150,7 @@ def _doubling_rows(values: np.ndarray, masses: np.ndarray, beta: float, out_size
 def guarantee(rv: DiscreteRV, out_size: int) -> float:
     """The certified floor (1/13) E[Y] min(1, D/R), R = min(k, k')."""
     mean = _require_positive_mean(rv.values, rv.masses)
+    out_size = _count("out_size", out_size, 2)
     k = rv.support_size()
     kprime = max(1.0, 1.0 + math.log2(rv.beta / mean))
     r = min(float(k), kprime)
@@ -162,14 +163,14 @@ def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
 
     Always achieves at least `guarantee(rv, out_size)`.
     """
+    _require_positive_mean(rv.values, rv.masses)
+    out_size = _count("out_size", out_size, 2)
     return ThresholdGrid(*_best_levels(rv.values, rv.masses, rv.beta, out_size))
 
 
 def _best_levels(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> tuple:
-    """`reverse_markov_best` on the atoms (values, masses): the best grid and its objective."""
-    _require_positive_mean(values, masses)
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+    """`reverse_markov_best` on the atoms (values, masses), with a positive
+    mean and out_size >= 2: the best grid and its objective."""
     cum = np.concatenate(([0.0], np.add.accumulate(masses)))  # np.cumsum, without its wrapper
     top = _top_row(values.tolist(), masses.tolist(), beta, out_size)
     # a positive mean implies an atom with positive value and mass: a first block
@@ -220,8 +221,7 @@ def brute_force_revmarkov(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
     mass below the first level scores 0.
     """
     _require_positive_mean(rv.values, rv.masses)
-    if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+    out_size = _count("out_size", out_size, 2)
     positive = rv.values > 0
     # a value-0 head item holds the mass below the first level
     values = np.concatenate(([0.0], rv.values[positive]))

@@ -83,7 +83,7 @@ def lrt_decide(
         bad = np.flatnonzero((msgs < 0) | (msgs >= sizes))
         raise ValidationError(f"message {msgs[bad[0]]} out of range for user {bad[0]}")
     llr = [decision.message_llr(c, p, q) for c in rule.channels]
-    return "P" if decision.llr_statistic(counts, llr) >= 0 else "Q"
+    return "P" if decision.prefers_first(counts, llr) else "Q"
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,6 @@ def _group_sizes(rule: TestRule, n: int) -> list[int]:
     return [(n - i + g - 1) // g for i in range(g)]
 
 
-def _simulate_branch(sizes: list[int], truths: list[np.ndarray], llr: list[np.ndarray],
-                     trials: int, rng: np.random.Generator) -> np.ndarray:
-    """LRT statistics for `trials` runs in which channel group g has sizes[g]
-    users and LLR table llr[g]. Its message counts are multinomial draws from
-    truths[g], the group's image of the sampled law, which matches per-user
-    sampling exactly (users are iid within a group)."""
-    # a generator, so only one group's counts are held at a time
-    counts = (rng.multinomial(n_g, t, size=trials) for n_g, t in zip(sizes, truths))
-    return decision.trial_statistics(counts, llr)
-
-
 def simulate_error(
     rule: TestRule,
     p: Distribution,
@@ -130,7 +119,9 @@ def simulate_error(
 
     Runs a P-branch (sampling from `p_sampler`, default p; wrong = decide Q)
     and a Q-branch (sampling from `q_sampler`, default q; wrong = decide P)
-    and sums the two error frequencies.
+    and sums the two error frequencies. A trial's message counts in channel
+    group g are one multinomial draw from the group's image of the sampled
+    law, which matches per-user sampling exactly (users are iid within a group).
     """
     n, trials, seed = _count("n", n), _count("trials", trials), _count("seed", seed, 0, False)
     groups = [(c, n_g) for c, n_g in zip(rule.channels, _group_sizes(rule, n)) if n_g]
@@ -142,10 +133,12 @@ def simulate_error(
     stacked = np.stack([dist.probs for dist in samplers])
     images = [_push(c.matrix, stacked) for c, _ in groups]  # rows: the P and Q samplers'
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
-    stats_p = _simulate_branch(sizes, [im[0] for im in images], llr, trials, rngs[0])
-    stats_q = _simulate_branch(sizes, [im[1] for im in images], llr, trials, rngs[1])
-    err_p = float(np.count_nonzero(stats_p < 0)) / trials
-    err_q = float(np.count_nonzero(stats_q >= 0)) / trials
+    # per branch, a generator: only one group's counts are held at a time
+    p_wins = [decision.trials_prefer_first(
+        (rng.multinomial(n_g, im[branch], size=trials) for n_g, im in zip(sizes, images)), llr)
+        for branch, rng in enumerate(rngs)]
+    err_p = float(trials - np.count_nonzero(p_wins[0])) / trials
+    err_q = float(np.count_nonzero(p_wins[1])) / trials
     var = err_p * (1 - err_p) / trials + err_q * (1 - err_q) / trials
     return SimulationReport(
         n=n,

@@ -289,7 +289,7 @@ class TestMary:
                              "--d", d)
         assert code == EXIT_INVALID
         assert out == ""
-        assert err == "error: out_size must be at least 2\n"
+        assert err == f"error: out_size must be at least 2, got {d}\n"
 
     def test_family_file(self, capsys, tmp_path):
         fam = {"dists": [[0.9, 0.1], [0.1, 0.9]]}

@@ -5,7 +5,8 @@ the threshold-channel oracle, `apply_channel`, `fdiv_ratio` and the
 reverse-Markov grids as they were written on the public, validating objects
 (a `ThresholdSet`, a `Channel` and two validated `Distribution` images per
 candidate, a `DiscreteRV` and a checked grid per objective, one `np.dot` per
-objective), the LLR statistic as one numpy row sum per channel group, the
+objective), the LLR statistic as one numpy row sum per channel group (and
+as a plain left-to-right sum, the decision kernel's definition), the
 M-ary family statistics, output separations and round robin as one Python
 step per pair, per hypothesis and per game, the knockout deciding each game
 with that row sum, the JL sketch building and scoring one validated
@@ -77,7 +78,7 @@ from commtest import (
     tournament_nonadaptive,
 )
 from commtest.core import _fdiv_term, _push, _sorted_unique
-from commtest.decision import llr_statistic, message_llr, trial_statistics
+from commtest.decision import message_llr, prefers_first, trials_prefer_first
 from commtest.quantizer import QuantizeResult
 from commtest.revmarkov import ThresholdGrid, _best_cuts, _cell_sums
 
@@ -150,7 +151,7 @@ def ref_check(rv, out_size):
     if rv.mean() <= 0:
         raise DegenerateInputError("E[Y] = 0: no grid has positive objective")
     if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+        raise ValidationError(f"out_size must be at least 2, got {out_size}")
 
 
 def ref_top(rv, out_size):
@@ -239,7 +240,7 @@ def ref_pad_thresholds(levels, out_size):
 
 def ref_design(spec, p, q, out_size):
     if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+        raise ValidationError(f"out_size must be at least 2, got {out_size}")
     i_f = ref_fdiv(spec, p, q)
     if i_f <= quantizer._DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
@@ -277,7 +278,7 @@ def ref_design(spec, p, q, out_size):
 
 def ref_oracle(spec, p, q, out_size):
     if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+        raise ValidationError(f"out_size must be at least 2, got {out_size}")
     i_f = ref_fdiv(spec, p, q)
     if i_f <= quantizer._DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
@@ -313,6 +314,21 @@ def ref_llr_statistic(counts, llr):
         for c, lg in zip(counts, llr):
             total = total + np.where(c > 0, c * lg, 0.0).sum(axis=-1)
     return np.where(np.isnan(total), 0.0, total)
+
+
+def ref_left_to_right(counts, llr):
+    """The statistic as the decision kernel defines it: per group, count * LLR
+    (0 for an unsent message) added left to right in message order, then the
+    group subtotals in group order; NaN where +inf meets -inf."""
+    total = 0.0
+    with np.errstate(invalid="ignore"):
+        for c, lg in zip(counts, llr):
+            terms = np.where(c > 0, c * lg, 0.0)
+            group = 0.0
+            for j in range(terms.shape[-1]):
+                group = group + terms[..., j]
+            total = total + group
+    return np.asarray(total)
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +509,11 @@ def array_signature(a):
     return type(a).__name__, a.dtype.str, a.shape, a.tobytes()
 
 
+def decided(stat):
+    """The decisions a statistic gives: the first hypothesis unless it is below 0."""
+    return np.asarray(~(np.asarray(stat) < 0))
+
+
 class TestLlrStatistic:
     def test_matches_numpy_row_sums(self):
         rng = np.random.default_rng(90210)
@@ -509,41 +530,96 @@ class TestLlrStatistic:
                         counts = [rng.integers(0, 4, trial_shape + (d,))
                                   * (rng.random(trial_shape + (d,)) < 0.6) for d in sizes]
                         want = ref_llr_statistic(counts, llr)
+                        exact = ref_left_to_right(counts, llr)
+                        if max(sizes) < 8:  # numpy adds fewer than 8 terms left to right too
+                            assert array_signature(np.where(np.isnan(exact), 0.0, exact)) == \
+                                array_signature(want), (sizes, trial_shape, kind, per_trial)
                         if trial_shape:
-                            got = trial_statistics(counts, llr)
-                            for t in np.ndindex(trial_shape):  # each trial is a row statistic
-                                row = llr_statistic([c[t] for c in counts],
+                            got = trials_prefer_first(counts, llr)
+                            assert type(got) is np.ndarray
+                            for t in np.ndindex(trial_shape):  # each trial decides as a row
+                                row = prefers_first([c[t] for c in counts],
                                                     [lg[t] if lg.ndim > 1 else lg for lg in llr])
-                                assert np.float64(row).tobytes() == got[t].tobytes(), (size, t)
+                                assert row is bool(got[t]), (size, t)
                         else:
-                            got = llr_statistic(counts, llr)
-                            assert type(got) is float
-                        assert array_signature(np.asarray(got)) == \
-                            array_signature(want), (size, trial_shape, kind, per_trial)
+                            got = prefers_first(counts, llr)
+                            assert type(got) is bool
+                        for stat in (want, exact):
+                            assert array_signature(np.asarray(got)) == array_signature(
+                                decided(stat)), (size, trial_shape, kind, per_trial)
                         cases += 1
         assert cases == len(LLR_SIZES) * 18
 
     def test_layout_of_counts_does_not_matter(self):
-        # the row sums of a C-contiguous array, whatever the layout of counts
+        # the decisions of a C-contiguous array, whatever the layout of counts
         rng = np.random.default_rng(5)
         for size in (3, 9, 129):
             c = rng.integers(0, 5, (200, size))
             llr = [random_llr(rng, size, "normal")]
-            want = array_signature(ref_llr_statistic([c], llr))
+            want = array_signature(decided(ref_llr_statistic([c], llr)))
+            assert array_signature(trials_prefer_first([c], llr)) == want, size
             for view in (np.asfortranarray(c), np.repeat(c, 2, axis=0)[::2]):
-                assert array_signature(trial_statistics([view], llr)) == want, size
+                assert array_signature(trials_prefer_first([view], llr)) == want, size
 
     def test_mismatched_llr_size_raises(self):
-        with pytest.raises(ValueError):
-            trial_statistics([np.ones((4, 3), dtype=int)], [np.zeros(2)])
-        with pytest.raises(ValueError):
-            llr_statistic([np.ones(3, dtype=int)], [np.zeros(2)])
+        for table in (np.zeros(2), np.zeros(4)):  # shorter and longer than the counts
+            with pytest.raises(ValueError):
+                trials_prefer_first([np.ones((4, 3), dtype=int)], [table])
+            with pytest.raises(ValueError):
+                trials_prefer_first([np.ones((4, 3), dtype=int)], [np.zeros((4, table.size))])
+            with pytest.raises(ValueError):
+                prefers_first([np.ones(3, dtype=int)], [table])
+
+    def test_left_to_right_order_at_eight_outputs(self):
+        """A near tie that numpy's eight-way pairwise sum reads as a tie: from
+        the left, 1e16 + 0 - 1e16 - 1 is -1, so the second hypothesis wins;
+        in pairs, -1e16 - 1 rounds to -1e16 before 1e16 meets it."""
+        llr = np.array([1e16, 0.0, -1e16, -1.0, 0.0, 0.0, 0.0, 0.0])
+        counts = np.ones(8, dtype=int)
+        assert ref_left_to_right([counts], [llr]) == -1.0
+        assert prefers_first([counts], [llr]) is False
+        # reversed, -1 - 1e16 rounds to -1e16 first: a tie, which goes to P
+        assert ref_left_to_right([counts], [llr[::-1]]) == 0.0
+        assert prefers_first([counts], [llr[::-1]]) is True
+        stacked = np.stack([counts, counts])
+        assert trials_prefer_first([stacked], [llr]).tolist() == [False, False]
+        assert trials_prefer_first([stacked], [np.stack([llr, llr[::-1]])]).tolist() == \
+            [False, True]
+
+    @pytest.mark.parametrize("m", (3, 7, 15))
+    @pytest.mark.parametrize("out_size", (8, 12, 16))
+    def test_hadamard_games_decide_alike(self, m, out_size):
+        """Every game of a Hadamard family, on few samples so that many
+        games tie: the round robin's stack, the knockout's row and the
+        referee on the game's messages decide it alike, and as the plain
+        left-to-right sum does."""
+        fam = hadamard_instance(m, 0.4)
+        channels, llr = fam._round_robin(out_size)
+        ii, jj = mary._pairs(m)
+        rng = np.random.default_rng(1000 * m + out_size)
+        ties = 0
+        for truth in [*fam.dists, fam.base]:
+            for n in (4, 9, 40):
+                drawn = rng.multinomial(n, truth.probs, size=ii.size)
+                counts = (channels @ drawn[:, :, None])[:, :, 0]
+                robin = trials_prefer_first([counts], [llr])
+                for g, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+                    channel, table = fam._game(i, j, out_size)
+                    exact = ref_left_to_right([counts[g]], [table])
+                    messages = np.repeat(np.arange(out_size), counts[g].astype(int))
+                    referee = lrt_decide(fam.dists[i], fam.dists[j], TestRule([channel]),
+                                         messages)
+                    assert bool(robin[g]) is prefers_first([counts[g]], [table]) \
+                        is (referee == "P") is bool(decided(exact)), (n, i, j)
+                    ties += exact == 0
+        assert ties > 0
 
 
 def checked_kernel(monkeypatch):
-    """Route the leaf's two statistics, the row one (a float) and the trial
-    one (an array), through a check against the reference; a run then gives
-    the reference kernel's report exactly. Returns the list of checked calls."""
+    """Route the leaf's two decisions, the row one (a bool) and the trial one
+    (an array), through a check against both reference statistics; a run
+    then gives the reference kernel's report exactly. Returns the list of
+    checked calls."""
     calls = []
 
     def checked(kernel, kind):
@@ -551,15 +627,15 @@ def checked_kernel(monkeypatch):
             counts, llr = list(counts), list(llr)
             got = kernel(counts, llr)
             assert type(got) is kind
-            assert array_signature(np.asarray(got)) == \
-                array_signature(ref_llr_statistic(counts, llr))
+            for stat in (ref_llr_statistic(counts, llr), ref_left_to_right(counts, llr)):
+                assert array_signature(np.asarray(got)) == array_signature(decided(stat))
             calls.append(len(counts))
             return got
         return check
 
-    monkeypatch.setattr(decision, "llr_statistic", checked(decision.llr_statistic, float))
-    monkeypatch.setattr(decision, "trial_statistics",
-                        checked(decision.trial_statistics, np.ndarray))
+    monkeypatch.setattr(decision, "prefers_first", checked(decision.prefers_first, bool))
+    monkeypatch.setattr(decision, "trials_prefer_first",
+                        checked(decision.trials_prefer_first, np.ndarray))
     return calls
 
 
@@ -632,7 +708,8 @@ def ref_simulate_error(rule, p, q, n, trials, seed, p_sampler=None, q_sampler=No
                   if n_g]
         counts = (rng.multinomial(n_g, ref_push(c.matrix, truth.probs), size=trials)
                   for c, n_g in groups)
-        return trial_statistics(counts, [ref_message_llr(c, p, q) for c, _ in groups])
+        return ref_llr_statistic(list(counts),
+                                 [ref_message_llr(c, p, q) for c, _ in groups])
 
     child_p, child_q = np.random.SeedSequence(seed).spawn(2)
     stats_p = branch(p_sampler if p_sampler is not None else p, np.random.default_rng(child_p))
@@ -1197,7 +1274,7 @@ class TestMaryMatchesPerPairLoops:
                 return kernel(counts, llr)
             return decide
 
-        for name in ("llr_statistic", "trial_statistics"):  # knockout, round robin
+        for name in ("prefers_first", "trials_prefer_first"):  # knockout, round robin
             monkeypatch.setattr(decision, name, deciding(getattr(decision, name)))
         n = game_sample_size(fam, 3, 0.05)
         tr = tournament_nonadaptive(fam, 3, recording, seed=4, constant=0.05)
@@ -1622,7 +1699,7 @@ def stacked_best(rv, out_size):
     if rv.mean() <= 0:
         raise DegenerateInputError("E[Y] = 0: no grid has positive objective")
     if out_size < 2:
-        raise ValidationError("out_size must be at least 2")
+        raise ValidationError(f"out_size must be at least 2, got {out_size}")
     blocks = stacked_doubling_rows(rv, out_size)
     first = np.vstack((stacked_top_row(rv, out_size), next(blocks)))
     achieved, grid = -math.inf, None

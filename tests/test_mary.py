@@ -26,6 +26,7 @@ from commtest import (
     verify_identical_d2_bound,
 )
 from commtest import mary, quantizer
+from commtest.decision import message_llr
 
 
 def random_family(rng, m, k):
@@ -373,14 +374,16 @@ class TestGameTable:
         for m, eps, d, adaptive, truth, seed in tournament_plan() * 2:
             play(families.setdefault(m, hadamard_instance(m, eps)), d, adaptive, truth, seed)
         assert len(designs) == len(set(designs))
-        assert len(designs) == sum(len(fam._games) for fam in families.values())
+        assert len(designs) == sum(key[0] == "game" for fam in families.values()
+                                   for key in fam._derived)
 
-    def test_reversed_pair_uses_the_same_channel(self):
+    def test_game_is_designed_from_the_lower_index(self):
         fam = hadamard_instance(4, 0.4)
-        forward, llr = fam._game(1, 3, 3)
-        backward, reversed_llr = fam._game(3, 1, 3)
-        assert np.array_equal(forward.matrix, backward.matrix)
-        assert np.array_equal(reversed_llr, -llr)
+        channel, llr = fam._game(1, 3, 3)
+        assert all(a is b for a, b in zip(fam._game(1, 3, 3), (channel, llr)))
+        want = quantizer.design_hellinger_channel(fam.dists[1], fam.dists[3], 3).channel
+        assert np.array_equal(channel.matrix, want.matrix)
+        assert np.array_equal(llr, -message_llr(channel, fam.dists[3], fam.dists[1]))
 
     def test_round_robin_stack_is_built_once_per_out_size(self, monkeypatch):
         lookups = []
@@ -426,10 +429,10 @@ class TestGameTable:
         play(fam, 3, False, 2, 5)
         play(fam, 2, True, 6, 5)
         identical_channel_design(fam, 3, seed=1)
-        assert fam._games and fam._derived
+        assert ("game", 0, 1, 3) in fam._derived and "reduction" in fam._derived
         assert fam == cold and hash(fam) == hash(cold)
         assert (hash(fam), repr(fam), fam.to_json()) == before
-        assert "_games" not in repr(fam) and "_derived" not in repr(fam)
+        assert "_derived" not in repr(fam)
 
 
 class TestVerifiers:

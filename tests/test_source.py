@@ -1,7 +1,7 @@
 """Static checks over the package source: every imported name is read, every
 exported function has a reader, the decision kernel stays a leaf of the
-import graph that no other module reaches into, and only the entry points
-catch a stochastic failure."""
+import graph that no other module reaches into and whose decisions no caller
+compares, and only the entry points catch a stochastic failure."""
 
 import ast
 import inspect
@@ -138,6 +138,46 @@ def test_private_reads_reads_every_spelling():
                      "import commtest.decision\nfrom .decision import _a, b\nimport numpy as np\n"
                      "decision._b\nd._c\ncommtest.decision._d\ndecision.e\nnp._f\n")
     assert private_reads(tree, "commtest.decision") == {"_a", "_b", "_c", "_d"}
+
+
+def compared_calls(tree, module):
+    """The lines where a call to a function of `module` ("commtest.<name>")
+    sits inside a comparison: imported from it, or read off a name bound to
+    it, however the import is spelled."""
+    bound, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == module)
+        elif isinstance(node, ast.ImportFrom):
+            base = from_module(node)
+            for alias in node.names:
+                if base == module:
+                    imported.add(alias.asname or alias.name)
+                elif f"{base}.{alias.name}" == module:
+                    bound.add(alias.asname or alias.name)
+    return sorted({node.lineno for compare in ast.walk(tree) if isinstance(compare, ast.Compare)
+                   for node in ast.walk(compare) if isinstance(node, ast.Call)
+                   and ((isinstance(node.func, ast.Attribute)
+                         and ast.unparse(node.func.value) in bound)
+                        or (isinstance(node.func, ast.Name) and node.func.id in imported))})
+
+
+def test_no_module_compares_a_decision():
+    """The tie rule has one home: `decision` returns the decision, and no
+    caller compares what it returns, with 0 or anything else."""
+    found = {path.stem: compared_calls(parse(path), "commtest.decision")
+             for path in MODULES if path.stem != "decision"}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_compared_calls_reads_every_spelling():
+    tree = ast.parse("from . import decision\nfrom commtest import decision as d\n"
+                     "import commtest.decision\nfrom .decision import f as g, h\n"
+                     "decision.a(x) >= 0\nd.b(x) < 0\ncommtest.decision.c(x) == y\n"
+                     "0 <= g(x)\nh(x) if decision.e(x) else 0\nother.f(x) >= 0\n"
+                     "[h(x) for x in y] != z\n")
+    assert compared_calls(tree, "commtest.decision") == [5, 6, 7, 8, 11]
 
 
 def caught_names(tree):

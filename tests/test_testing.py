@@ -24,7 +24,7 @@ from commtest import (
     tournament_adaptive,
 )
 from commtest import decision
-from commtest.decision import llr_statistic, message_llr, trial_statistics
+from commtest.decision import message_llr, prefers_first, trials_prefer_first
 from commtest.testing import _group_sizes
 
 # +inf on message 0, -inf on message 1, finite on messages 2 and 3.
@@ -216,19 +216,33 @@ class TestLlrKernel:
         assert all(a is b for a, b in zip(kept, channels[-decision._MEMO_CAP:]))
 
     def test_unsent_infinite_messages_add_nothing(self):
-        llr = np.array([np.inf, -np.inf, 0.5])
-        assert llr_statistic([np.array([0, 0, 3])], [llr]) == 1.5
-        assert llr_statistic([np.array([2, 0, 1])], [llr]) == np.inf
+        # an unsent +-inf multiplied in would give 0 * inf = NaN, a tie that goes to P
+        for sign, counts, want in ((1.0, [0, 0, 3], True), (-1.0, [0, 0, 3], False),
+                                   (-1.0, [2, 0, 1], True), (1.0, [0, 2, 1], False)):
+            llr = np.array([np.inf, -np.inf, sign * 0.5])
+            assert prefers_first([np.array(counts)], [llr]) is want
+            assert trials_prefer_first([np.array([counts])], [llr]).tolist() == [want]
 
     def test_conflicting_infinities_are_a_tie_across_groups(self):
-        inf_llr, minus_llr = np.array([np.inf, 1.0]), np.array([-np.inf, 1.0])
-        stat = llr_statistic([np.array([1, 0]), np.array([1, 5])], [inf_llr, minus_llr])
-        assert stat == 0.0
+        inf_llr, minus_llr = np.array([np.inf, 1.0]), np.array([-np.inf, -1.0])
+        counts = [np.array([1, 0]), np.array([1, 5])]
+        assert prefers_first(counts, [inf_llr, minus_llr]) is True
+        assert prefers_first(counts[::-1], [minus_llr, inf_llr]) is True
+        assert trials_prefer_first([c[None] for c in counts], [inf_llr, minus_llr]).tolist() == \
+            [True]
 
     def test_trial_axis(self):
+        # statistics +inf, -2, +inf + -inf and -inf: ties go to P
         llr = np.array([np.inf, -np.inf, -1.0])
         counts = np.array([[1, 0, 2], [0, 0, 2], [1, 1, 0], [0, 2, 0]])
-        assert trial_statistics([counts], [llr]).tolist() == [np.inf, -2.0, 0.0, -np.inf]
+        assert trials_prefer_first([counts], [llr]).tolist() == [True, False, True, False]
+        assert [prefers_first([row], [llr]) for row in counts] == [True, False, True, False]
+
+    def test_an_exact_tie_goes_to_p(self):
+        llr = np.array([0.5, -0.25])
+        assert prefers_first([np.array([1, 2])], [llr]) is True
+        assert prefers_first([np.array([1, 3])], [llr]) is False
+        assert trials_prefer_first([np.array([[1, 2], [1, 3]])], [llr]).tolist() == [True, False]
 
 
 def test_every_referee_reads_its_tables_from_message_llr(monkeypatch):

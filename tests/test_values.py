@@ -306,3 +306,38 @@ def test_malformed_json_flags_exit_1_with_one_error_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+RV = ct.DiscreteRV([0.0, 0.25, 0.5], [0.25, 0.25, 0.5], 1.0)
+HELLINGER, PQ = ct.builtin_fdiv("hellinger"), (ct.Distribution(P), ct.Distribution(Q))
+# Each entry point that takes a size, as a function of that size alone.
+SIZED = {
+    "design_fdiv_channel": lambda d: ct.design_fdiv_channel(HELLINGER, *PQ, d),
+    "brute_force_threshold_channel": lambda d: ct.brute_force_threshold_channel(HELLINGER, *PQ, d),
+    "reverse_markov_best": lambda d: ct.reverse_markov_best(RV, d),
+    "brute_force_revmarkov": lambda d: ct.brute_force_revmarkov(RV, d),
+    "guarantee": lambda d: ct.guarantee(RV, d),
+    "jl_distance_floor": lambda d: ct.mary.jl_distance_floor(ct.hadamard_instance(4, 0.4), d),
+    "game_sample_size": lambda d: ct.game_sample_size(ct.hadamard_instance(4, 0.4), d),
+    "hadamard_instance": lambda m: ct.hadamard_instance(m, 0.4),
+    "Channel.identity": lambda k: ct.Channel.identity(k),
+}
+
+
+@pytest.mark.parametrize("size, message", [
+    (2.5, "must be an integer, got 2.5"),
+    (np.float64(3.0), f"must be an integer, got {np.float64(3.0)!r}"),
+    (True, "must be an integer, got True"),
+    (1, "must be at least 2, got 1"),
+    (-3, "must be at least 2, got -3"),
+], ids=["2.5", "float64", "True", "1", "-3"])
+@pytest.mark.parametrize("name", SIZED)
+def test_sizes_are_integers_of_at_least_two(name, size, message):
+    with pytest.raises(ct.ValidationError) as info:
+        SIZED[name](size)
+    assert str(info.value).endswith(message)
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_a_numpy_integer_size_counts_as_its_int(name):
+    assert repr(SIZED[name](np.int64(3))) == repr(SIZED[name](3))
