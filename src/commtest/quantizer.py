@@ -44,7 +44,6 @@ from .revmarkov import (
     _best_levels,
     _cell_sums,
     _pad_levels,
-    _require_positive_mean,
     tightness_instance,
 )
 
@@ -136,9 +135,7 @@ def _near_one_grid(
             y_mass = np.concatenate(([rest], y_mass))
     if y_vals[-1] >= beta:  # delta ** alpha can round up; DiscreteRV's other checks hold
         raise ValidationError("values must lie in [0, beta)")
-    y_mass /= y_mass.sum()
-    _require_positive_mean(y_vals, y_mass)
-    nus, _ = _best_levels(y_vals, y_mass, beta, out_size)
+    nus, _ = _best_levels(y_vals, y_mass / y_mass.sum(), beta, out_size)
     # map grid levels on the X^alpha axis back to ratio thresholds 1 + nu
     return [1.0 + nu ** (1.0 / spec.alpha) for nu in nus[:-1]]
 

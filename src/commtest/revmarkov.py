@@ -163,14 +163,13 @@ def reverse_markov_best(rv: DiscreteRV, out_size: int) -> ThresholdGrid:
 
     Always achieves at least `guarantee(rv, out_size)`.
     """
-    _require_positive_mean(rv.values, rv.masses)
-    out_size = _count("out_size", out_size, 2)
     return ThresholdGrid(*_best_levels(rv.values, rv.masses, rv.beta, out_size))
 
 
 def _best_levels(values: np.ndarray, masses: np.ndarray, beta: float, out_size: int) -> tuple:
-    """`reverse_markov_best` on the atoms (values, masses), with a positive
-    mean and out_size >= 2: the best grid and its objective."""
+    """`reverse_markov_best` on the atoms (values, masses): the best grid and its objective."""
+    _require_positive_mean(values, masses)
+    out_size = _count("out_size", out_size, 2)
     cum = np.concatenate(([0.0], np.add.accumulate(masses)))  # np.cumsum, without its wrapper
     top = _top_row(values.tolist(), masses.tolist(), beta, out_size)
     # a positive mean implies an atom with positive value and mass: a first block
