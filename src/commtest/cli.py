@@ -266,24 +266,24 @@ def cmd_mary_identical(args) -> int:
 
 
 def cmd_mary_tournament(args) -> int:
+    from .core import _count
     from .mary import counts_sampler, tournament_adaptive, tournament_nonadaptive
     fam = _family_from_args(args)
     if not (0 <= args.truth < fam.m):
         raise ValidationError(f"--truth must be in [0, {fam.m})")
-    if args.trials < 1:
-        raise ValidationError("--trials must be at least 1")
+    trials = _count("trials", args.trials)
     run = tournament_adaptive if args.adaptive else tournament_nonadaptive
     wins = 0
     last = None
-    for t in range(args.trials):
+    for t in range(trials):
         sampler = counts_sampler(fam.dists[args.truth])
         last = run(fam, args.d, sampler, seed=args.seed + t)
         wins += last.winner == args.truth
     _emit(
         {
-            "trials": args.trials,
+            "trials": trials,
             "wins": wins,
-            "win_rate": wins / args.trials,
+            "win_rate": wins / trials,
             "truth": args.truth,
             "adaptive": args.adaptive,
             "seed": args.seed,

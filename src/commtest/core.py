@@ -8,8 +8,8 @@ Conventions used throughout:
   0 * f(a/0) = a * lim_{u->inf} f(u)/u; past p_i = q_i sqrt(float max), a
   summand that overflows is read as its equal p_i f(q_i / p_i).
 
-Public functions and constructors validate their inputs; `_`-prefixed
-kernels trust theirs and run on plain arrays.
+Public functions and constructors validate their inputs, sizes by `_count` and
+reals by `_real`; `_`-prefixed kernels trust theirs and run on plain arrays.
 
 Frozen dataclasses are values. A validating constructor ends in one `_freeze`
 call (fields set, arrays read-only); `_trusted` builds from arrays known valid.
@@ -22,6 +22,7 @@ ValidationError.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -52,14 +53,6 @@ def _as_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _as_float(value, name: str) -> float:
-    """`float(value)`, raising ValidationError where that fails or overflows."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be a number") from exc
-
-
 def _count(name: str, value, least: int = 1, bounded: bool = True) -> int:
     """`value` as a Python int of at least `least`, and at most 2**63 - 1 if
     `bounded`; a bool is not a count."""
@@ -74,6 +67,27 @@ def _count(name: str, value, least: int = 1, bounded: bool = True) -> int:
     if bounded and count > _INT64_MAX:
         raise ValidationError(f"{name} must be at most 2**63 - 1, got {count}")
     return count
+
+
+def _real(name: str, value, interval: str = "(0, inf)") -> float:
+    """`value` as a finite Python float in `interval`, "(a, b]" or the like with b possibly
+    inf; no bool or str (a float skips the slow ABC check). Out of range, the error says
+    "positive and finite" for (0, inf), "at least a" for [a, inf), else "in (a, b]"."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+            raise TypeError
+        real = float(value)
+        if math.isinf(real):
+            raise OverflowError
+    except (TypeError, OverflowError):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}") from None
+    low, high = interval[1:-1].split(", ")
+    if not ((float(low) < real if interval[0] == "(" else float(low) <= real)
+            and (real < float(high) if interval[-1] == ")" else real <= float(high))):
+        rule = ("positive and finite" if interval == "(0, inf)" else
+                f"at least {low}" if interval == f"[{low}, inf)" else f"in {interval}")
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return real
 
 
 def _freeze(obj, **values):
@@ -309,8 +323,8 @@ class FDivergenceSpec:
     f convex, f(1) = 0, the symmetry x*f(y/x) = y*f(x/y), and the sandwich
     c1 * x**alpha <= f(1 + x) <= c2 * x**alpha for x in [0, kappa].
 
-    `at_zero` is f(0) and `slope_at_inf` is lim_{u->inf} f(u)/u; either may
-    be inf.
+    `_real` reads kappa, c1, c2 and alpha when the spec is built. `at_zero` is
+    f(0) and `slope_at_inf` is lim_{u->inf} f(u)/u, any reals or inf.
     """
 
     name: str
@@ -321,6 +335,10 @@ class FDivergenceSpec:
     alpha: float
     at_zero: float
     slope_at_inf: float
+
+    def __post_init__(self):
+        _freeze(self, **{name: _real(name, getattr(self, name))
+                         for name in ("kappa", "c1", "c2", "alpha")})
 
     def evaluate(self, x: float) -> float:
         if x < 0:
@@ -388,8 +406,7 @@ _BUILTINS: dict[str, FDivergenceSpec] = {
 
 def sym_chi_spec(s: float) -> FDivergenceSpec:
     """Symmetrized chi^s generator |x-1|^s + x^{1-s} |x-1|^s, s in [1, 2]."""
-    if not (1.0 <= s <= 2.0):
-        raise ValidationError("sym_chi order s must lie in [1, 2]")
+    s = _real("sym_chi order s", s, "[1, 2]")
     return FDivergenceSpec(
         name=f"sym_chi_{s:g}",
         f=lambda x: abs(x - 1.0) ** s * (1.0 + x ** (1.0 - s)),

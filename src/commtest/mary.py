@@ -16,7 +16,7 @@ import numpy as np
 
 from . import decision
 from .core import (Channel, Distribution, _check_channel_input, _count, _freeze, _push,
-                   _read_json, _trusted)
+                   _read_json, _real, _trusted)
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -55,7 +55,8 @@ class HypothesisFamily:
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
     _derived: dict = field(init=False, repr=False, compare=False)
 
-    def __init__(self, dists: Sequence[Distribution], base=None, hadamard_eps=None):
+    def __init__(self, dists: Sequence[Distribution], base=None,
+                 hadamard_eps: float | None = None):
         dists = tuple(dists)
         if len(dists) < 2:
             raise ValidationError("a family needs at least two hypotheses")
@@ -64,8 +65,8 @@ class HypothesisFamily:
             raise DimensionError("family members must share the alphabet")
         if base is not None and base.k != k:
             raise DimensionError(f"base alphabet {base.k} differs from the family's {k}")
-        if not (hadamard_eps is None or isinstance(hadamard_eps, float) and 0 < hadamard_eps < 1):
-            raise ValidationError("hadamard_eps must be None or a float in (0, 1)")
+        if hadamard_eps is not None:
+            hadamard_eps = _real("hadamard_eps", hadamard_eps, "(0, 1)")
         probs = np.stack([d.probs for d in dists])
         ii, jj = _pairs(len(dists))
         roots = np.sqrt(probs)
@@ -165,9 +166,7 @@ def hadamard_instance(m: int, eps: float) -> HypothesisFamily:
     Every P_a is at TV distance eps/2 from uniform and the centered
     chi-square inner products satisfy chi_P(P_a, P_b) = eps^2 * 1{a=b}.
     """
-    m = _count("m", m, 2)
-    if not (0 < eps < 1):
-        raise ValidationError("eps must be in (0, 1)")
+    m, eps = _count("m", m, 2), _real("eps", eps, "(0, 1)")
     h = np.ones((1, 1))
     while h.shape[0] < m + 1:  # Sylvester: H_2k = [[H_k, H_k], [H_k, -H_k]]
         h = np.kron([[1.0, 1.0], [1.0, -1.0]], h)
@@ -202,9 +201,7 @@ def jl_distance_floor(
 ) -> float:
     """Acceptance threshold c * eps / (sqrt(k) M^(2/(D-1)) sqrt(D log(D k)))
     on the min pairwise output TV, with eps the min pairwise input TV."""
-    out_size = _count("out_size", out_size, 2)
-    if not 0 < accept < math.inf:
-        raise ValidationError(f"accept must be positive and finite, got {accept!r}")
+    out_size, accept = _count("out_size", out_size, 2), _real("accept", accept)
     d, k, m = out_size, family.k, family.m
     eps = family.min_pairwise_tv
     return accept * eps / (
@@ -326,9 +323,7 @@ def game_sample_size(
 ) -> int:
     """m = ceil(C log(M^2/0.1) R / rho^2) with rho the min pairwise Hellinger
     distance and R = 1 + min(k, log2(1/rho^2)) / D."""
-    out_size = _count("out_size", out_size, 2)
-    if not 0 < constant < math.inf:
-        raise ValidationError(f"constant must be positive and finite, got {constant!r}")
+    out_size, constant = _count("out_size", out_size, 2), _real("constant", constant)
     rho_sq = family.min_pairwise_hellinger ** 2
     kprime = max(1.0, math.log2(1.0 / rho_sq)) if rho_sq < 1.0 else 1.0
     r = 1.0 + min(float(family.k), kprime) / out_size

@@ -162,13 +162,11 @@ def design_fdiv_channel(
 ) -> QuantizeResult:
     """Design a D-output threshold channel approximately preserving I_f(p,q)."""
     out_size = _count("out_size", out_size, 2)
-    # with these, every candidate below is a valid ThresholdSet by construction
-    if not (0 < spec.kappa < math.inf and 0 < spec.alpha < math.inf):
-        raise ValidationError("spec.kappa and spec.alpha must be positive and finite")
     i_f = f_divergence(spec, p, q)
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
 
+    # a spec's kappa and alpha are positive and finite: each candidate is a ThresholdSet
     candidates: list[tuple[list[float], str]] = [
         ([1.0 + spec.kappa], "large-ratio"),
         ([1.0 / (1.0 + spec.kappa)], "large-ratio"),

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .core import (Distribution, _Value, _as_float, _as_float_array, _count, _freeze,
-                   _read_json, _sorted_unique)
+from .core import (Distribution, _Value, _as_float_array, _count, _freeze, _read_json, _real,
+                   _sorted_unique)
 
 GUARANTEE_FACTOR = 1.0 / 13.0
 
@@ -31,14 +31,12 @@ class DiscreteRV(_Value):
     masses: np.ndarray
     beta: float
 
-    def __init__(self, values, masses, beta):
+    def __init__(self, values, masses, beta: float):
         values = _as_float_array(values, "values")
         masses = Distribution(masses).probs  # a law on the values
-        beta = _as_float(beta, "beta")
+        beta = _real("beta", beta)
         if values.size != masses.size:
             raise ValidationError("values and masses must have equal length")
-        if not (beta > 0 and math.isfinite(beta)):
-            raise ValidationError("beta must be positive and finite")
         if np.any(values < 0) or np.any(values >= beta):
             raise ValidationError("values must lie in [0, beta)")
         if np.any(np.diff(values) <= 0):
@@ -239,8 +237,7 @@ def tightness_instance(rho: float) -> DiscreteRV:
     with k scanned over [ln(1/rho), 2 ln(1/rho)] until E[Y] lands in
     [0.5 rho, 10 rho].
     """
-    if not (0 < rho < 0.25):
-        raise ValidationError("rho must be in (0, 0.25)")
+    rho = _real("rho", rho, "(0, 0.25)")
     lo = math.ceil(math.log(1.0 / rho))
     hi = math.floor(2.0 * math.log(1.0 / rho))
     for k in range(lo, hi + 1):

@@ -19,8 +19,8 @@ import numpy as np
 from .core import (
     Channel,
     Distribution,
-    _as_float,
     _freeze,
+    _real,
     _trusted,
     likelihood_ratios,
     total_variation,
@@ -40,9 +40,7 @@ class ContaminationSetup:
     epsilon: float
 
     def __init__(self, p: Distribution, q: Distribution, epsilon: float):
-        epsilon = _as_float(epsilon, "epsilon")
-        if not epsilon >= 0:  # NaN included
-            raise ValidationError("epsilon must be non-negative")
+        epsilon = _real("epsilon", epsilon, "[0, inf)")
         tv = total_variation(p, q)
         if epsilon >= tv / 2.0:
             raise InfeasibleContaminationError(
@@ -149,10 +147,7 @@ def example_nonrobust_instance(
 
     Returns (p, q, p_contaminated, blinding_channel).
     """
-    if not (0 < alpha < 1):
-        raise ValidationError("alpha must be in (0, 1)")
-    if not (0 < eps <= 0.1):
-        raise ValidationError("eps must be in (0, 0.1]")
+    alpha, eps = _real("alpha", alpha, "(0, 1)"), _real("eps", eps, "(0, 0.1]")
     spike = eps ** (1.0 + alpha)
     p = Distribution([0.5 - 3 * eps - spike, 0.5 + 3 * eps, spike])
     q = Distribution([0.5, 0.5, 0.0])
@@ -167,12 +162,11 @@ def example_phase_transition_instance(
     """Four-point pair whose testing difficulty jumps as the contamination
     radius crosses eps^(1+delta): d_h^2(p, q) = Theta(eps^(1+delta)) while
     the binary Scheffe reduction only sees Theta(eps^2)."""
-    if not (0 < alpha < beta < delta < 1):
-        raise ValidationError("need 0 < alpha < beta < delta < 1")
-    if not (delta < 2 * beta - alpha):
-        raise ValidationError("need delta < 2*beta - alpha")
-    if not (0 < eps <= 0.01):
-        raise ValidationError("eps must be in (0, 0.01]")
+    alpha, beta, delta = (_real(name, value, "(0, 1)") for name, value in
+                          (("alpha", alpha), ("beta", beta), ("delta", delta)))
+    if not (alpha < beta < delta < 2 * beta - alpha):
+        raise ValidationError("need alpha < beta < delta < 2*beta - alpha")
+    eps = _real("eps", eps, "(0, 0.01]")
     ea = eps ** (1.0 + alpha)
     eb = eps ** (1.0 + beta)
     ed = eps ** (1.0 + delta)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import decision
 from .core import (Channel, Distribution, _check_channel_input, _check_same_alphabet, _count,
-                   _freeze, _push)
+                   _freeze, _push, _real)
 from .errors import DimensionError, NonConvergenceError, ValidationError
 
 DEFAULT_ERROR_BUDGET = 0.1
@@ -175,8 +175,7 @@ def empirical_sample_complexity(
     the answer can move with `n_max`. Deterministic given `seed`."""
     trials, n_max = _count("trials", trials), _count("n_max", n_max)
     seed = _count("seed", seed, 0, False)
-    if not budget >= 0:
-        raise ValidationError(f"budget must be at least 0, got {budget!r}")
+    budget = _real("budget", budget, "[0, inf)")
 
     def accept(n: int) -> bool:
         run_seed = int(np.random.SeedSequence((seed, n)).generate_state(1)[0])

@@ -129,8 +129,9 @@ class TestSimulate:
         (("--n", "abc"), "error: --n takes a sample size or a comma list of sizes, got 'abc'\n"),
         (("--search", "--budget", "nan"), "error: budget must be at least 0, got nan\n"),
         (("--search", "--budget", "-1"), "error: budget must be at least 0, got -1.0\n"),
+        (("--search", "--budget", "inf"), "error: budget must be a finite real number, got inf\n"),
     ], ids=["seed -1", "search seed -1", "n 0", "n 10**19", "trials 0", "n 1.5", "n 5,",
-            "n abc", "budget nan", "budget -1"])
+            "n abc", "budget nan", "budget -1", "budget inf"])
     def test_invalid_sizes_and_seed(self, capsys, flags, message):
         code, out, err = run(capsys, "simulate", "--p", P, "--q", Q, *flags)
         assert (code, out, err) == (EXIT_INVALID, "", message)
@@ -224,6 +225,15 @@ class TestRobust:
         obj = json.loads(out)
         assert (obj["clip_low"], obj["clip_high"]) == (0.0, "inf")
 
+    @pytest.mark.parametrize("eps, message", [
+        ("nan", "epsilon must be at least 0, got nan"),
+        ("-0.1", "epsilon must be at least 0, got -0.1"),
+        ("inf", "epsilon must be a finite real number, got inf"),
+    ], ids=["nan", "-0.1", "inf"])
+    def test_lfd_radius_out_of_range(self, capsys, eps, message):
+        code, out, err = run(capsys, "robust-lfd", "--p", P, "--q", Q, "--eps", eps)
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
     def test_lfd_infeasible(self, capsys):
         code, _, err = run(capsys, "robust-lfd", "--p", P, "--q", Q, "--eps", "0.5")
         assert code == EXIT_INVALID
@@ -243,6 +253,13 @@ class TestMary:
         obj = json.loads(out)
         assert len(obj["dists"]) == 4
         assert obj["hadamard_eps"] == 0.4
+
+    @pytest.mark.parametrize("eps, shown", [("nan", "nan"), ("2", "2.0"), ("-0.5", "-0.5")],
+                             ids=["nan", "2", "-0.5"])
+    def test_instance_eps_out_of_range(self, capsys, eps, shown):
+        code, out, err = run(capsys, "mary", "instance", "--m", "4", "--eps", eps)
+        message = f"error: eps must be in (0, 1), got {shown}\n"
+        assert (code, out, err) == (EXIT_INVALID, "", message)
 
     def test_identical_design(self, capsys):
         code, out, _ = run(capsys, "mary", "identical", "--m", "4", "--eps", "0.4",
@@ -280,7 +297,7 @@ class TestMary:
                              "--trials", "0")
         assert code == EXIT_INVALID
         assert out == ""
-        assert err.startswith("error: --trials must be at least 1")
+        assert err == "error: trials must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_tournament_needs_two_outputs(self, capsys, d):

@@ -1505,7 +1505,8 @@ BAD_INPUTS = [
     for name, laws in (("p", (P2, Q3, None, None)), ("q", (Q3, P2, None, None)),
                        ("p_sampler", (Q3, Q3, P2, None)), ("q_sampler", (Q3, Q3, None, P2)))
 ] + [
-    # the designer validates the spec once instead of every candidate's thresholds
+    # a spec checks its constants when it is built, here inside each row's lambda,
+    # so the designer need not check every candidate's thresholds
     (f"designer kappa={kappa}", lambda kappa=kappa: design_fdiv_channel(
         replace(builtin_fdiv("hellinger"), kappa=kappa), Distribution([0.5, 0.3, 0.2]),
         Distribution([0.2, 0.3, 0.5]), 3), ValidationError)
@@ -1515,6 +1516,12 @@ BAD_INPUTS = [
         replace(builtin_fdiv("hellinger"), alpha=alpha), Distribution([0.5, 0.3, 0.2]),
         Distribution([0.4, 0.3, 0.3]), 3), ValidationError)
     for alpha in (-1.0, 0.0, math.inf, math.nan)
+] + [
+    # c1 = 0 divided by zero in the bound, c1 < 0 made it negative and c2 = nan made it nan
+    (f"designer {name}={value}", lambda name=name, value=value: design_fdiv_channel(
+        replace(builtin_fdiv("hellinger"), **{name: value}), Distribution([0.5, 0.3, 0.2]),
+        Distribution([0.4, 0.3, 0.3]), 3), ValidationError)
+    for name in ("c1", "c2") for value in (-1.0, 0.0, math.inf, math.nan)
 ]
 
 

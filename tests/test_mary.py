@@ -150,7 +150,7 @@ class TestJlSketch:
         ("accept", float("nan"), "must be positive and finite, got nan"),
         ("accept", -1.0, "must be positive and finite, got -1.0"),
         ("accept", 0.0, "must be positive and finite, got 0.0"),
-        ("accept", float("inf"), "must be positive and finite, got inf"),
+        ("accept", float("inf"), "must be a finite real number, got inf"),
     ], ids=["retries-0", "retries-neg", "retries-float", "retries-bool", "accept-nan",
             "accept-neg", "accept-0", "accept-inf"])
     def test_rejects_bad_retries_and_accept(self, name, value, message):
@@ -259,13 +259,16 @@ class TestTournaments:
         with pytest.raises(ValidationError, match="out_size must be at least 2"):
             game_sample_size(hadamard_instance(4, 0.4), out_size)
 
-    @pytest.mark.parametrize("constant", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("constant, rule", [
+        (-1.0, "positive and finite"), (0.0, "positive and finite"),
+        (float("nan"), "positive and finite"), (float("inf"), "a finite real number"),
+    ], ids=["-1.0", "0.0", "nan", "inf"])
     @pytest.mark.parametrize("call", [game_sample_size, tournament_nonadaptive,
                                       tournament_adaptive])
-    def test_game_constant_must_be_positive_and_finite(self, call, constant):
+    def test_game_constant_must_be_positive_and_finite(self, call, constant, rule):
         fam = hadamard_instance(4, 0.4)
         args = (fam, 2) if call is game_sample_size else (fam, 2, counts_sampler(fam.dists[0]))
-        with pytest.raises(ValidationError, match="constant must be positive and finite"):
+        with pytest.raises(ValidationError, match=f"^constant must be {rule}, got"):
             call(*args, constant=constant)
 
     def test_nonadaptive_structure_and_recovery(self):

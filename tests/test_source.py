@@ -113,6 +113,58 @@ def test_every_exported_function_has_a_reader():
     assert sorted(UNREAD_EXPORTS.keys() - unread) == []  # the list stays current
 
 
+# Parameters annotated `float` that are not read by `core._real`, each with its reason.
+REAL_EXEMPT = {
+    "FDivergenceSpec.at_zero": "f(0), any real or inf: f(x) = x - 1 has f(0) = -1",
+    "FDivergenceSpec.slope_at_inf": "lim f(u)/u, any real or inf",
+}
+
+
+def written_in_source(function):
+    """Whether `function` is defined in a package source file (a dataclass
+    generates its `__init__` from a string)."""
+    code = getattr(function, "__code__", None)
+    return code is not None and Path(code.co_filename).parent == SOURCE
+
+
+def float_parameters():
+    """"<export>.<parameter>" for each parameter annotated `float`, alone or in a
+    union, of an exported function, or of an exported class whose `__init__` or
+    `__post_init__` is written in the package (not generated by dataclass)."""
+    found = set()
+    for name in commtest.__all__:
+        obj = getattr(commtest, name)
+        if inspect.isclass(obj) and not any(written_in_source(getattr(obj, method, None))
+                                            for method in ("__init__", "__post_init__")):
+            continue
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            for p in inspect.signature(obj).parameters.values():
+                annotation = getattr(p.annotation, "__name__", str(p.annotation))  # a type or text
+                if "float" in (part.strip() for part in annotation.split("|")):
+                    found.add(f"{name}.{p.name}")
+    return found
+
+
+def test_every_float_parameter_is_read_as_a_real():
+    """Each real parameter has a row in `tests/test_values.py::REAL`, which
+    feeds it non-numbers, bools, overflow, NaN, infinities and values past its
+    range, or is exempt above."""
+    from test_values import REAL
+
+    params = float_parameters()
+    assert sorted(params - REAL.keys() - REAL_EXEMPT.keys()) == []
+    assert sorted(REAL_EXEMPT.keys() - params) == []  # the list stays current
+
+
+def test_float_parameters_reads_annotations_and_written_constructors():
+    params = float_parameters()
+    assert {"DiscreteRV.beta", "HypothesisFamily.hadamard_eps", "FDivergenceSpec.c1",
+            "ContaminationSetup.epsilon", "hadamard_instance.eps"} <= params
+    # generated constructors of result records, and callables or arrays of floats
+    assert not {"QuantizeResult.bound", "ThresholdGrid.achieved", "ThresholdGrid.nus",
+                "FDivergenceSpec.f"} & params
+
+
 def test_decision_kernel_is_a_leaf():
     imports = package_imports(parse(SOURCE / "decision.py"))
     assert "commtest.core" in imports

@@ -232,17 +232,6 @@ def test_json_round_trips(cls, value):
     assert cls.from_json(value.to_json()) == value
 
 
-@pytest.mark.parametrize("build", [
-    lambda big: ct.DiscreteRV([0.5], [1.0], big),
-    lambda big: ct.ContaminationSetup(ct.Distribution(P), ct.Distribution(Q), big),
-], ids=["DiscreteRV", "ContaminationSetup"])
-@pytest.mark.parametrize("scalar", [10 ** 400, None, "x", math.nan],
-                         ids=["1e400", "None", "x", "nan"])
-def test_bad_scalars_raise_validation_error(build, scalar):
-    with pytest.raises(ct.ValidationError):
-        build(scalar)
-
-
 def test_check_results_are_read_only_and_hash_without_detail():
     from commtest.verify import CheckResult
 
@@ -255,14 +244,6 @@ def test_check_results_are_read_only_and_hash_without_detail():
     assert hash(result) == hash(CheckResult("c", True, 0.5, {"y": 0}))
     assert result == CheckResult("c", True, 0.5, {"x": 1}) != CheckResult("c", True, 0.5)
     assert result.to_json() == {"name": "c", "passed": True, "value": 0.5, "detail": {"x": 1}}
-
-
-def test_hadamard_eps_must_lie_in_the_unit_interval():
-    dists = [ct.Distribution(row) for row in GOOD_DISTS]
-    for eps in ("x", math.nan, 0.0, 1.0, -0.5):
-        with pytest.raises(ct.ValidationError):
-            ct.HypothesisFamily(dists, hadamard_eps=eps)
-    assert ct.HypothesisFamily(dists, hadamard_eps=0.4).hadamard_eps == 0.4
 
 
 PQ = ["--p", "[0.8,0.2]", "--q", "[0.2,0.8]"]
@@ -341,3 +322,75 @@ def test_sizes_are_integers_of_at_least_two(name, size, message):
 @pytest.mark.parametrize("name", SIZED)
 def test_a_numpy_integer_size_counts_as_its_int(name):
     assert repr(SIZED[name](np.int64(3))) == repr(SIZED[name](3))
+
+
+FAMILY4 = ct.hadamard_instance(4, 0.4)
+SAMPLER = ct.counts_sampler(FAMILY4.dists[1])
+PHASE = (0.005, 0.2, 0.5, 0.7)  # eps, alpha, beta, delta of the phase-transition pair
+
+
+def _phase(at, value):
+    return ct.example_phase_transition_instance(*PHASE[:at], value, *PHASE[at + 1:])
+
+
+def _sym_chi(s):
+    spec = ct.sym_chi_spec(s)  # its generator, a fresh lambda, would repr by address
+    return dataclasses.replace(spec, f=None), spec.f(0.5)
+
+
+# Each real parameter, as "<callable>.<parameter>": a function of that value
+# alone, a value inside its range, and values just past each finite end.
+REAL = {
+    "hadamard_instance.eps": (lambda e: ct.hadamard_instance(4, e), 0.4, (0.0, 1.0)),
+    "HypothesisFamily.hadamard_eps": (lambda e: ct.HypothesisFamily(
+        [ct.Distribution(row) for row in GOOD_DISTS], hadamard_eps=e), 0.4, (0.0, 1.0)),
+    "game_sample_size.constant": (lambda c: ct.game_sample_size(FAMILY4, 2, c), 4.0, (0.0,)),
+    "tournament_nonadaptive.constant": (lambda c: ct.tournament_nonadaptive(
+        FAMILY4, 2, SAMPLER, constant=c), 0.5, (0.0,)),
+    "tournament_adaptive.constant": (lambda c: ct.tournament_adaptive(
+        FAMILY4, 2, SAMPLER, constant=c), 0.5, (0.0,)),
+    "jl_distance_floor.accept": (lambda a: ct.mary.jl_distance_floor(FAMILY4, 3, a), 0.5, (0.0,)),
+    "jl_sketch_channel.accept": (lambda a: ct.jl_sketch_channel(FAMILY4, 3, accept=a),
+                                 0.02, (0.0,)),
+    "tightness_instance.rho": (ct.tightness_instance, 0.05, (0.0, 0.25)),
+    "hell_tight_instance.rho": (ct.hell_tight_instance, 0.05, (0.0, 0.25)),
+    "sym_chi_spec.s": (_sym_chi, 1.5, (0.5, 2.5)),
+    "empirical_sample_complexity.budget": (lambda b: ct.empirical_sample_complexity(
+        lambda n: ct.TestRule([ct.Channel.identity(2)]), ct.Distribution([0.8, 0.2]),
+        ct.Distribution([0.2, 0.8]), trials=200, budget=b), 0.3, (-0.1,)),
+    "ContaminationSetup.epsilon": (lambda e: ct.ContaminationSetup(
+        ct.Distribution(P), ct.Distribution(Q), e), 0.1, (-0.1,)),
+    "DiscreteRV.beta": (lambda b: ct.DiscreteRV([0.0, 0.5], [0.5, 0.5], b), 1.0, (0.0,)),
+    "example_nonrobust_instance.eps": (lambda e: ct.example_nonrobust_instance(e, 0.5),
+                                       0.05, (0.0, 0.11)),
+    "example_nonrobust_instance.alpha": (lambda a: ct.example_nonrobust_instance(0.05, a),
+                                         0.5, (0.0, 1.0)),
+    "example_phase_transition_instance.eps": (lambda e: _phase(0, e), 0.005, (0.0, 0.011)),
+    "example_phase_transition_instance.alpha": (lambda a: _phase(1, a), 0.2, (0.0, 1.0)),
+    "example_phase_transition_instance.beta": (lambda b: _phase(2, b), 0.5, (0.0, 1.0)),
+    "example_phase_transition_instance.delta": (lambda d: _phase(3, d), 0.7, (0.0, 1.0)),
+} | {
+    f"FDivergenceSpec.{name}": (lambda v, name=name: dataclasses.replace(HELLINGER, **{name: v}),
+                                getattr(HELLINGER, name), (0.0,))
+    for name in ("kappa", "c1", "c2", "alpha")
+}
+NOT_REAL = ["x", None, [], True, 10 ** 400, math.nan, math.inf, -math.inf]
+TAKES_NONE = {"HypothesisFamily.hadamard_eps"}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, _, ends) in REAL.items() for value in NOT_REAL + list(ends)
+    if not (value is None and name in TAKES_NONE)
+], ids=lambda arg: arg if isinstance(arg, str) and "." in arg else repr(arg)[:12])
+def test_reals_outside_their_range_raise_validation_error(name, value):
+    with pytest.raises(ct.ValidationError) as info:
+        REAL[name][0](value)
+    message = str(info.value)
+    assert f"{name.split('.')[1]} must be " in message
+    assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("name", REAL)
+def test_a_numpy_real_counts_as_its_float(name):
+    build, inside, _ = REAL[name]
+    assert repr(build(np.float64(inside))) == repr(build(inside))
