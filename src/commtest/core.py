@@ -405,10 +405,13 @@ _BUILTINS: dict[str, FDivergenceSpec] = {
 
 
 def sym_chi_spec(s: float) -> FDivergenceSpec:
-    """Symmetrized chi^s generator |x-1|^s + x^{1-s} |x-1|^s, s in [1, 2]."""
+    """Symmetrized chi^s generator |x-1|^s + x^{1-s} |x-1|^s, s in [1, 2].
+    Its name, "sym_chi_<s>", gives s back to `builtin_fdiv`: `:g` where that
+    keeps s, its repr otherwise."""
     s = _real("sym_chi order s", s, "[1, 2]")
+    short = f"{s:g}"
     return FDivergenceSpec(
-        name=f"sym_chi_{s:g}",
+        name=f"sym_chi_{short if float(short) == s else repr(s)}",
         f=lambda x: abs(x - 1.0) ** s * (1.0 + x ** (1.0 - s)),
         kappa=1.0,
         c1=1.0,

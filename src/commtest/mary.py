@@ -32,10 +32,11 @@ JL_NOISE_SCALE = 10.0         # Q2 = 10 * sqrt(log(k D'))
 DEFAULT_JL_ACCEPT = 0.02  # pilot-calibrated: single-draw success ~0.85
 DEFAULT_JL_RETRIES = 100
 
-# Draws n samples as counts over the alphabet. A tournament calls it once per
-# game, in game order; the round robin draws every game's samples before it
-# decides any game. Quoted, so that importing commtest does not import numpy.random.
-Sampler = Callable[["np.random.Generator", int], np.ndarray]
+# Draws n samples for each of `games` games as a (games, k) block of counts
+# over the alphabet, one row per game in game order. A tournament calls it once,
+# for all its games, before it decides any game. Quoted, so that importing
+# commtest does not import numpy.random.
+Sampler = Callable[["np.random.Generator", int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -309,13 +310,24 @@ class TournamentTranscript:
 
 
 def counts_sampler(dist: Distribution) -> Sampler:
-    """Sampler drawing multinomial counts over the alphabet; the identity of
-    `dist` stays hidden inside the closure."""
+    """Sampler drawing every game's multinomial counts over the alphabet in one
+    call, the same stream as one draw per game; the identity of `dist` stays
+    hidden inside the closure."""
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.multinomial(n, dist.probs)
+    def draw(rng: np.random.Generator, n: int, games: int) -> np.ndarray:
+        return rng.multinomial(n, dist.probs, size=games)
 
     return draw
+
+
+def _draw(sampler: Sampler, rng: np.random.Generator, n: int, games: int,
+          k: int) -> np.ndarray:
+    """The sampler's block of counts for `games` games, checked to be (games, k)."""
+    drawn = np.asarray(sampler(rng, n, games))
+    if drawn.shape != (games, k):
+        raise ValidationError(
+            f"sampler must return a {(games, k)} block of counts, got shape {drawn.shape}")
+    return drawn
 
 
 def game_sample_size(
@@ -340,14 +352,13 @@ def tournament_nonadaptive(
     """Round robin over all M(M-1)/2 pairs with fresh samples per game.
     Every pair plays once, so at most one hypothesis is undefeated; the
     winner has the fewest losses (lowest index on ties), flagged ambiguous
-    when it lost a game. `sampler` is called once per game, in game order,
-    and every game's samples are drawn before any game is decided. Game
-    channels stay on `family`: reuse one family object to design each pair
-    only once."""
+    when it lost a game. `sampler` is called once, for all M(M-1)/2 games in
+    game order, before any game is decided. Game channels stay on `family`:
+    reuse one family object to design each pair only once."""
     rng = np.random.default_rng(_count("seed", seed, 0, False))
     n_samples = game_sample_size(family, out_size, constant)
     ii, jj = _pairs(family.m)
-    drawn = np.array([sampler(rng, n_samples) for _ in range(ii.size)])
+    drawn = _draw(sampler, rng, n_samples, ii.size, family.k)
     channels, llr = family._round_robin(out_size)
     counts = (channels @ drawn[:, :, None])[:, :, 0]  # threshold channels are 0/1
     first = decision.trials_prefer_first([counts], [llr])  # ties go to ii
@@ -371,14 +382,17 @@ def tournament_adaptive(
     constant: float = DEFAULT_GAME_CONSTANT,
 ) -> TournamentTranscript:
     """Knockout: the current champion plays each next hypothesis once,
-    M - 1 games total. Game channels stay on `family`, as in the round robin."""
+    M - 1 games total. `sampler` is called once, for all M - 1 games in game
+    order, before the first game is decided: the samples do not depend on
+    the bracket. Game channels stay on `family`, as in the round robin."""
     rng = np.random.default_rng(_count("seed", seed, 0, False))
     n_samples = game_sample_size(family, out_size, constant)
+    drawn = _draw(sampler, rng, n_samples, family.m - 1, family.k)
     games = []
     champion = 0
-    for j in range(1, family.m):
+    for j, samples in enumerate(drawn, 1):
         channel, llr = family._game(champion, j, out_size)
-        counts = channel.matrix @ sampler(rng, n_samples)
+        counts = channel.matrix @ samples
         winner = champion if decision.prefers_first([counts], [llr]) else j
         games.append(GameRecord(i=champion, j=j, samples=n_samples, winner=winner))
         champion = winner

@@ -165,6 +165,21 @@ class TestFDivergence:
         with pytest.raises(ValidationError):
             sym_chi_spec(2.5)
 
+    def test_sym_chi_name_gives_back_its_order(self):
+        # "sym_chi_1.2345678" was named "sym_chi_1.23457", which looked up
+        # another generator
+        names = {1.0: "sym_chi_1", 1.5: "sym_chi_1.5", 2.0: "sym_chi_2",
+                 1.2345678: "sym_chi_1.2345678", 1 + 2**-52: "sym_chi_1.0000000000000002"}
+        for s, name in names.items():
+            assert sym_chi_spec(s).name == name
+        rng = np.random.default_rng(78)
+        for s in [*names, 2 - 2**-52, *(1.0 + rng.random(200)).tolist(),
+                  *np.round(1.0 + rng.random(50), 3).tolist()]:
+            spec = sym_chi_spec(s)
+            looked_up = builtin_fdiv(spec.name)
+            assert looked_up == spec and looked_up.alpha == s, s
+            assert looked_up.f(0.3) == spec.f(0.3), s
+
     def test_matches_closed_forms(self):
         p = Distribution([0.7, 0.2, 0.1])
         q = Distribution([0.1, 0.3, 0.6])

@@ -1094,9 +1094,9 @@ def ref_pairwise_indicator_reduction(family):
 
 
 def ref_tournament_nonadaptive(family, out_size, sampler, seed, constant, designs):
-    """The round robin as a transcript dict, one game at a time: draw,
-    count and decide each game before the next one draws. `designs` keeps
-    each pair's channel and LLR table across calls."""
+    """The round robin as a transcript dict, one game at a time: draw one
+    game's block, count and decide that game before the next one draws.
+    `designs` keeps each pair's channel and LLR table across calls."""
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
     games, losses = [], np.zeros(family.m, dtype=int)
@@ -1106,7 +1106,7 @@ def ref_tournament_nonadaptive(family, out_size, sampler, seed, constant, design
             channel = design_hellinger_channel(p, q, out_size).channel
             designs[p, q, out_size] = channel, message_llr(channel, p, q)
         channel, llr = designs[p, q, out_size]
-        counts = channel.matrix @ sampler(rng, n_samples)
+        counts = channel.matrix @ sampler(rng, n_samples, 1)[0]
         winner = i if ref_llr_statistic([counts], [llr]) >= 0 else j
         losses[j if winner == i else i] += 1
         games.append({"i": i, "j": j, "samples": n_samples, "winner": winner})
@@ -1121,8 +1121,9 @@ def ref_tournament_nonadaptive(family, out_size, sampler, seed, constant, design
 
 
 def ref_tournament_adaptive(family, out_size, sampler, seed, constant, designs):
-    """The knockout as a transcript dict, each game decided by the
-    reference statistic on its count vector and the reference LLR table."""
+    """The knockout as a transcript dict, one game at a time, each game
+    decided by the reference statistic on its count vector and the
+    reference LLR table."""
     rng = np.random.default_rng(seed)
     n_samples = game_sample_size(family, out_size, constant)
     games, champion = [], 0
@@ -1132,7 +1133,7 @@ def ref_tournament_adaptive(family, out_size, sampler, seed, constant, designs):
             channel = design_hellinger_channel(p, q, out_size).channel
             designs[p, q, out_size] = channel, ref_message_llr(channel, p, q)
         channel, llr = designs[p, q, out_size]
-        counts = channel.matrix @ sampler(rng, n_samples)
+        counts = channel.matrix @ sampler(rng, n_samples, 1)[0]
         winner = champion if ref_llr_statistic([counts], [llr]) >= 0 else j
         games.append({"i": champion, "j": j, "samples": n_samples, "winner": winner})
         champion = winner
@@ -1255,17 +1256,43 @@ class TestMaryMatchesPerPairLoops:
                     games += len(got.games)
         assert games > 500
 
+    def test_one_multinomial_block_is_successive_single_draws(self):
+        """The numpy identity the batched samplers rest on: a seeded
+        `multinomial(n, p, size=g)` is g successive single draws of an
+        identically seeded generator, row for row, and leaves it in the
+        same state. k 2..32, n 1..10^4 (log-uniform), g 1..64, laws with
+        zero atoms, and the corners of those ranges."""
+        rng = np.random.default_rng(330)
+        cases = [(k, n, g) for k in (2, 32) for n in (1, 10_000) for g in (1, 64)]
+        cases += [(int(rng.integers(2, 33)), int(10 ** rng.uniform(0, 4)),
+                   int(rng.integers(1, 65))) for _ in range(200)]
+        zero_atoms = 0
+        for i, (k, n, g) in enumerate(cases):
+            law = rng.dirichlet(np.full(k, rng.choice([0.3, 1.0, 5.0])))
+            law[rng.random(k) < 0.3] = 0.0
+            if not law.any():
+                law[0] = 1.0
+            law /= law.sum()
+            zero_atoms += not law.all()
+            block_rng, single_rng = np.random.default_rng(i), np.random.default_rng(i)
+            block = block_rng.multinomial(n, law, size=g)
+            singles = np.array([single_rng.multinomial(n, law) for _ in range(g)])
+            assert block.shape == (g, k) and np.array_equal(block, singles), (k, n, g)
+            assert block_rng.bit_generator.state == single_rng.bit_generator.state
+        assert zero_atoms >= 100
+
     def test_every_game_is_drawn_before_any_is_decided(self, monkeypatch):
-        """The stream contract behind the batched round robin: one sampler
-        call per game, in transcript order, each of the game's sample size,
-        all before the first decision; the knockout alternates."""
+        """The stream contract behind the batched tournaments: one sampler
+        call of (n, games), every game's block in transcript order, before
+        the first decision; the one-game-at-a-time references, replaying
+        those blocks row by row, give the same transcripts."""
         fam = hadamard_instance(7, 0.35)
         events, drawn = [], []
         draw = counts_sampler(fam.dists[3])
 
-        def recording(rng, n):
-            events.append(("draw", n))
-            drawn.append(draw(rng, n))
+        def recording(rng, n, games):
+            events.append(("draw", n, games))
+            drawn.append(draw(rng, n, games))
             return drawn[-1]
 
         def deciding(kernel):
@@ -1277,15 +1304,31 @@ class TestMaryMatchesPerPairLoops:
         for name in ("prefers_first", "trials_prefer_first"):  # knockout, round robin
             monkeypatch.setattr(decision, name, deciding(getattr(decision, name)))
         n = game_sample_size(fam, 3, 0.05)
-        tr = tournament_nonadaptive(fam, 3, recording, seed=4, constant=0.05)
-        assert events == [("draw", n)] * len(tr.games) + [("decide",)]
-        replay = iter(drawn)
-        want = ref_tournament_nonadaptive(fam, 3, lambda rng, size: next(replay), 4, 0.05, {})
-        assert transcript_signature(tr.to_json()) == transcript_signature(want)
+        for run, ref, games, decisions in (
+                (tournament_nonadaptive, ref_tournament_nonadaptive, 21, 1),
+                (tournament_adaptive, ref_tournament_adaptive, 6, 6)):
+            events.clear()
+            drawn.clear()
+            tr = run(fam, 3, recording, seed=4, constant=0.05)
+            assert events == [("draw", n, games)] + [("decide",)] * decisions
+            assert len(tr.games) == games
+            replay = iter(drawn[0])
+            want = ref(fam, 3, lambda rng, size, one: next(replay)[None], 4, 0.05, {})
+            assert transcript_signature(tr.to_json()) == transcript_signature(want)
 
-        events.clear()
-        tr = tournament_adaptive(fam, 3, recording, seed=4, constant=0.05)
-        assert events == [("draw", n), ("decide",)] * len(tr.games)
+    def test_a_sampler_drawing_row_by_row_matches_counts_sampler(self):
+        """A custom sampler drawing one multinomial row per game, returned as a
+        list of rows, gives the transcripts of `counts_sampler`'s one block."""
+        for fam, constant in tournament_plans()[:8]:
+            for truth in (0, fam.m - 1):
+                law = fam.dists[truth].probs
+                rowwise = lambda rng, n, games: [rng.multinomial(n, law) for _ in range(games)]
+                for run in (tournament_nonadaptive, tournament_adaptive):
+                    for d, seed in ((2, 11), (3, 12)):
+                        got = run(fam, d, rowwise, seed=seed, constant=constant)
+                        want = run(fam, d, counts_sampler(fam.dists[truth]), seed=seed,
+                                   constant=constant)
+                        assert got == want, (run.__name__, fam.m, truth, d, seed)
 
 
 # --------------------------------------------------------------------------

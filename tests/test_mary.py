@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,38 @@ class TestTournaments:
         t1 = tournament_nonadaptive(fam, 2, counts_sampler(fam.dists[0]), seed=3)
         t2 = tournament_nonadaptive(fam, 2, counts_sampler(fam.dists[0]), seed=3)
         assert t1.to_json() == t2.to_json()
+
+
+# What a sampler returns, made from the (games, k) block `counts_sampler`
+# draws, and the shape a tournament of `games` games must reject, or None
+# where it must take the block. On the Hadamard family of M = 4 (k = 8) the
+# round robin plays 6 games and the knockout 3.
+SAMPLER_BLOCKS = {
+    "one row": (lambda block: block[0], lambda games: (8,)),
+    "transposed": (lambda block: block.T, lambda games: (8, games)),
+    "one row short": (lambda block: block[:-1], lambda games: (games - 1, 8)),
+    "list of lists": (lambda block: block.tolist(), None),
+}
+
+
+class TestSamplerShape:
+    @pytest.mark.parametrize("run, games", [(tournament_nonadaptive, 6),
+                                            (tournament_adaptive, 3)],
+                             ids=["round-robin", "knockout"])
+    @pytest.mark.parametrize("row", SAMPLER_BLOCKS, ids=SAMPLER_BLOCKS.keys())
+    def test_tournaments_check_the_sampler_block(self, run, games, row):
+        # a wrong shape raised numpy's broadcast or matmul error, or (a
+        # knockout block one row short) played one game too few
+        fam = hadamard_instance(4, 0.4)
+        draw = counts_sampler(fam.dists[1])
+        reshape, rejected = SAMPLER_BLOCKS[row]
+        sampler = lambda rng, n, size: reshape(draw(rng, n, size))
+        if rejected is None:
+            assert run(fam, 2, sampler, seed=5) == run(fam, 2, draw, seed=5)
+            return
+        want = f"sampler must return a ({games}, 8) block of counts, got shape {rejected(games)}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            run(fam, 2, sampler, seed=5)
 
 
 SEEDED_CALLS = {
