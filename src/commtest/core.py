@@ -6,7 +6,8 @@ Conventions used throughout:
 - a channel is a column-stochastic D x k matrix T; the output law is T @ p;
 - I_f(p, q) = sum_i q_i * f(p_i / q_i) with 0 * f(0/0) = 0 and
   0 * f(a/0) = a * lim_{u->inf} f(u)/u; past p_i = q_i sqrt(float max), a
-  summand that overflows is read as its equal p_i f(q_i / p_i).
+  summand that overflows is read as its equal p_i f(q_i / p_i). f maps float64
+  arrays elementwise; I_f adds each row of a (..., k) stack left to right.
 
 Public functions and constructors validate their inputs, sizes by `_count` and
 reals by `_real`; `_`-prefixed kernels trust theirs and run on plain arrays.
@@ -36,6 +37,7 @@ from .errors import DimensionError, ValidationError
 NORMALIZE_TOL = 1e-9
 _SQRT_FLOAT_MAX = math.sqrt(float(np.finfo(float).max))
 _INT64_MAX = 2**63 - 1  # numpy's draws take n and trials as int64
+_ZERO, _INF = np.array(0.0), np.array(math.inf)  # faster comparands than Python floats
 
 
 def _as_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
@@ -323,12 +325,13 @@ class FDivergenceSpec:
     f convex, f(1) = 0, the symmetry x*f(y/x) = y*f(x/y), and the sandwich
     c1 * x**alpha <= f(1 + x) <= c2 * x**alpha for x in [0, kappa].
 
-    `_real` reads kappa, c1, c2 and alpha when the spec is built. `at_zero` is
-    f(0) and `slope_at_inf` is lim_{u->inf} f(u)/u, any reals or inf.
+    `f` maps float64 arrays elementwise; `_real` reads kappa, c1, c2 and alpha when
+    the spec is built. `at_zero` is f(0), used where the quotient p_i / q_i is 0,
+    and `slope_at_inf` is lim_{u->inf} f(u)/u, any reals or inf.
     """
 
     name: str
-    f: Callable[[float], float] = field(compare=False)
+    f: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     kappa: float
     c1: float
     c2: float
@@ -339,6 +342,13 @@ class FDivergenceSpec:
     def __post_init__(self):
         _freeze(self, **{name: _real(name, getattr(self, name))
                          for name in ("kappa", "c1", "c2", "alpha")})
+        try:
+            shape = np.shape(self.f(np.array([0.5, 2.0])))
+        except (TypeError, ValueError):  # a scalar-only f, given an array
+            shape = ()
+        if shape != (2,):
+            raise ValidationError(f"f of {self.name!r} must map a float64 array elementwise; "
+                                  "wrap a scalar function in np.vectorize")
 
     def evaluate(self, x: float) -> float:
         if x < 0:
@@ -348,22 +358,17 @@ class FDivergenceSpec:
         return float(self.f(x))
 
 
-def _sym_kl_generator(x: float) -> float:
-    return (x - 1.0) * math.log(x)
-
-
-def _triangular_generator(x: float) -> float:
+def _triangular_generator(x):
     # (x - 1)**2 stays finite exactly up to sqrt(float max); past it, factor.
-    t = x - 1.0
-    if t <= _SQRT_FLOAT_MAX:
-        return t ** 2 / (1.0 + x)
-    return t * (t / (1.0 + x))
+    t, u = x - 1.0, x + 1.0
+    return np.where(t <= _SQRT_FLOAT_MAX, np.square(np.minimum(t, _SQRT_FLOAT_MAX)) / u,
+                    t * (t / u))
 
 
 _BUILTINS: dict[str, FDivergenceSpec] = {
     "hellinger": FDivergenceSpec(
         name="hellinger",
-        f=lambda x: (math.sqrt(x) - 1.0) ** 2,
+        f=lambda x: np.square(np.sqrt(x) - 1.0),
         kappa=1.0,
         c1=2.0 ** -3.5,
         c2=1.0,
@@ -373,7 +378,7 @@ _BUILTINS: dict[str, FDivergenceSpec] = {
     ),
     "tv": FDivergenceSpec(
         name="tv",
-        f=lambda x: 0.5 * abs(x - 1.0),
+        f=lambda x: 0.5 * np.abs(x - 1.0),
         kappa=1.0,
         c1=0.5,
         c2=0.5,
@@ -383,7 +388,7 @@ _BUILTINS: dict[str, FDivergenceSpec] = {
     ),
     "sym_kl": FDivergenceSpec(
         name="sym_kl",
-        f=_sym_kl_generator,
+        f=lambda x: (x - 1.0) * np.log(x),
         kappa=1.0,
         c1=0.5,
         c2=1.0,
@@ -412,7 +417,7 @@ def sym_chi_spec(s: float) -> FDivergenceSpec:
     short = f"{s:g}"
     return FDivergenceSpec(
         name=f"sym_chi_{short if float(short) == s else repr(s)}",
-        f=lambda x: abs(x - 1.0) ** s * (1.0 + x ** (1.0 - s)),
+        f=lambda x: np.abs(x - 1.0) ** s * (1.0 + x ** (1.0 - s)),
         kappa=1.0,
         c1=1.0,
         c2=3.0,
@@ -439,11 +444,11 @@ def builtin_fdiv(name: str) -> FDivergenceSpec:
     )
 
 
-def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
-    """One summand q_i f(p_i / q_i) of I_f, with the 0/0 and a/0 conventions;
-    past p_i = q_i sqrt(float max), if it overflows, p_i f(q_i / p_i) instead
-    (x f(y/x) = y f(x/y)): the quotient, or f of it, may pass the float range
-    though the summand does not."""
+def _fdiv_term(spec: FDivergenceSpec, pi: np.float64, qi: np.float64) -> float:
+    """One summand q_i f(p_i / q_i) of I_f on numpy scalars, with the 0/0 and
+    a/0 conventions; past p_i = q_i sqrt(float max), if it overflows, p_i f(q_i / p_i)
+    instead (x f(y/x) = y f(x/y)): the quotient, or f of it, may pass the float
+    range though the summand does not. It reads inf or nan and warns as numpy does."""
     if qi > 0:
         if pi <= qi * _SQRT_FLOAT_MAX:
             return qi * spec.evaluate(pi / qi)
@@ -455,31 +460,33 @@ def _fdiv_term(spec: FDivergenceSpec, pi: float, qi: float) -> float:
     return 0.0
 
 
-def _fdiv_terms(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> list[float]:
-    """The summands of I_f over two probability arrays of one length, on Python
-    floats; one that raises there or leaves the float range is taken again on
-    numpy scalars, which read inf or nan and warn as numpy does."""
-    f, at_zero, limit = spec.f, spec.at_zero, _SQRT_FLOAT_MAX
-    terms = []
-    for pi, qi in zip(pa.tolist(), qa.tolist()):
-        try:
-            if qi > 0 and 0 <= pi <= qi * limit:  # `_fdiv_term`'s first branch, inlined
-                x = pi / qi  # 0 or more, or nan from inf / inf, as `spec.evaluate` reads it
-                term = qi * (float(f(x)) if x else at_zero)
-            else:
-                term = _fdiv_term(spec, pi, qi)
-        except ArithmeticError:
-            term = math.nan
-        terms.append(term if math.isfinite(term) else
-                     _fdiv_term(spec, np.float64(pi), np.float64(qi)))
+def _fdiv_terms(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
+    """The summands q f(p / q) of I_f over the last axis of two (..., k) probability
+    stacks in one quiet pass: f on the finite positive quotients, at_zero where the
+    quotient is 0. Other entries and non-finite terms read 0 where p = q = 0; the rest
+    (q = 0, overflow, a negative mass) `_fdiv_term` takes again, warning or raising."""
+    with np.errstate(all="ignore"):
+        x = pa / qa
+        pos = (x > _ZERO) & (x < _INF)
+        if np.count_nonzero(pos) == pos.size:  # the common case: f takes x as it is
+            terms = qa * spec.f(x)
+            ok = np.isfinite(terms)
+        else:
+            terms = qa * np.where(pos, spec.f(np.where(pos, x, 1.0)), spec.at_zero)
+            ok = np.isfinite(terms) & (pos | (x == _ZERO))
+    if np.count_nonzero(ok) < ok.size:  # a count is faster than ok.all() on short arrays
+        terms[~ok] = 0.0  # empty cells and zero masses are common: no per-atom call for them
+        bad = np.logical_or(pa, qa) > ok
+        if np.count_nonzero(bad):
+            terms[bad] = [_fdiv_term(spec, pi, qi) for pi, qi in zip(pa[bad], qa[bad])]
     return terms
 
 
-def _fdiv_sum(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray) -> float:
-    """I_f over two probability arrays of one length, the terms added in order
-    by numpy, which warns where the sum leaves the float range. (From a numpy
-    start, sum() adds plainly; from 0.0 it may compensate, and move last bits.)"""
-    return float(sum(_fdiv_terms(spec, pa, qa), np.float64(0.0)))
+def _fdiv_sum(spec: FDivergenceSpec, pa: np.ndarray, qa: np.ndarray):
+    """I_f of each pair of rows of two (..., k) probability stacks, as Python
+    floats (a float for one pair, `tolist` lists for a stack), the terms of a row
+    added left to right from 0.0; numpy warns where a sum leaves the float range."""
+    return (np.add.accumulate(_fdiv_terms(spec, pa, qa), -1)[..., -1][()] + 0.0).tolist()
 
 
 def f_divergence(spec: FDivergenceSpec, p: Distribution, q: Distribution) -> float:
@@ -492,10 +499,15 @@ def hellinger_affinity(p: Distribution, q: Distribution) -> float:
     return float(np.sqrt(p.probs * q.probs).sum())
 
 
+def _hellinger_sq(pa: np.ndarray, qa: np.ndarray):
+    """sum (sqrt(p_i) - sqrt(q_i))^2 of each pair of rows, as I_f of "hellinger"."""
+    return _fdiv_sum(_BUILTINS["hellinger"], pa, qa)
+
+
 def hellinger_sq(p: Distribution, q: Distribution) -> float:
-    """Squared Hellinger distance sum (sqrt(p_i) - sqrt(q_i))^2 = 2(1 - affinity)."""
+    """Squared Hellinger distance sum (sqrt(p_i) - sqrt(q_i))^2."""
     _check_same_alphabet(p, q)
-    return float(((np.sqrt(p.probs) - np.sqrt(q.probs)) ** 2).sum())
+    return _hellinger_sq(p.probs, q.probs)
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:

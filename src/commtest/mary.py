@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import decision
-from .core import (Channel, Distribution, _check_channel_input, _count, _freeze, _push,
-                   _read_json, _real, _trusted)
+from .core import (Channel, Distribution, _check_channel_input, _count, _freeze,
+                   _hellinger_sq, _push, _read_json, _real, _trusted)
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -70,8 +70,7 @@ class HypothesisFamily:
             hadamard_eps = _real("hadamard_eps", hadamard_eps, "(0, 1)")
         probs = np.stack([d.probs for d in dists])
         ii, jj = _pairs(len(dists))
-        roots = np.sqrt(probs)
-        h = np.sqrt(((roots[ii] - roots[jj]) ** 2).sum(axis=1))
+        h = np.sqrt(_hellinger_sq(probs[ii], probs[jj]))
         tv = _pair_tv(probs)
         if not tv.all():
             raise DegenerateInputError("family contains duplicate hypotheses")

@@ -106,12 +106,12 @@ def _score_thresholds(spec: FDivergenceSpec, i_f: float, ratios: np.ndarray, pq:
                       candidates: list[list[float]], out_size: int):
     """(preservation ratios, channel matrices, thresholds) of `candidates`, lists
     of levels each padded to D-1 of them, given i_f = I_f(p, q) and the likelihood
-    ratios and stack pq of (p, q). The candidates are labelled and pushed as one
-    stack of channels; each gets the floats it gets alone."""
+    ratios and stack pq of (p, q). The candidates are labelled, pushed and scored
+    as one stack of channels; each gets the floats it gets alone."""
     levels = np.array([_pad_levels(c, out_size) for c in candidates])
     channels = _ratio_labels(ratios, levels)
-    images = _push(channels[:, None], pq)
-    return [_ratio_of(i_f, _fdiv_sum(spec, *image)) for image in images], channels, levels
+    dens = _fdiv_sum(spec, *_push(channels, pq[:, None]))  # the images of p, then of q
+    return [_ratio_of(i_f, den) for den in dens], channels, levels
 
 
 def _near_one_grid(
@@ -162,7 +162,12 @@ def design_fdiv_channel(
 ) -> QuantizeResult:
     """Design a D-output threshold channel approximately preserving I_f(p,q)."""
     out_size = _count("out_size", out_size, 2)
-    i_f = f_divergence(spec, p, q)
+    return _design_fdiv(spec, p, q, out_size, f_divergence(spec, p, q))
+
+
+def _design_fdiv(spec: FDivergenceSpec, p: Distribution, q: Distribution, out_size: int,
+                 i_f: float) -> QuantizeResult:
+    """`design_fdiv_channel` given a checked out_size and i_f = I_f(p, q)."""
     if i_f <= _DIVERGENCE_FLOOR:
         raise DegenerateInputError("p and q are (numerically) identical")
 
@@ -211,9 +216,9 @@ def design_hellinger_channel(
 ) -> QuantizeResult:
     """Hellinger specialization: ratio ceiling 1800 * max(1, min(k, k')/D)
     with k' = log2(4 / d_h^2), regardless of how small ratios get."""
-    spec = builtin_fdiv("hellinger")
-    base = design_fdiv_channel(spec, p, q, out_size)
+    out_size = _count("out_size", out_size, 2)
     h2 = hellinger_sq(p, q)
+    base = _design_fdiv(builtin_fdiv("hellinger"), p, q, out_size, h2)
     k_support = int(np.count_nonzero((p.probs > 0) | (q.probs > 0)))
     kprime = max(1.0, math.log2(4.0 / h2))
     r_value = min(float(k_support), kprime)
@@ -241,10 +246,7 @@ def brute_force_threshold_channel(
     classes = _ratio_labels(ratios, np.array(cuts))
     p_cells = _cell_sums(classes @ p.probs)
     q_cells = _cell_sums(classes @ q.probs)
-    n = len(cuts) + 1
-    score = np.zeros((n, n + 1))
-    cells = (p_cells > 0) | (q_cells > 0)  # the cells a < b; 0 elsewhere, and f's term of 0, 0
-    score[cells] = _fdiv_terms(spec, p_cells[cells], q_cells[cells])
+    score = _fdiv_terms(spec, p_cells, q_cells)  # 0 where p = q = 0: the cells a >= b
     chosen = _best_cuts(score, min(out_size - 1, len(cuts)))
     (ratio,), (labels,), (levels,) = _score_thresholds(
         spec, i_f, ratios, np.stack([p.probs, q.probs]), [[cuts[c - 1] for c in chosen]], out_size)

@@ -124,15 +124,11 @@ def facts_suite(seed: int = 0, pairs: int = 1000, k_max: int = 32,
     # Generator constants on a dense grid, plus symmetry and f(1) = 0.
     for spec in specs + [builtin_fdiv("sym_chi_1"), builtin_fdiv("sym_chi_2")]:
         xs = np.linspace(0.0, spec.kappa, grid_points)
-        worst_g = abs(spec.evaluate(1.0))
-        for x in xs:
-            fx = spec.evaluate(1.0 + x)
-            mono = x ** spec.alpha
-            worst_g = max(worst_g, spec.c1 * mono - fx, fx - spec.c2 * mono)
-        for _ in range(200):
-            x, y = rng.uniform(0.01, 5.0, 2)
-            lhs, rhs = x * spec.evaluate(y / x), y * spec.evaluate(x / y)
-            worst_g = max(worst_g, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        fx, mono = spec.f(1.0 + xs), xs ** spec.alpha  # f on the whole grid: 1 + x > 0
+        worst_g = max(abs(spec.evaluate(1.0)), *(spec.c1 * mono - fx), *(fx - spec.c2 * mono))
+        x, y = rng.uniform(0.01, 5.0, (200, 2)).T  # 200 draws of (x, y), in turn
+        lhs, rhs = x * spec.f(y / x), y * spec.f(x / y)
+        worst_g = max(worst_g, *(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
         results.append(
             CheckResult(f"generator_constants_{spec.name}", worst_g <= 1e-10, worst_g)
         )

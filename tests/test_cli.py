@@ -47,6 +47,15 @@ class TestDivergence:
         assert obj["total_variation"] == pytest.approx(0.6)
         assert obj["hellinger_affinity"] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("p, q", [(P, Q), (P3, Q3), ("[0.5,0.5,0]", "[0.25,0,0.75]")])
+    def test_one_hellinger(self, capsys, p, q):
+        # the README example printed 0.4 next to 0.39999999999999997
+        code, out, _ = run(capsys, "divergence", "--p", p, "--q", q)
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["spec"] == "hellinger"
+        assert obj["f_divergence"] == obj["hellinger_sq"]
+
     def test_spec_selection(self, capsys):
         code, out, _ = run(capsys, "divergence", "--p", P, "--q", Q,
                            "--spec", "sym_chi_1.5")

@@ -259,8 +259,9 @@ def test_caught_names_reads_every_spelling():
 
 
 def test_only_core_reads_the_fdiv_term():
-    """`core._fdiv_terms` takes each I_f summand on Python floats; a per-term
-    loop elsewhere would run `_fdiv_term` on numpy scalars, several times slower."""
+    """`core._fdiv_terms` takes every I_f summand in one numpy pass and hands
+    `_fdiv_term` only the entries that pass cannot take; a per-term loop elsewhere
+    would run it on every atom, on numpy scalars, many times slower."""
     readers = {path.name for path in MODULES for node in ast.walk(parse(path))
                if "_fdiv_term" in (getattr(node, "id", None), getattr(node, "attr", None),
                                    getattr(node, "name", None))

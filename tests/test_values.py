@@ -335,7 +335,7 @@ def _phase(at, value):
 
 def _sym_chi(s):
     spec = ct.sym_chi_spec(s)  # its generator, a fresh lambda, would repr by address
-    return dataclasses.replace(spec, f=None), spec.f(0.5)
+    return dataclasses.replace(spec, f=np.abs), spec.f(0.5)
 
 
 # Each real parameter, as "<callable>.<parameter>": a function of that value
